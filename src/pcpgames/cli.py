@@ -18,11 +18,18 @@ from . import engine
 from . import matrices as mx
 from . import pcp
 from . import wordgames as wg
-from .domains import build_pipeline, WordGameDomain
+from .domains import REPRESENTATIONS, Domain, build_pipeline, word_domain
 from .engine import ATTACKER, DEFENDER
 
-EMIT_CHOICES = ("automaton", "word-game", "pair-game", "matrix-game", "braid3-game", "braid5-game")
-REPRESENTATIONS = ("word", "pair", "matrix", "braid3", "braid5")
+# --emit choice -> (Pipeline field, dumper) for the game emissions.
+GAME_EMITTERS = {
+    "word-game": ("weighted_game", wg.dump_weighted_game),
+    "pair-game": ("pair_game", wg.dump_pair_game),
+    "matrix-game": ("matrix_game", mx.dump_matrix_game),
+    "braid3-game": ("braid3_game", br.dump_braid_game),
+    "braid5-game": ("braid5_game", br.dump_braid_game),
+}
+EMIT_CHOICES = ("automaton",) + tuple(GAME_EMITTERS)
 
 
 class CliError(Exception):
@@ -68,21 +75,11 @@ def cmd_build(args: argparse.Namespace) -> int:
             text = au.export_dot(aut)
         _write_or_print(text, args.output)
         return 0
-    aut = _transformed_automaton(inst, args.reverse, args.unfold)
-    weighted = wg.build_weighted_word_game(aut)
-    if args.emit == "word-game":
-        text = wg.dump_weighted_game(weighted)
-    elif args.emit == "pair-game":
-        text = wg.dump_pair_game(wg.to_pair_game(weighted))
-    elif args.emit == "matrix-game":
-        text = mx.dump_matrix_game(mx.build_matrix_game(wg.binarize(wg.to_pair_game(weighted))))
-    elif args.emit == "braid3-game":
-        text = br.dump_braid_game(br.build_braid3_game(wg.binarize_weighted(weighted)))
-    elif args.emit == "braid5-game":
-        text = br.dump_braid_game(br.build_braid5_game(wg.binarize(wg.to_pair_game(weighted))))
-    else:
-        raise CliError(f"unknown emission {args.emit!r}")
-    _write_or_print(text, args.output)
+    if not args.unfold:
+        raise CliError("the word game is built from the unfolded 9-state automaton; pass --unfold")
+    field, dump = GAME_EMITTERS[args.emit]
+    pipe = build_pipeline(inst, wiring="reverse" if args.reverse else "forward")
+    _write_or_print(dump(getattr(pipe, field)), args.output)
     return 0
 
 
@@ -122,18 +119,18 @@ def cmd_check(args: argparse.Namespace) -> int:
     raise CliError("check needs --word or --universality")
 
 
-def _domain_from_args(args: argparse.Namespace):
-    if getattr(args, "game", None) is not None:
+def _domains_from_args(args: argparse.Namespace) -> tuple[Domain, Domain]:
+    """The domain to solve or play, and the word domain whose move labels name its moves."""
+    if args.game is not None:
         path = Path(args.game)
         if not path.exists():
             raise CliError(f"game dump not found: {args.game}")
-        game = wg.parse_weighted_game(path.read_text(encoding="utf-8"))
-        return WordGameDomain(game)
-    if getattr(args, "instance", None) is None:
+        domain = word_domain(wg.parse_weighted_game(path.read_text(encoding="utf-8")))
+        return domain, domain
+    if args.instance is None:
         raise CliError("need --game DUMP or --instance FILE")
-    inst = _read_instance(args.instance)
-    pipe = build_pipeline(inst, wiring=args.wiring)
-    return pipe.domain(args.representation)
+    pipe = build_pipeline(_read_instance(args.instance))
+    return pipe.domain(args.representation), pipe.domain("word")
 
 
 def _render_strategy(table: dict[tuple[str, int], int]) -> str:
@@ -160,7 +157,7 @@ def _parse_strategy(text: str) -> dict[tuple[str, int], int]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    domain = _domain_from_args(args)
+    domain, _ = _domains_from_args(args)
     try:
         result = engine.attacker_wins_within(
             domain, args.rounds, max_nodes=args.max_nodes, jobs=args.jobs
@@ -176,7 +173,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _policy_from_spec(spec: str, domain, player: str) -> engine.Policy:
+def _policy_from_spec(spec: str, words: Domain, player: str) -> engine.Policy:
     if spec == "human":
         return engine.human_policy()
     if spec.startswith("random:"):
@@ -191,12 +188,12 @@ def _policy_from_spec(spec: str, domain, player: str) -> engine.Policy:
         path = Path(body)
         if path.exists():
             body = path.read_text(encoding="utf-8").strip()
-        indices = _script_indices(body, domain, player)
-        return engine.scripted_policy(indices)
+        return engine.scripted_policy(_script_indices(body, words, player))
     raise CliError(f"unknown policy {spec!r} (use human, random:SEED, script:SPEC, strategy:FILE)")
 
 
-def _script_indices(body: str, domain, player: str) -> list[int]:
+def _script_indices(body: str, words: Domain, player: str) -> list[int]:
+    """Digits are move indices; letters name word-game moves, index-aligned in every domain."""
     tokens: list[str]
     if "," in body or any(ch.isspace() for ch in body.strip()):
         tokens = body.replace(",", " ").split()
@@ -208,8 +205,8 @@ def _script_indices(body: str, domain, player: str) -> list[int]:
             indices.append(int(tok))
             continue
         found = None
-        for i in range(domain.move_count(player)):
-            if domain.move_label(player, i) == f"word={tok} weight=0":
+        for i in range(words.move_count(player)):
+            if words.move_label(player, i) == f"word={tok} weight=0":
                 found = i
                 break
         if found is None:
@@ -219,10 +216,15 @@ def _script_indices(body: str, domain, player: str) -> list[int]:
 
 
 def cmd_play(args: argparse.Namespace) -> int:
-    domain = _domain_from_args(args)
-    defender = _policy_from_spec(args.defender, domain, DEFENDER)
-    attacker = _policy_from_spec(args.attacker, domain, ATTACKER)
-    trace = engine.play(domain, defender, attacker, args.rounds, stop_at_target=not args.run_to_end)
+    domain, words = _domains_from_args(args)
+    defender = _policy_from_spec(args.defender, words, DEFENDER)
+    attacker = _policy_from_spec(args.attacker, words, ATTACKER)
+    try:
+        trace = engine.play(
+            domain, defender, attacker, args.rounds, stop_at_target=not args.run_to_end
+        )
+    except KeyError as exc:
+        raise CliError(f"{exc.args[0]}: the strategy does not fit this game and horizon") from exc
     _write_or_print(trace.render(), args.output)
     return 0
 
@@ -233,7 +235,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
         raise CliError(f"trace file not found: {args.trace}")
     trace = engine.parse_trace(trace_path.read_text(encoding="utf-8"))
     inst = _read_instance(args.instance)
-    pipe = build_pipeline(inst, wiring=args.wiring)
+    pipe = build_pipeline(inst)
     report = engine.crosscheck(trace, pipe.crosscheck_domains())
     out = report.render()
     if report.agree:
@@ -270,9 +272,8 @@ def make_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--game", default=None, help="weighted word game dump to solve")
     p_solve.add_argument("-i", "--instance", default=None)
     p_solve.add_argument("--representation", choices=REPRESENTATIONS, default="word")
-    p_solve.add_argument("--wiring", choices=("forward", "reverse"), default="forward")
     p_solve.add_argument("--rounds", type=int, required=True)
-    p_solve.add_argument("--jobs", type=int, default=1)
+    p_solve.add_argument("--jobs", type=int, default=1, help="accepted; the search is sequential")
     p_solve.add_argument("--max-nodes", type=int, default=500_000)
     p_solve.add_argument("--strategy-out", default=None)
     p_solve.set_defaults(func=cmd_solve)
@@ -281,7 +282,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_play.add_argument("--game", default=None)
     p_play.add_argument("-i", "--instance", default=None)
     p_play.add_argument("--representation", choices=REPRESENTATIONS, default="word")
-    p_play.add_argument("--wiring", choices=("forward", "reverse"), default="forward")
     p_play.add_argument("--defender", required=True)
     p_play.add_argument("--attacker", required=True)
     p_play.add_argument("--rounds", type=int, required=True)
@@ -292,7 +292,6 @@ def make_parser() -> argparse.ArgumentParser:
     p_cross = sub.add_parser("crosscheck", help="replay a trace across every representation")
     p_cross.add_argument("--trace", required=True)
     p_cross.add_argument("--instance", required=True)
-    p_cross.add_argument("--wiring", choices=("forward", "reverse"), default="forward")
     p_cross.set_defaults(func=cmd_crosscheck)
 
     return parser

@@ -1,8 +1,9 @@
-"""Game-domain adapters for the solver plus the full per-instance pipeline.
+"""Game domains for the solver plus the full per-instance pipeline.
 
-Every representation derived from one word game keeps its move lists in the
-same order, so a move index means the same thing in each domain and traces
-replay across representations unchanged.
+Every representation is one :class:`Domain`: the same word game seen
+through another image.  Every representation derived from one word game
+keeps its move lists in the same order, so a move index means the same
+thing in each domain and traces replay across representations unchanged.
 
 Braid configurations carry the group-word preimage of the braid alongside
 the braid word itself; the preimage is the canonical key and drives the
@@ -13,7 +14,10 @@ oracles that the test suite replays against.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
+from functools import partial
+from typing import Any, Callable
 
 from . import automata as au
 from . import braids as br
@@ -25,141 +29,99 @@ from .pcp import PcpInstance
 
 
 @dataclass(frozen=True)
-class WordGameDomain:
-    game: wg.WeightedWordGame
-    name: str = "word"
+class Domain:
+    """One representation of a game, as the solver and the replays see it.
 
-    def initial_config(self) -> wg.WordConfig:
-        return self.game.initial
+    ``step(config, move)`` applies one entry of a move tuple.  ``is_target``
+    and ``canonical_key`` are stored callables rather than methods, so the
+    solver calls them without an extra frame.
+    """
 
-    def move_count(self, player: str) -> int:
-        moves = self.game.defender_moves if player == DEFENDER else self.game.attacker_moves
-        return len(moves)
+    name: str
+    initial: Any
+    defender_moves: tuple
+    attacker_moves: tuple
+    step: Callable[[Any, Any], Any]
+    is_target: Callable[[Any], bool]
+    canonical_key: Callable[[Any], str]
+    label: Callable[[Any], str]
 
-    def move_label(self, player: str, index: int) -> str:
-        moves = self.game.defender_moves if player == DEFENDER else self.game.attacker_moves
-        return moves[index].render()
-
-    def apply(self, config: wg.WordConfig, player: str, index: int) -> wg.WordConfig:
-        moves = self.game.defender_moves if player == DEFENDER else self.game.attacker_moves
-        return self.game.apply(config, moves[index])
-
-    def is_target(self, config: wg.WordConfig) -> bool:
-        return self.game.is_target(config)
-
-    def canonical_key(self, config: wg.WordConfig) -> str:
-        return f"{fg.render(config.word) or 'ε'};{config.counter}"
-
-
-@dataclass(frozen=True)
-class PairGameDomain:
-    game: wg.PairWordGame
-    name: str = "pair"
-
-    def initial_config(self) -> wg.PairConfig:
-        return self.game.initial
+    def initial_config(self) -> Any:
+        return self.initial
 
     def move_count(self, player: str) -> int:
-        moves = self.game.defender_moves if player == DEFENDER else self.game.attacker_moves
-        return len(moves)
+        return len(self.defender_moves if player == DEFENDER else self.attacker_moves)
 
     def move_label(self, player: str, index: int) -> str:
-        moves = self.game.defender_moves if player == DEFENDER else self.game.attacker_moves
-        return moves[index].render()
+        moves = self.defender_moves if player == DEFENDER else self.attacker_moves
+        return self.label(moves[index])
 
-    def apply(self, config: wg.PairConfig, player: str, index: int) -> wg.PairConfig:
-        moves = self.game.defender_moves if player == DEFENDER else self.game.attacker_moves
-        return self.game.apply(config, moves[index])
-
-    def is_target(self, config: wg.PairConfig) -> bool:
-        return self.game.is_target(config)
-
-    def canonical_key(self, config: wg.PairConfig) -> str:
-        return f"{fg.render(config.word) or 'ε'};{fg.render(config.counter_word) or 'ε'}"
+    def apply(self, config: Any, player: str, index: int) -> Any:
+        moves = self.defender_moves if player == DEFENDER else self.attacker_moves
+        return self.step(config, moves[index])
 
 
-@dataclass(frozen=True)
-class MatrixGameDomain:
+def _weighted_key(config) -> str:
+    return f"{fg.render(config.word) or 'ε'};{config.counter}"
+
+
+def _pair_key(config) -> str:
+    return f"{fg.render(config.word) or 'ε'};{fg.render(config.counter_word) or 'ε'}"
+
+
+def _matrix_text(m: mx.IntMatrix) -> str:
+    return " ".join(str(x) for row in m for x in row)
+
+
+def _vector_text(v: mx.IntVector) -> str:
+    return " ".join(str(x) for x in v)
+
+
+def word_domain(game: wg.WeightedWordGame) -> Domain:
+    return Domain(
+        "word", game.initial, game.defender_moves, game.attacker_moves,
+        game.apply, game.is_target, _weighted_key, wg.WeightedMove.render,
+    )
+
+
+def pair_domain(game: wg.PairWordGame) -> Domain:
+    return Domain(
+        "pair", game.initial, game.defender_moves, game.attacker_moves,
+        game.apply, game.is_target, _pair_key, wg.PairMove.render,
+    )
+
+
+def matrix_domain(game: mx.MatrixGame) -> Domain:
     """Product convention: the configuration is the accumulated move product."""
-
-    game: mx.MatrixGame
-    name: str = "matrix"
-
-    def initial_config(self) -> mx.IntMatrix:
-        if self.game.initial is not None:
-            return self.game.initial
-        return mx.identity(self.game.dimension)
-
-    def move_count(self, player: str) -> int:
-        return len(self.game.defender if player == DEFENDER else self.game.attacker)
-
-    def move_label(self, player: str, index: int) -> str:
-        m = (self.game.defender if player == DEFENDER else self.game.attacker)[index]
-        return " ".join(str(x) for row in m for x in row)
-
-    def apply(self, config: mx.IntMatrix, player: str, index: int) -> mx.IntMatrix:
-        m = (self.game.defender if player == DEFENDER else self.game.attacker)[index]
-        return mx.apply_matrix_move(config, m)
-
-    def is_target(self, config: mx.IntMatrix) -> bool:
-        return mx.fixes_anchor(config, self.game.anchor)
-
-    def canonical_key(self, config: mx.IntMatrix) -> str:
-        return " ".join(str(x) for row in config for x in row)
+    initial = game.initial if game.initial is not None else mx.identity(game.dimension)
+    return Domain(
+        "matrix", initial, game.defender, game.attacker,
+        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=game.anchor),
+        _matrix_text, _matrix_text,
+    )
 
 
-@dataclass(frozen=True)
-class VectorMatrixGameDomain:
+def _act_on_vector(config: mx.IntVector, m: mx.IntMatrix) -> mx.IntVector:
+    return mx.mat_vec_mul(m, config)
+
+
+def vector_matrix_domain(game: mx.MatrixGame) -> Domain:
     """Vector convention: matrices act on a column configuration vector."""
-
-    game: mx.MatrixGame
-    name: str = "robot-matrix"
-
-    def initial_config(self) -> mx.IntVector:
-        return self.game.anchor
-
-    def move_count(self, player: str) -> int:
-        return len(self.game.defender if player == DEFENDER else self.game.attacker)
-
-    def move_label(self, player: str, index: int) -> str:
-        m = (self.game.defender if player == DEFENDER else self.game.attacker)[index]
-        return " ".join(str(x) for row in m for x in row)
-
-    def apply(self, config: mx.IntVector, player: str, index: int) -> mx.IntVector:
-        m = (self.game.defender if player == DEFENDER else self.game.attacker)[index]
-        return mx.mat_vec_mul(m, config)
-
-    def is_target(self, config: mx.IntVector) -> bool:
-        return config == self.game.target_vector
-
-    def canonical_key(self, config: mx.IntVector) -> str:
-        return " ".join(str(x) for x in config)
+    return Domain(
+        "robot-matrix", game.anchor, game.defender, game.attacker,
+        _act_on_vector, partial(operator.eq, game.target_vector), _vector_text, _matrix_text,
+    )
 
 
-@dataclass(frozen=True)
-class RobotGameDomain:
-    game: mx.RobotGame
-    name: str = "robot"
+def _translate(config: mx.IntVector, v: mx.IntVector) -> mx.IntVector:
+    return tuple(c + dv for c, dv in zip(config, v))
 
-    def initial_config(self) -> mx.IntVector:
-        return self.game.initial
 
-    def move_count(self, player: str) -> int:
-        return len(self.game.defender if player == DEFENDER else self.game.attacker)
-
-    def move_label(self, player: str, index: int) -> str:
-        v = (self.game.defender if player == DEFENDER else self.game.attacker)[index]
-        return " ".join(str(x) for x in v)
-
-    def apply(self, config: mx.IntVector, player: str, index: int) -> mx.IntVector:
-        v = (self.game.defender if player == DEFENDER else self.game.attacker)[index]
-        return tuple(c + dv for c, dv in zip(config, v))
-
-    def is_target(self, config: mx.IntVector) -> bool:
-        return config == self.game.target
-
-    def canonical_key(self, config: mx.IntVector) -> str:
-        return " ".join(str(x) for x in config)
+def robot_domain(game: mx.RobotGame) -> Domain:
+    return Domain(
+        "robot", game.initial, game.defender, game.attacker,
+        _translate, partial(operator.eq, game.target), _vector_text, _vector_text,
+    )
 
 
 @dataclass(frozen=True)
@@ -170,91 +132,66 @@ class Braid3Config:
 
 
 @dataclass(frozen=True)
-class Braid3GameDomain:
-    braid_game: br.BraidGame
-    source: wg.WeightedWordGame  # binarized; supplies the preimage bookkeeping
-    name: str = "braid3"
-
-    def initial_config(self) -> Braid3Config:
-        return Braid3Config(
-            self.braid_game.initial_braid, self.source.initial.word, self.source.initial.counter
-        )
-
-    def move_count(self, player: str) -> int:
-        return len(
-            self.braid_game.defender_braids if player == DEFENDER else self.braid_game.attacker_braids
-        )
-
-    def move_label(self, player: str, index: int) -> str:
-        braids = self.braid_game.defender_braids if player == DEFENDER else self.braid_game.attacker_braids
-        return braids[index].render()
-
-    def apply(self, config: Braid3Config, player: str, index: int) -> Braid3Config:
-        braids = self.braid_game.defender_braids if player == DEFENDER else self.braid_game.attacker_braids
-        moves = self.source.defender_moves if player == DEFENDER else self.source.attacker_moves
-        return Braid3Config(
-            br.concat(config.braid, braids[index]),
-            fg.concat(config.word, moves[index].word),
-            config.counter + moves[index].weight,
-        )
-
-    def is_target(self, config: Braid3Config) -> bool:
-        return fg.is_identity(config.word) and config.counter == 0
-
-    def oracle_is_trivial(self, config: Braid3Config) -> bool:
-        """Triviality decided from the braid word alone (Burau-backed)."""
-        return br.is_trivial_fast(config.braid)
-
-    def canonical_key(self, config: Braid3Config) -> str:
-        return f"{fg.render(config.word) or 'ε'};{config.counter}"
-
-
-@dataclass(frozen=True)
 class Braid5Config:
     braid: br.BraidWord
     word: fg.GroupWord
     counter_word: fg.GroupWord
 
 
-@dataclass(frozen=True)
-class Braid5GameDomain:
-    braid_game: br.BraidGame
-    source: wg.PairWordGame  # binarized pair game
-    name: str = "braid5"
+def _braid3_step(config: Braid3Config, move: tuple[br.BraidWord, wg.WeightedMove]) -> Braid3Config:
+    braid, source = move
+    return Braid3Config(
+        br.concat(config.braid, braid),
+        fg.concat(config.word, source.word),
+        config.counter + source.weight,
+    )
 
-    def initial_config(self) -> Braid5Config:
-        return Braid5Config(
-            self.braid_game.initial_braid,
-            self.source.initial.word,
-            self.source.initial.counter_word,
-        )
 
-    def move_count(self, player: str) -> int:
-        return len(
-            self.braid_game.defender_braids if player == DEFENDER else self.braid_game.attacker_braids
-        )
+def _braid5_step(config: Braid5Config, move: tuple[br.BraidWord, wg.PairMove]) -> Braid5Config:
+    braid, source = move
+    return Braid5Config(
+        br.concat(config.braid, braid),
+        fg.concat(config.word, source.word),
+        fg.concat(config.counter_word, source.counter_word),
+    )
 
-    def move_label(self, player: str, index: int) -> str:
-        braids = self.braid_game.defender_braids if player == DEFENDER else self.braid_game.attacker_braids
-        return braids[index].render()
 
-    def apply(self, config: Braid5Config, player: str, index: int) -> Braid5Config:
-        braids = self.braid_game.defender_braids if player == DEFENDER else self.braid_game.attacker_braids
-        moves = self.source.defender_moves if player == DEFENDER else self.source.attacker_moves
-        return Braid5Config(
-            br.concat(config.braid, braids[index]),
-            fg.concat(config.word, moves[index].word),
-            fg.concat(config.counter_word, moves[index].counter_word),
-        )
+def _braid_label(move: tuple[br.BraidWord, Any]) -> str:
+    return move[0].render()
 
-    def is_target(self, config: Braid5Config) -> bool:
-        return fg.is_identity(config.word) and fg.is_identity(config.counter_word)
 
-    def oracle_is_trivial(self, config: Braid5Config) -> bool:
-        return br.is_trivial_fast(config.braid)
+def braid3_domain(braid_game: br.BraidGame, source: wg.WeightedWordGame) -> Domain:
+    """Each move is a braid zipped with the binarized source move it encodes."""
+    initial = Braid3Config(braid_game.initial_braid, source.initial.word, source.initial.counter)
+    return Domain(
+        "braid3", initial,
+        tuple(zip(braid_game.defender_braids, source.defender_moves)),
+        tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
+        _braid3_step, source.is_target, _weighted_key, _braid_label,
+    )
 
-    def canonical_key(self, config: Braid5Config) -> str:
-        return f"{fg.render(config.word) or 'ε'};{fg.render(config.counter_word) or 'ε'}"
+
+def braid5_domain(braid_game: br.BraidGame, source: wg.PairWordGame) -> Domain:
+    """Each move is a braid zipped with the binarized source pair move it encodes."""
+    initial = Braid5Config(
+        braid_game.initial_braid, source.initial.word, source.initial.counter_word
+    )
+    return Domain(
+        "braid5", initial,
+        tuple(zip(braid_game.defender_braids, source.defender_moves)),
+        tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
+        _braid5_step, source.is_target, _pair_key, _braid_label,
+    )
+
+
+_REPRESENTATION_DOMAINS: dict[str, Callable[["Pipeline"], Domain]] = {
+    "word": lambda p: word_domain(p.weighted_game),
+    "pair": lambda p: pair_domain(p.binary_pair_game),
+    "matrix": lambda p: matrix_domain(p.matrix_game),
+    "braid3": lambda p: braid3_domain(p.braid3_game, p.binary_weighted_game),
+    "braid5": lambda p: braid5_domain(p.braid5_game, p.binary_pair_game),
+}
+REPRESENTATIONS = tuple(_REPRESENTATION_DOMAINS)
 
 
 @dataclass(frozen=True)
@@ -273,21 +210,13 @@ class Pipeline:
     braid3_game: br.BraidGame
     braid5_game: br.BraidGame
 
-    def domain(self, representation: str):
-        if representation == "word":
-            return WordGameDomain(self.weighted_game)
-        if representation == "pair":
-            return PairGameDomain(self.binary_pair_game)
-        if representation == "matrix":
-            return MatrixGameDomain(self.matrix_game)
-        if representation == "braid3":
-            return Braid3GameDomain(self.braid3_game, self.binary_weighted_game)
-        if representation == "braid5":
-            return Braid5GameDomain(self.braid5_game, self.binary_pair_game)
-        raise ValueError(f"unknown representation {representation!r}")
+    def domain(self, representation: str) -> Domain:
+        if representation not in _REPRESENTATION_DOMAINS:
+            raise ValueError(f"unknown representation {representation!r}")
+        return _REPRESENTATION_DOMAINS[representation](self)
 
-    def crosscheck_domains(self) -> list:
-        return [self.domain(r) for r in ("word", "pair", "matrix", "braid3", "braid5")]
+    def crosscheck_domains(self) -> list[Domain]:
+        return [self.domain(r) for r in REPRESENTATIONS]
 
 
 def build_pipeline(inst: PcpInstance, wiring: str = "forward") -> Pipeline:

@@ -8,16 +8,15 @@ never be trivially winning.
 
 The solver computes, for each configuration and remaining-round budget, the
 least number of rounds within which the attacker can force a target; the
-defender branches are always evaluated exhaustively (no short-circuit), so
-verdicts, strategy tables, and explored-node counts are identical whether
-sibling branches run sequentially or on a thread pool.
+defender branches are always evaluated exhaustively (no short-circuit).  The
+search is sequential: pure-Python moves gain nothing from threads under the
+interpreter lock, so ``jobs`` is accepted but does not change the search.
 """
 
 from __future__ import annotations
 
 import random
 import re
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Protocol
 
@@ -64,10 +63,9 @@ class SolveResult:
 
 
 class _Solver:
-    def __init__(self, domain: GameDomain, max_nodes: int, jobs: int):
+    def __init__(self, domain: GameDomain, max_nodes: int):
         self.domain = domain
         self.max_nodes = max_nodes
-        self.jobs = max(1, jobs)
         self.memo: dict[tuple[str, int], int | None] = {}
         self.attacker_table: dict[tuple[str, int], int] = {}
         self.defender_table: dict[tuple[str, int], int] = {}
@@ -109,60 +107,19 @@ class _Solver:
         return worst
 
     def solve(self, horizon: int) -> SolveResult:
-        cfg = self.domain.initial_config()
-        if self.jobs == 1 or self.domain.move_count(DEFENDER) <= 1:
-            result = self.value(cfg, horizon)
-        else:
-            result = self._value_parallel(cfg, horizon)
+        result = self.value(self.domain.initial_config(), horizon)
         if result is None:
             return SolveResult(False, horizon, horizon, dict(self.defender_table), len(self.memo))
         return SolveResult(True, result, horizon, dict(self.attacker_table), len(self.memo))
-
-    def _value_parallel(self, cfg: Any, remaining: int) -> int | None:
-        """Top-level defender branches on a thread pool; identical outcome by purity."""
-        defender_moves = range(self.domain.move_count(DEFENDER))
-        children = [self.domain.apply(cfg, DEFENDER, d) for d in defender_moves]
-
-        def branch(after_d: Any) -> tuple[int | None, int | None]:
-            best: int | None = None
-            chosen: int | None = None
-            for a in range(self.domain.move_count(ATTACKER)):
-                after_a = self.domain.apply(after_d, ATTACKER, a)
-                if self.domain.is_target(after_a):
-                    return 1, a
-                if remaining > 1:
-                    sub = self.value(after_a, remaining - 1)
-                    if sub is not None and (best is None or sub + 1 < best):
-                        best, chosen = sub + 1, a
-            return best, chosen
-
-        with ThreadPoolExecutor(max_workers=self.jobs) as pool:
-            outcomes = list(pool.map(branch, children))
-        worst = 0
-        survival_move: int | None = None
-        for d, (best, chosen) in enumerate(outcomes):
-            if best is None:
-                if survival_move is None:
-                    survival_move = d
-            else:
-                self.attacker_table[(self.domain.canonical_key(children[d]), remaining)] = chosen
-                if survival_move is None:
-                    worst = max(worst, best)
-        key = (self.domain.canonical_key(cfg), remaining)
-        if survival_move is not None:
-            self.defender_table[(self.domain.canonical_key(cfg), remaining)] = survival_move
-            self.memo[key] = None
-            return None
-        self.memo[key] = worst
-        return worst
 
 
 def attacker_wins_within(
     domain: GameDomain, horizon: int, max_nodes: int = 500_000, jobs: int = 1
 ) -> SolveResult:
+    """Solve the game to the given horizon; ``jobs`` is accepted, the search is sequential."""
     if horizon < 1:
         raise ValueError("horizon must be at least one round")
-    return _Solver(domain, max_nodes, jobs).solve(horizon)
+    return _Solver(domain, max_nodes).solve(horizon)
 
 
 def defender_survival_strategy(
@@ -302,7 +259,9 @@ def crosscheck(trace: Trace, domains: list[GameDomain]) -> CrosscheckReport:
 
     All domains must be derived from the same source game so that the move
     lists are index-aligned; the report asserts target-predicate agreement
-    after every recorded move.
+    after every recorded move.  A trace belongs to these games only if, after
+    every move, some domain's canonical key equals the recorded ``config``;
+    otherwise a ``ValueError`` names the first round and player that differ.
     """
     configs = {d.name: d.initial_config() for d in domains}
     lines = []
@@ -315,6 +274,11 @@ def crosscheck(trace: Trace, domains: list[GameDomain]) -> CrosscheckReport:
                 )
             configs[d.name] = d.apply(configs[d.name], record.player, record.move)
             verdicts[d.name] = d.is_target(configs[d.name])
+        if not any(d.canonical_key(configs[d.name]) == record.config for d in domains):
+            raise ValueError(
+                f"trace config {record.config!r} at round {record.round} (player {record.player}) "
+                "matches no representation of this game"
+            )
         tags = " ".join(f"{name}={'T' if v else 'f'}" for name, v in verdicts.items())
         lines.append(f"round={record.round} player={record.player} {tags}")
         if len(set(verdicts.values())) > 1:

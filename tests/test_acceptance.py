@@ -22,10 +22,10 @@ from pcpgames import matrices as mx
 from pcpgames import pcp
 from pcpgames import wordgames as wg
 from pcpgames.domains import (
-    RobotGameDomain,
-    VectorMatrixGameDomain,
-    WordGameDomain,
     build_pipeline,
+    robot_domain,
+    vector_matrix_domain,
+    word_domain,
 )
 from pcpgames.engine import ATTACKER, DEFENDER
 
@@ -241,8 +241,8 @@ def test_criterion_09_robot_game_embedding():
         target=(3, 1),
         dimension=2,
     )
-    native = RobotGameDomain(robot)
-    embedded = VectorMatrixGameDomain(mx.robot_to_matrix_game(robot))
+    native = robot_domain(robot)
+    embedded = vector_matrix_domain(mx.robot_to_matrix_game(robot))
     for seed in range(200):
         rng = random.Random(4000 + seed)
         rc, mc = native.initial_config(), embedded.initial_config()
@@ -287,10 +287,10 @@ def test_criterion_10_solver_certificates():
     i1_game = build_pipeline(load_instance("i1")).weighted_game
     eq_game = build_pipeline(load_instance("eq")).weighted_game
     domains = {
-        "toy-cancel": WordGameDomain(toy_cancel),
-        "toy-survive": WordGameDomain(toy_survive),
-        "i1": WordGameDomain(i1_game),
-        "eq": WordGameDomain(eq_game),
+        "toy-cancel": word_domain(toy_cancel),
+        "toy-survive": word_domain(toy_survive),
+        "i1": word_domain(i1_game),
+        "eq": word_domain(eq_game),
     }
     for label, domain in domains.items():
         for k in (1, 2, 3):

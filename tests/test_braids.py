@@ -252,9 +252,9 @@ def test_word_game_target_reaches_trivial_braid(pipelines):
     """A play reaching (eps, 0) in the word game unbraids the braid configuration."""
     pipe = pipelines["eq"]
     from pcpgames import engine
-    from pcpgames.domains import WordGameDomain
+    from pcpgames.domains import word_domain
 
-    word_dom = WordGameDomain(pipe.weighted_game)
+    word_dom = word_domain(pipe.weighted_game)
     result = engine.attacker_wins_within(word_dom, 2)
     assert result.attacker_wins
     braid_dom = pipe.domain("braid3")

@@ -187,6 +187,38 @@ def test_play_bad_script_token(capsys):
     assert "names no move" in err
 
 
+def test_play_strategy_for_another_game_is_an_error(tmp_path, capsys):
+    strategy = tmp_path / "fin.strategy"
+    code, _, _ = run(
+        capsys, "solve", "-i", fixture("fin.pcp"), "--rounds", "2", "--strategy-out", str(strategy)
+    )
+    assert code == 0
+    code, _, err = run(
+        capsys, "play", "-i", fixture("c4.pcp"), "--defender", f"strategy:{strategy}",
+        "--attacker", "random:1", "--rounds", "2",
+    )
+    assert code == 1
+    assert err.startswith("error: strategy has no move for key") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("representation", ["matrix", "braid3"])
+def test_play_script_letters_resolve_in_every_representation(capsys, representation):
+    args = (
+        "play", "-i", fixture("eq.pcp"), "--defender", "script:aa", "--attacker", "random:5",
+        "--rounds", "2", "--run-to-end",
+    )
+    code, word_out, _ = run(capsys, *args)
+    assert code == 0
+    code, out, err = run(capsys, *args, "--representation", representation)
+    assert code == 0, err
+
+    def moves(trace: str) -> list[str]:
+        return [line.split(" config=")[0] for line in trace.splitlines()]
+
+    assert moves(out) == moves(word_out)
+    assert out != word_out  # same moves, configurations in another representation
+
+
 def test_play_human_mode(tmp_path, capsys, monkeypatch):
     answers = iter(["0", "0"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
@@ -213,7 +245,7 @@ def test_crosscheck_agrees(tmp_path, capsys):
 
 
 def test_crosscheck_detects_wrong_instance(tmp_path, capsys):
-    # a trace from eq replayed against i1's games diverges or errors out
+    # a trace from eq replayed against i1's games: its recorded configs match no i1 representation
     trace = tmp_path / "trace.txt"
     run(
         capsys, "play", "-i", fixture("eq.pcp"), "--defender", "script:aa",
@@ -222,9 +254,18 @@ def test_crosscheck_detects_wrong_instance(tmp_path, capsys):
     code, out, err = run(
         capsys, "crosscheck", "--trace", str(trace), "--instance", fixture("i1.pcp")
     )
-    assert code in (0, 1)  # either replays disagreeing or move indices out of range
-    if code == 1:
-        assert "DISAGREE" in out or "out of range" in err
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "round 1 (player A)" in err and "matches no representation" in err
+
+
+def test_crosscheck_rejects_trace_of_another_instance(capsys):
+    code, out, err = run(
+        capsys, "crosscheck", "--trace", str(GOLDEN / "i1_play.trace"), "--instance", fixture("c4.pcp")
+    )
+    assert code == 1
+    assert "AGREE" not in out
+    assert err.startswith("error: ") and "matches no representation" in err
 
 
 def test_usage_errors_exit_two(capsys):

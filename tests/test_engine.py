@@ -8,7 +8,7 @@ from pcpgames import engine
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import wordgames as wg
-from pcpgames.domains import MatrixGameDomain, WordGameDomain
+from pcpgames.domains import matrix_domain, word_domain
 from pcpgames.engine import ATTACKER, DEFENDER
 
 
@@ -48,30 +48,30 @@ def brute_attacker_wins(domain, cfg, rounds: int) -> bool:
 
 
 def test_toy_cancel_attacker_wins(toy_cancel):
-    result = engine.attacker_wins_within(WordGameDomain(toy_cancel), 1)
+    result = engine.attacker_wins_within(word_domain(toy_cancel), 1)
     assert result.verdict == "AttackerWinsWithin(1)"
     assert result.attacker_wins and result.rounds == 1
 
 
 def test_toy_survive_defender_survives(toy_survive):
-    result = engine.attacker_wins_within(WordGameDomain(toy_survive), 3)
+    result = engine.attacker_wins_within(word_domain(toy_survive), 3)
     assert result.verdict == "DefenderSurvives(3)"
-    assert not brute_attacker_wins(WordGameDomain(toy_survive), WordGameDomain(toy_survive).initial_config(), 3)
+    assert not brute_attacker_wins(word_domain(toy_survive), word_domain(toy_survive).initial_config(), 3)
 
 
 def test_toy_matrix_form_same_strategy_indices(toy_cancel):
-    word_result = engine.attacker_wins_within(WordGameDomain(toy_cancel), 1)
+    word_result = engine.attacker_wins_within(word_domain(toy_cancel), 1)
     matrix_game = mx.build_matrix_game(wg.binarize(wg.to_pair_game(toy_cancel)))
-    matrix_result = engine.attacker_wins_within(MatrixGameDomain(matrix_game), 1)
+    matrix_result = engine.attacker_wins_within(matrix_domain(matrix_game), 1)
     assert matrix_result.verdict == "AttackerWinsWithin(1)"
     assert list(word_result.strategy.values()) == list(matrix_result.strategy.values())
 
 
 def test_verdicts_match_brute_force(pipelines, toy_cancel, toy_survive):
     domains = [
-        WordGameDomain(toy_cancel),
-        WordGameDomain(toy_survive),
-        WordGameDomain(pipelines["eq"].weighted_game),
+        word_domain(toy_cancel),
+        word_domain(toy_survive),
+        word_domain(pipelines["eq"].weighted_game),
     ]
     for domain in domains:
         for k in (1, 2):
@@ -82,7 +82,7 @@ def test_verdicts_match_brute_force(pipelines, toy_cancel, toy_survive):
 
 def test_monotone_in_horizon(pipelines):
     for name in ("eq", "mm"):
-        domain = WordGameDomain(pipelines[name].weighted_game)
+        domain = word_domain(pipelines[name].weighted_game)
         results = [engine.attacker_wins_within(domain, k) for k in (2, 3, 4)]
         assert results[0].attacker_wins
         assert all(r.attacker_wins for r in results)
@@ -90,7 +90,7 @@ def test_monotone_in_horizon(pipelines):
 
 
 def test_defender_survival_strategy_on_i1(pipelines):
-    domain = WordGameDomain(pipelines["i1"].weighted_game)
+    domain = word_domain(pipelines["i1"].weighted_game)
     table = engine.defender_survival_strategy(domain, 3)
     assert table is not None
     # the survival strategy emits the letter a each round (the only defender move)
@@ -106,11 +106,11 @@ def test_defender_survival_strategy_on_i1(pipelines):
 
 
 def test_defender_survival_none_when_attacker_wins(toy_cancel):
-    assert engine.defender_survival_strategy(WordGameDomain(toy_cancel), 1) is None
+    assert engine.defender_survival_strategy(word_domain(toy_cancel), 1) is None
 
 
 def test_winning_certificate_replays_against_all_scripts(pipelines):
-    domain = WordGameDomain(pipelines["eq"].weighted_game)
+    domain = word_domain(pipelines["eq"].weighted_game)
     result = engine.attacker_wins_within(domain, 2)
     assert result.attacker_wins
     for script in engine.all_defender_scripts(domain, 2):
@@ -118,7 +118,7 @@ def test_winning_certificate_replays_against_all_scripts(pipelines):
 
 
 def test_scheduling_independence(pipelines):
-    domain = WordGameDomain(pipelines["mm"].weighted_game)
+    domain = word_domain(pipelines["mm"].weighted_game)
     single = engine.attacker_wins_within(domain, 2, jobs=1)
     multi = engine.attacker_wins_within(domain, 2, jobs=4)
     assert single.verdict == multi.verdict
@@ -127,7 +127,7 @@ def test_scheduling_independence(pipelines):
 
 
 def test_resource_cap(pipelines):
-    domain = WordGameDomain(pipelines["i1"].weighted_game)
+    domain = word_domain(pipelines["i1"].weighted_game)
     with pytest.raises(engine.ResourceCapExceeded) as info:
         engine.attacker_wins_within(domain, 3, max_nodes=5)
     assert info.value.explored == 5
@@ -135,25 +135,25 @@ def test_resource_cap(pipelines):
 
 def test_horizon_validation(toy_cancel):
     with pytest.raises(ValueError):
-        engine.attacker_wins_within(WordGameDomain(toy_cancel), 0)
+        engine.attacker_wins_within(word_domain(toy_cancel), 0)
 
 
 def test_play_alternates_and_stops_at_target(toy_cancel):
-    domain = WordGameDomain(toy_cancel)
+    domain = word_domain(toy_cancel)
     trace = engine.play(domain, engine.scripted_policy([0, 0]), engine.scripted_policy([0, 0]), 2)
     assert [r.player for r in trace.records] == [DEFENDER, ATTACKER]
     assert trace.records[0].round == 1
 
 
 def test_play_random_seed_deterministic(pipelines):
-    domain = WordGameDomain(pipelines["i1"].weighted_game)
+    domain = word_domain(pipelines["i1"].weighted_game)
     first = engine.play(domain, engine.random_policy(7), engine.random_policy(7), 4, stop_at_target=False)
     second = engine.play(domain, engine.random_policy(7), engine.random_policy(7), 4, stop_at_target=False)
     assert first.render() == second.render()
 
 
 def test_scripted_play_reproduces_fixture(toy_survive):
-    domain = WordGameDomain(toy_survive)
+    domain = word_domain(toy_survive)
     trace = engine.play(domain, engine.scripted_policy([1, 1]), engine.scripted_policy([0, 0]), 2)
     expected = (
         "round=1 player=D move=1 config=b;0\n"
@@ -165,13 +165,13 @@ def test_scripted_play_reproduces_fixture(toy_survive):
 
 
 def test_script_exhaustion_raises(toy_cancel):
-    domain = WordGameDomain(toy_cancel)
+    domain = word_domain(toy_cancel)
     with pytest.raises(ValueError, match="exhausted"):
         engine.play(domain, engine.scripted_policy([0]), engine.scripted_policy([0]), 2, stop_at_target=False)
 
 
 def test_human_policy_round_trip(toy_survive):
-    domain = WordGameDomain(toy_survive)
+    domain = word_domain(toy_survive)
     answers = iter(["7", "1", "0", "1", "0"])  # first answer is out of range and re-asked
     outputs: list[str] = []
     policy = engine.human_policy(input_fn=lambda prompt: next(answers), echo=outputs.append)
@@ -182,7 +182,7 @@ def test_human_policy_round_trip(toy_survive):
 
 
 def test_trace_render_parse_round_trip(pipelines):
-    domain = WordGameDomain(pipelines["mm"].weighted_game)
+    domain = word_domain(pipelines["mm"].weighted_game)
     trace = engine.play(domain, engine.random_policy(3), engine.random_policy(4), 3, stop_at_target=False)
     assert engine.parse_trace(trace.render()) == trace
     with pytest.raises(ValueError):
@@ -190,7 +190,7 @@ def test_trace_render_parse_round_trip(pipelines):
 
 
 def test_strategy_policy_missing_key(toy_cancel):
-    domain = WordGameDomain(toy_cancel)
+    domain = word_domain(toy_cancel)
     with pytest.raises(KeyError):
         engine.play(domain, engine.scripted_policy([0]), engine.strategy_policy({}), 1)
 
@@ -220,14 +220,14 @@ def test_crosscheck_detects_fault_injection(pipelines):
     trace = engine.play(
         domain, engine.scripted_policy([0, 0]), engine.strategy_policy(result.strategy), 2
     )
-    good = pipe.domain("matrix")
+    good = pipe.matrix_game
     corrupted_game = mx.MatrixGame(
-        defender=(mx.identity(4),) * len(good.game.defender),
-        attacker=(mx.identity(4),) * len(good.game.attacker),
+        defender=(mx.identity(4),) * len(good.defender),
+        attacker=(mx.identity(4),) * len(good.attacker),
         dimension=4,
-        anchor=good.game.anchor,
+        anchor=good.anchor,
     )
-    report = engine.crosscheck(trace, [domain, MatrixGameDomain(corrupted_game)])
+    report = engine.crosscheck(trace, [domain, matrix_domain(corrupted_game)])
     assert not report.agree
     assert report.first_divergence == (1, DEFENDER)
     assert "DISAGREE at round 1" in report.render()

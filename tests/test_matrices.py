@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
-from pcpgames.domains import RobotGameDomain, VectorMatrixGameDomain
+from pcpgames.domains import robot_domain, vector_matrix_domain
 
 ALPHA3 = fg.RankedAlphabet(("z1", "z2", "z3"))
 
@@ -171,8 +171,8 @@ def test_robot_matrix_game_shape(robot2):
 
 
 def test_robot_dual_simulation(robot2):
-    native = RobotGameDomain(robot2)
-    embedded = VectorMatrixGameDomain(mx.robot_to_matrix_game(robot2))
+    native = robot_domain(robot2)
+    embedded = vector_matrix_domain(mx.robot_to_matrix_game(robot2))
     rng = random.Random(17)
     for _ in range(50):
         rc, mc = native.initial_config(), embedded.initial_config()
