@@ -200,12 +200,17 @@ def _script_indices(body: str, words: Domain, player: str) -> list[int]:
     else:
         tokens = list(body.strip())
     indices = []
+    count = words.move_count(player)
     for tok in tokens:
         if tok.isdigit():
+            if int(tok) >= count:
+                raise CliError(
+                    f"script index {tok} is out of range: player {player} has moves 0..{count - 1}"
+                )
             indices.append(int(tok))
             continue
         found = None
-        for i in range(words.move_count(player)):
+        for i in range(count):
             if words.move_label(player, i) == f"word={tok} weight=0":
                 found = i
                 break

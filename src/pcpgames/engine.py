@@ -7,10 +7,22 @@ the target is only ever evaluated after an attacker move, so round zero can
 never be trivially winning.
 
 The solver computes, for each configuration and remaining-round budget, the
-least number of rounds within which the attacker can force a target; the
-defender branches are always evaluated exhaustively (no short-circuit).  The
-search is sequential: pure-Python moves gain nothing from threads under the
-interpreter lock, so ``jobs`` is accepted but does not change the search.
+least number of rounds within which the attacker can force a target, and
+stops as soon as that value is decided:
+
+* after a defender move, every attacker reply is applied and tested for the
+  target first; only if none hits is the search recursed into those replies,
+  and it stops at the first reply worth two rounds, which no reply other than
+  an immediate target could beat;
+* at the first defender move the attacker cannot answer within the budget the
+  position is a survival, and the remaining defender moves are not searched.
+
+Every memo value is still the exact value of its ``(key, remaining)`` pair,
+so verdicts, round counts and the move at every table key do not depend on
+the stops; the strategy tables hold only entries for positions the search
+visited.  The search is sequential: pure-Python moves gain nothing from
+threads under the interpreter lock, so ``jobs`` is accepted but does not
+change the search.
 """
 
 from __future__ import annotations
@@ -78,31 +90,30 @@ class _Solver:
         if len(self.memo) >= self.max_nodes:
             raise ResourceCapExceeded(len(self.memo), self.max_nodes)
         worst = 0
-        survival_move: int | None = None
         for d in range(self.domain.move_count(DEFENDER)):
             after_d = self.domain.apply(cfg, DEFENDER, d)
             best: int | None = None
             chosen: int | None = None
+            children = []
             for a in range(self.domain.move_count(ATTACKER)):
                 after_a = self.domain.apply(after_d, ATTACKER, a)
                 if self.domain.is_target(after_a):
                     best, chosen = 1, a
                     break
-                if remaining > 1:
+                children.append(after_a)
+            if best is None and remaining > 1:
+                for a, after_a in enumerate(children):
                     sub = self.value(after_a, remaining - 1)
                     if sub is not None and (best is None or sub + 1 < best):
                         best, chosen = sub + 1, a
+                        if best == 2:
+                            break
             if best is None:
-                if survival_move is None:
-                    survival_move = d
-            else:
-                self.attacker_table[(self.domain.canonical_key(after_d), remaining)] = chosen
-                if survival_move is None:
-                    worst = max(worst, best)
-        if survival_move is not None:
-            self.defender_table[(self.domain.canonical_key(cfg), remaining)] = survival_move
-            self.memo[key] = None
-            return None
+                self.defender_table[key] = d
+                self.memo[key] = None
+                return None
+            self.attacker_table[(self.domain.canonical_key(after_d), remaining)] = chosen
+            worst = max(worst, best)
         self.memo[key] = worst
         return worst
 

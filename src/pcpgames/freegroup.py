@@ -104,15 +104,25 @@ def word(*syms: str) -> GroupWord:
     )
 
 
+def _reduced(letters: tuple[Letter, ...]) -> GroupWord:
+    """Wrap letters already known to be freely reduced, skipping the re-scan."""
+    w = object.__new__(GroupWord)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def concat(u: GroupWord, v: GroupWord) -> GroupWord:
-    """Product u.v in the free group (append from the right, then cancel)."""
-    left = list(u.letters)
-    i = 0
-    vl = v.letters
-    while left and i < len(vl) and left[-1][0] == vl[i][0] and left[-1][1] == -vl[i][1]:
-        left.pop()
+    """Product u.v in the free group (append from the right, then cancel).
+
+    Both factors are reduced, so once the seam has cancelled the result is
+    reduced too and is built without re-validation.
+    """
+    ul, vl = u.letters, v.letters
+    n, i = len(ul), 0
+    while n and i < len(vl) and ul[n - 1][0] == vl[i][0] and ul[n - 1][1] == -vl[i][1]:
+        n -= 1
         i += 1
-    return GroupWord(tuple(left) + vl[i:])
+    return _reduced(ul[:n] + vl[i:])
 
 
 def invert(w: GroupWord) -> GroupWord:

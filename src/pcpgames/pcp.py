@@ -49,6 +49,14 @@ class PcpInstance:
                     if b not in self.image_alphabet:
                         raise PcpError(f"image letter {b!r} not in image alphabet")
 
+    def __hash__(self) -> int:
+        return hash((
+            self.domain_alphabet,
+            self.image_alphabet,
+            tuple(sorted(self.h_images.items())),
+            tuple(sorted(self.g_images.items())),
+        ))
+
     @property
     def s(self) -> int:
         """One more than the image alphabet size; letter codes lie in 1..s-1."""

@@ -187,6 +187,15 @@ def test_play_bad_script_token(capsys):
     assert "names no move" in err
 
 
+def test_play_script_index_out_of_range(capsys):
+    code, _, err = run(
+        capsys, "play", "--game", fixture("toy_cancel.game"),
+        "--defender", "script:5", "--attacker", "script:0", "--rounds", "1",
+    )
+    assert code == 1
+    assert err.startswith("error: script index 5 is out of range") and err.count("\n") == 1
+
+
 def test_play_strategy_for_another_game_is_an_error(tmp_path, capsys):
     strategy = tmp_path / "fin.strategy"
     code, _, _ = run(

@@ -1,15 +1,20 @@
 from __future__ import annotations
 
+import functools
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcpgames import engine
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import wordgames as wg
 from pcpgames.domains import matrix_domain, word_domain
+from pcpgames.domains import build_pipeline
 from pcpgames.engine import ATTACKER, DEFENDER
+
+from conftest import load_instance
 
 
 @pytest.fixture(scope="module")
@@ -231,3 +236,130 @@ def test_crosscheck_detects_fault_injection(pipelines):
     assert not report.agree
     assert report.first_divergence == (1, DEFENDER)
     assert "DISAGREE at round 1" in report.render()
+
+
+@pytest.mark.parametrize(
+    "name,horizon,verdict,explored",
+    [
+        ("eq", 4, "AttackerWinsWithin(2)", 890),
+        ("c4", 2, "AttackerWinsWithin(2)", 15),
+        ("i1", 4, "DefenderSurvives(4)", 12_290),
+    ],
+)
+def test_explored_counts_pinned(name, horizon, verdict, explored):
+    # i1 has one defender move, so a survival must cover its whole tree.
+    domain = word_domain(build_pipeline(load_instance(name)).weighted_game)
+    result = engine.attacker_wins_within(domain, horizon)
+    assert result.verdict == verdict
+    assert result.explored == explored
+
+
+class ReferenceSolver(engine._Solver):
+    """The exhaustive search: every defender move and every attacker reply."""
+
+    def value(self, cfg, remaining):
+        key = (self.domain.canonical_key(cfg), remaining)
+        if key in self.memo:
+            return self.memo[key]
+        worst = 0
+        survival_move = None
+        for d in range(self.domain.move_count(DEFENDER)):
+            after_d = self.domain.apply(cfg, DEFENDER, d)
+            best = chosen = None
+            for a in range(self.domain.move_count(ATTACKER)):
+                after_a = self.domain.apply(after_d, ATTACKER, a)
+                if self.domain.is_target(after_a):
+                    best, chosen = 1, a
+                    break
+                if remaining > 1:
+                    sub = self.value(after_a, remaining - 1)
+                    if sub is not None and (best is None or sub + 1 < best):
+                        best, chosen = sub + 1, a
+            if best is None:
+                if survival_move is None:
+                    survival_move = d
+            else:
+                self.attacker_table[(self.domain.canonical_key(after_d), remaining)] = chosen
+                if survival_move is None:
+                    worst = max(worst, best)
+        if survival_move is not None:
+            self.defender_table[key] = survival_move
+            self.memo[key] = None
+            return None
+        self.memo[key] = worst
+        return worst
+
+
+def survives_every_attacker_move(domain, table, cfg, remaining) -> bool:
+    """Follow the defender table against every attacker move at every step."""
+    if remaining == 0:
+        return True
+    key = (domain.canonical_key(cfg), remaining)
+    if key not in table:
+        return False
+    after_d = domain.apply(cfg, DEFENDER, table[key])
+    for a in range(domain.move_count(ATTACKER)):
+        after_a = domain.apply(after_d, ATTACKER, a)
+        if domain.is_target(after_a) or not survives_every_attacker_move(
+            domain, table, after_a, remaining - 1
+        ):
+            return False
+    return True
+
+
+@st.composite
+def small_word_games(draw):
+    """Games with 1-2 defender and 1-4 attacker moves over 1-2 symbols.
+
+    The start is the inverse of a line of up to three rounds, so wins of every
+    length occur; in half the games an attacker move may also undo a defender
+    move, which makes a reply worth two rounds precede an immediate target.
+    """
+    symbols = ("a", "b")[: draw(st.integers(1, 2))]
+    letters = st.tuples(st.sampled_from(symbols), st.sampled_from([1, -1]))
+    words = st.lists(letters, max_size=3).map(fg.reduce)
+    moves = st.builds(wg.WeightedMove, words, st.integers(-2, 2))
+    defender = draw(st.lists(moves, min_size=1, max_size=2))
+    undo = st.sampled_from(defender).map(lambda m: wg.WeightedMove(fg.invert(m.word), -m.weight))
+    replies = st.one_of(moves, undo) if draw(st.booleans()) else moves
+    attacker = draw(st.lists(replies, min_size=1, max_size=4))
+    line = draw(st.lists(st.tuples(st.sampled_from(defender), st.sampled_from(attacker)), max_size=3))
+    played = [move for pair in line for move in pair]
+    return wg.WeightedWordGame(
+        alphabet=fg.RankedAlphabet(symbols),
+        defender_moves=tuple(defender),
+        attacker_moves=tuple(attacker),
+        initial=wg.WordConfig(
+            fg.invert(functools.reduce(fg.concat, [m.word for m in played], fg.EPSILON)),
+            -sum(m.weight for m in played),
+        ),
+    )
+
+
+@settings(max_examples=600, derandomize=True, deadline=None)
+@given(game=small_word_games(), horizon=st.sampled_from([1, 2, 3]))
+def test_solver_matches_exhaustive_reference(game, horizon):
+    domain = word_domain(game)
+    solver = engine._Solver(domain, 500_000)
+    result = solver.solve(horizon)
+    assert engine.attacker_wins_within(domain, horizon) == result
+    reference = ReferenceSolver(domain, 500_000)
+    expected = reference.solve(horizon)
+    assert (result.verdict, result.rounds) == (expected.verdict, expected.rounds)
+    assert result.explored <= expected.explored
+    start = domain.initial_config()
+    wins = [brute_attacker_wins(domain, start, k) for k in range(1, horizon + 1)]
+    assert result.attacker_wins == wins[-1]
+    if result.attacker_wins:
+        assert result.rounds == wins.index(True) + 1
+    for mine, theirs in (
+        (solver.memo, reference.memo),
+        (solver.attacker_table, reference.attacker_table),
+        (solver.defender_table, reference.defender_table),
+    ):
+        assert all(theirs.get(key, "missing") == value for key, value in mine.items())
+    if result.attacker_wins:
+        for script in engine.all_defender_scripts(domain, horizon):
+            assert engine.replay_reaches_target(domain, result.strategy, script)
+    else:
+        assert survives_every_attacker_move(domain, result.strategy, start, horizon)

@@ -104,6 +104,19 @@ def test_alpha_homomorphism(u, v):
     assert lhs == rhs
 
 
+binary_words = st.lists(
+    st.tuples(st.sampled_from(["c", "d"]), st.sampled_from([1, -1])), max_size=8
+).map(fg.reduce)
+
+
+@settings(max_examples=300, derandomize=True)
+@given(u=binary_words, v=binary_words)
+def test_concat_matches_full_reduction(u, v):
+    product = fg.concat(u, v)
+    assert product == fg.reduce(u.letters + v.letters)
+    assert fg.GroupWord(product.letters) == product
+
+
 def test_power():
     assert fg.power(fg.word("r"), 3) == fg.word("r", "r", "r")
     assert fg.power(fg.word("r"), -2) == fg.word("~r", "~r")

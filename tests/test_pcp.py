@@ -144,6 +144,14 @@ def test_parse_serialize_parse_identity(fixture_instances):
         assert pcp.parse_instance(pcp.serialize_instance(inst)) == inst
 
 
+def test_instances_hash_by_value():
+    first, second = load_instance("eq"), load_instance("eq")
+    assert first is not second
+    assert hash(first) == hash(second)
+    assert {first: "eq"}[second] == "eq"
+    assert len({first, second, load_instance("i1")}) == 2
+
+
 def _tiny_instances():
     """All instances over domain {a,b}, images {a,b}, image lengths <= 2."""
     images = ["", "a", "b", "aa", "ab", "ba", "bb"]
