@@ -19,7 +19,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from pcpgames import engine, pcp
-from pcpgames.domains import build_pipeline
+from pcpgames.domains import REPRESENTATIONS, build_pipeline
 
 DEFAULT_INSTANCE = Path(__file__).resolve().parent.parent / "tests" / "fixtures" / "eq.pcp"
 
@@ -41,7 +41,7 @@ def main() -> int:
           f"{len(pipe.weighted_game.attacker_moves)} attacker moves")
 
     verdicts = {}
-    for representation in ("word", "pair", "matrix", "braid3", "braid5"):
+    for representation in REPRESENTATIONS:
         domain = pipe.domain(representation)
         started = time.time()
         result = engine.attacker_wins_within(domain, args.rounds)

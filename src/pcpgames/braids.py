@@ -384,55 +384,41 @@ Laurent = tuple[tuple[int, int], ...]  # sorted ((exponent, coefficient), ...)
 LaurentMatrix = tuple[tuple[Laurent, Laurent], tuple[Laurent, Laurent]]
 
 
-def lp(*terms: tuple[int, int]) -> Laurent:
-    acc: dict[int, int] = {}
-    for e, c in terms:
-        acc[e] = acc.get(e, 0) + c
-    return tuple(sorted((e, c) for e, c in acc.items() if c))
-
-
-def lp_add(a: Laurent, b: Laurent) -> Laurent:
-    return lp(*(a + b))
-
-def lp_mul(a: Laurent, b: Laurent) -> Laurent:
-    acc: dict[int, int] = {}
-    for e1, c1 in a:
-        for e2, c2 in b:
-            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
-    return tuple(sorted((e, c) for e, c in acc.items() if c))
-
-
 LP_ZERO: Laurent = ()
 LP_ONE: Laurent = ((0, 1),)
 
 _BURAU_IDENTITY: LaurentMatrix = ((LP_ONE, LP_ZERO), (LP_ZERO, LP_ONE))
 
-_BURAU_GENERATORS: dict[int, LaurentMatrix] = {
-    1: ((lp((1, -1)), LP_ONE), (LP_ZERO, LP_ONE)),
-    -1: ((lp((-1, -1)), lp((-1, 1))), (LP_ZERO, LP_ONE)),
-    2: ((LP_ONE, LP_ZERO), (lp((1, 1)), lp((1, -1)))),
-    -2: ((LP_ONE, LP_ZERO), (LP_ONE, lp((-1, -1)))),
-}
 
-
-def burau_mul(a: LaurentMatrix, b: LaurentMatrix) -> LaurentMatrix:
-    return tuple(
-        tuple(
-            lp_add(lp_mul(a[i][0], b[0][j]), lp_mul(a[i][1], b[1][j]))
-            for j in range(2)
-        )
-        for i in range(2)
-    )  # type: ignore[return-value]
+def _axpy(a: Laurent, sign: int, shift: int, b: Laurent) -> Laurent:
+    """a + sign * t^shift * b, in the sorted form with no zero coefficients."""
+    acc = dict(a)
+    for e, c in b:
+        acc[e + shift] = acc.get(e + shift, 0) + sign * c
+    return tuple(sorted((e, c) for e, c in acc.items() if c))
 
 
 def burau3(w: BraidWord) -> LaurentMatrix:
-    """Reduced Burau image of a three-strand braid word."""
+    """Reduced Burau image of a three-strand braid word.
+
+    Each generator image has a single non-trivial column, so right
+    multiplication by it is one column operation on each row (p, q).
+    """
     if w.strands != 3:
         raise BraidError("the reduced Burau oracle is wired for three strands only")
-    out = _BURAU_IDENTITY
+    rows = [list(row) for row in _BURAU_IDENTITY]
     for x in w.letters:
-        out = burau_mul(out, _BURAU_GENERATORS[x])
-    return out
+        for row in rows:
+            p, q = row
+            if x == 1:  # (-t p, p + q)
+                row[:] = _axpy(LP_ZERO, -1, 1, p), _axpy(q, 1, 0, p)
+            elif x == -1:  # (-t^-1 p, q + t^-1 p)
+                row[:] = _axpy(LP_ZERO, -1, -1, p), _axpy(q, 1, -1, p)
+            elif x == 2:  # (p + t q, -t q)
+                row[:] = _axpy(p, 1, 1, q), _axpy(LP_ZERO, -1, 1, q)
+            else:  # (p + q, -t^-1 q)
+                row[:] = _axpy(p, 1, 0, q), _axpy(LP_ZERO, -1, -1, q)
+    return tuple(tuple(row) for row in rows)  # type: ignore[return-value]
 
 
 def burau3_is_scalar(m: LaurentMatrix) -> bool:
@@ -441,28 +427,30 @@ def burau3_is_scalar(m: LaurentMatrix) -> bool:
 
 # --- encodings into the three- and five-strand groups ---
 
-_B3_LETTER = {("c", 1): (1,) * 4, ("c", -1): (-1,) * 4,
-              ("d", 1): (2,) * 4, ("d", -1): (-2,) * 4}
+_BINARY_LETTER = {("c", 1): (1,) * 4, ("c", -1): (-1,) * 4,
+                  ("d", 1): (2,) * 4, ("d", -1): (-2,) * 4}
 
 DELTA3 = fundamental_braid(3)
 DELTA3_SQUARED = braid_power(DELTA3, 2)
 
 
-def b3_encode(w: GroupWord, counter: int = 0) -> BraidWord:
-    """Binary-alphabet word into fourth generator powers, counter into central twists."""
+def _binary_letters(w: GroupWord) -> list[int]:
+    """Binary-alphabet word into fourth powers of the first two generators."""
     letters: list[int] = []
     for letter in w.letters:
         try:
-            letters.extend(_B3_LETTER[letter])
+            letters.extend(_BINARY_LETTER[letter])
         except KeyError:
             raise BraidError(f"letter {letter} is not in the binary alphabet") from None
-    return concat(braid(3, letters), braid_power(DELTA3_SQUARED, counter))
+    return letters
+
+
+def b3_encode(w: GroupWord, counter: int = 0) -> BraidWord:
+    """Binary-alphabet word into fourth generator powers, counter into central twists."""
+    return concat(braid(3, _binary_letters(w)), braid_power(DELTA3_SQUARED, counter))
 
 
 B5_D_WORD = (4, 3, 2, 1, 1, 2, 3, 4)
-
-_B5_FIRST = {("c", 1): (1,) * 4, ("c", -1): (-1,) * 4,
-             ("d", 1): (2,) * 4, ("d", -1): (-2,) * 4}
 
 
 def _b5_second_letter(rank: int, sign: int) -> tuple[int, ...]:
@@ -479,12 +467,7 @@ def b5_encode(word: GroupWord, counter_word: GroupWord,
               counter_alphabet: fg.RankedAlphabet | None = None) -> BraidWord:
     """Pair of words into the direct product of two free rank-2 subgroups."""
     alphabet = counter_alphabet if counter_alphabet is not None else fg.COUNTER_ALPHABET
-    letters: list[int] = []
-    for letter in word.letters:
-        try:
-            letters.extend(_B5_FIRST[letter])
-        except KeyError:
-            raise BraidError(f"letter {letter} is not in the binary alphabet") from None
+    letters = _binary_letters(word)
     for sym, sign in counter_word.letters:
         letters.extend(_b5_second_letter(alphabet.rank(sym), sign))
     return braid(5, letters)

@@ -200,7 +200,7 @@ class Pipeline:
 
     instance: PcpInstance
     automaton: au.WeightedAutomaton
-    game_automaton: au.WeightedAutomaton  # unfolded (reverse by default) automaton
+    game_automaton: au.WeightedAutomaton  # unfolded automaton (forward by default)
     wiring: str
     weighted_game: wg.WeightedWordGame
     pair_game: wg.PairWordGame

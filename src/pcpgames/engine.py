@@ -206,7 +206,13 @@ def strategy_policy(table: dict[tuple[str, int], int]) -> Policy:
         key = (domain.canonical_key(cfg), remaining)
         if key not in table:
             raise KeyError(f"strategy has no move for key {key!r}")
-        return table[key]
+        move, count = table[key], domain.move_count(player)
+        if not 0 <= move < count:
+            raise ValueError(
+                f"strategy move {move} for key {key!r} is out of range: "
+                f"player {player} has moves 0..{count - 1}"
+            )
+        return move
 
     return policy
 

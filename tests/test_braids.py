@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcpgames import braids as br
 from pcpgames import freegroup as fg
@@ -107,6 +108,67 @@ def test_burau_delta_squared_is_scalar():
     assert br.burau3_is_scalar(image)
     # the scalar is t^3, computed by the multiplication oracle itself
     assert image[0][0] == ((3, 1),)
+
+
+# Reference reduced Burau: generic Laurent products and the left-to-right
+# 2x2 matrix product over the four generator images.
+
+
+def _ref_laurent(acc: dict[int, int]) -> br.Laurent:
+    return tuple(sorted((e, c) for e, c in acc.items() if c))
+
+
+def _ref_lp_add(a: br.Laurent, b: br.Laurent) -> br.Laurent:
+    acc: dict[int, int] = {}
+    for e, c in a + b:
+        acc[e] = acc.get(e, 0) + c
+    return _ref_laurent(acc)
+
+
+def _ref_lp_mul(a: br.Laurent, b: br.Laurent) -> br.Laurent:
+    acc: dict[int, int] = {}
+    for e1, c1 in a:
+        for e2, c2 in b:
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    return _ref_laurent(acc)
+
+
+def _ref_burau_mul(a: br.LaurentMatrix, b: br.LaurentMatrix) -> br.LaurentMatrix:
+    return tuple(
+        tuple(_ref_lp_add(_ref_lp_mul(a[i][0], b[0][j]), _ref_lp_mul(a[i][1], b[1][j])) for j in range(2))
+        for i in range(2)
+    )
+
+
+_ONE, _ZERO = ((0, 1),), ()
+_REF_GENERATORS = {
+    1: ((((1, -1),), _ONE), (_ZERO, _ONE)),
+    -1: ((((-1, -1),), ((-1, 1),)), (_ZERO, _ONE)),
+    2: ((_ONE, _ZERO), (((1, 1),), ((1, -1),))),
+    -2: ((_ONE, _ZERO), (_ONE, ((-1, -1),))),
+}
+
+
+def _ref_burau3(w: br.BraidWord) -> br.LaurentMatrix:
+    out = ((_ONE, _ZERO), (_ZERO, _ONE))
+    for x in w.letters:
+        out = _ref_burau_mul(out, _REF_GENERATORS[x])
+    return out
+
+
+b3_words = st.lists(st.sampled_from([1, -1, 2, -2]), max_size=60).map(lambda xs: br.braid(3, xs))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(w=b3_words)
+def test_burau3_matches_matrix_product_reference(w):
+    assert br.burau3(w) == _ref_burau3(w)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(u=b3_words, v=b3_words)
+def test_burau3_is_a_homomorphism(u, v):
+    assert br.burau3(br.concat(u, v)) == _ref_burau_mul(br.burau3(u), br.burau3(v))
 
 
 def test_triple_oracle_agreement_fuzz():

@@ -210,6 +210,19 @@ def test_play_strategy_for_another_game_is_an_error(tmp_path, capsys):
     assert err.startswith("error: strategy has no move for key") and err.count("\n") == 1
 
 
+def test_play_strategy_move_out_of_range(tmp_path, capsys):
+    golden = (GOLDEN / "toy_cancel.strategy").read_text(encoding="utf-8")
+    assert "move=0" in golden
+    strategy = tmp_path / "bad.strategy"
+    strategy.write_text(golden.replace("move=0", "move=9"), encoding="utf-8")
+    code, _, err = run(
+        capsys, "play", "--game", fixture("toy_cancel.game"), "--defender", "script:0",
+        "--attacker", f"strategy:{strategy}", "--rounds", "1",
+    )
+    assert code == 1
+    assert err.startswith("error: strategy move 9 for key") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize("representation", ["matrix", "braid3"])
 def test_play_script_letters_resolve_in_every_representation(capsys, representation):
     args = (

@@ -200,6 +200,13 @@ def test_strategy_policy_missing_key(toy_cancel):
         engine.play(domain, engine.scripted_policy([0]), engine.strategy_policy({}), 1)
 
 
+def test_strategy_policy_move_out_of_range(toy_cancel):
+    domain = word_domain(toy_cancel)
+    attacker = engine.strategy_policy({("a;0", 1): 9})
+    with pytest.raises(ValueError, match="strategy move 9 .* is out of range"):
+        engine.play(domain, engine.scripted_policy([0]), attacker, 1)
+
+
 def test_crosscheck_agreement(pipelines):
     pipe = pipelines["eq"]
     domain = pipe.domain("word")
