@@ -33,10 +33,10 @@ def main() -> int:
         aut = au.build_solution_checker(inst)
         line = [path.stem.ljust(4)]
         for horizon in range(1, args.max_len + 1):
-            started = time.time()
+            started = time.perf_counter()
             verdict = au.bounded_universality(aut, horizon)
             token = "all" if verdict.all_accepted else verdict.counterexample
-            line.append(f"L={horizon}:{token}({time.time() - started:.2f}s)")
+            line.append(f"L={horizon}:{token}({time.perf_counter() - started:.2f}s)")
         print("  ".join(line))
     return 0
 

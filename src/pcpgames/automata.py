@@ -7,13 +7,21 @@ also provides the transition-reversal variant (negated weights, initial
 and final state swapped) and the self-loop unfolding into nine states,
 together with bounded acceptance and universality checks that serve as
 desk-scale stand-ins for the undecidable unbounded questions.
+
+Both checks run an on-the-fly subset construction over configurations
+``(state, weight)``: the frontier of a prefix is the set of configurations
+its transition paths reach, so a prefix is accepted iff its frontier holds
+a final state with weight 0.  ``bounded_universality`` searches prefixes
+depth first in lexicographic order, carries each prefix's frontier to its
+extensions instead of re-reading the word, and skips every extension of an
+accepted prefix.
 """
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
+from functools import cached_property
 
 from .pcp import PcpInstance
 
@@ -52,10 +60,16 @@ class WeightedAutomaton:
             if t.letter not in self.alphabet:
                 raise AutomatonError(f"transition {t} uses unknown letter")
 
+    @cached_property
+    def _index(self) -> dict[tuple[str, str], tuple[Transition, ...]]:
+        """``(source, letter)`` -> its transitions, sorted; built on first use."""
+        index: dict[tuple[str, str], list[Transition]] = {}
+        for t in sorted(self.transitions):
+            index.setdefault((t.source, t.letter), []).append(t)
+        return {key: tuple(ts) for key, ts in index.items()}
+
     def outgoing(self, state: str, letter: str) -> list[Transition]:
-        return sorted(
-            t for t in self.transitions if t.source == state and t.letter == letter
-        )
+        return list(self._index.get((state, letter), ()))
 
     def sorted_transitions(self) -> list[Transition]:
         return sorted(self.transitions)
@@ -257,7 +271,7 @@ def _paths_over(aut: WeightedAutomaton, w: str):
         if path:
             yield path
         if pos < len(w):
-            for t in sorted(aut.outgoing(state, w[pos]), reverse=True):
+            for t in reversed(aut.outgoing(state, w[pos])):
                 stack.append((t.target, pos + 1, path + (t,)))
 
 
@@ -287,12 +301,34 @@ def enumerate_accepting_prefixes(
     return found
 
 
+_Frontier = frozenset[tuple[str, int]]
+
+
+def _step(aut: WeightedAutomaton, frontier: _Frontier, letter: str) -> _Frontier:
+    """The configurations reached from ``frontier`` by one transition reading ``letter``."""
+    index = aut._index
+    return frozenset(
+        (t.target, weight + t.weight)
+        for state, weight in frontier
+        for t in index.get((state, letter), ())
+    )
+
+
+def _accepting(aut: WeightedAutomaton, frontier: _Frontier) -> bool:
+    return any((f, 0) in frontier for f in aut.finals)
+
+
 def accepts_within(aut: WeightedAutomaton, w: str, bound: int = 64) -> bool:
-    """True iff some prefix of w carries a zero-weight path into a final state."""
+    """True iff some nonempty prefix of w carries a zero-weight path into a final state."""
     if len(w) > bound:
         raise AutomatonError(f"word of length {len(w)} exceeds bound {bound}")
-    for path in _paths_over(aut, w):
-        if path[-1].target in aut.finals and sum(t.weight for t in path) == 0:
+    for letter in w:
+        if letter not in aut.alphabet:
+            raise AutomatonError(f"letter {letter!r} is not in the alphabet {aut.alphabet}")
+    frontier: _Frontier = frozenset({(aut.initial, 0)})
+    for letter in w:
+        frontier = _step(aut, frontier, letter)
+        if _accepting(aut, frontier):
             return True
     return False
 
@@ -315,20 +351,37 @@ class UniversalityVerdict:
 def bounded_universality(
     aut: WeightedAutomaton, horizon: int, max_words: int = 1 << 20
 ) -> UniversalityVerdict:
-    """Search all length-``horizon`` words for one with no accepted prefix.
+    """Search the length-``horizon`` words for one with no accepted prefix.
 
-    Words are tried in lexicographic order of the alphabet, so the reported
-    counterexample is the least one.
+    One depth-first search over prefixes, in lexicographic order of the
+    alphabet, carries each prefix's frontier (the ``(state, weight)``
+    configurations its paths reach) to its extensions, and skips the
+    extensions of an accepted prefix, since they are accepted too.  The
+    first prefix to reach length ``horizon`` unaccepted is the least
+    counterexample.  ``max_words`` caps the number of words the search may
+    have to cover, ``len(alphabet) ** horizon``.
     """
     if horizon < 1:
         raise AutomatonError("horizon must be positive")
     total = len(aut.alphabet) ** horizon
     if total > max_words:
         raise AutomatonError(f"{total} words exceed the safety cap {max_words}")
-    for letters in itertools.product(sorted(aut.alphabet), repeat=horizon):
-        w = "".join(letters)
-        if not accepts_within(aut, w, bound=horizon):
-            return UniversalityVerdict(horizon, w)
+    letters = sorted(aut.alphabet, reverse=True)
+    word: list[str] = []
+    start: _Frontier = frozenset({(aut.initial, 0)})
+    # (length of the parent prefix, next letter, parent's frontier); an
+    # explicit stack, since the horizon may exceed the recursion limit
+    stack = [(0, letter, start) for letter in letters]
+    while stack:
+        depth, letter, frontier = stack.pop()
+        frontier = _step(aut, frontier, letter)
+        del word[depth:]
+        word.append(letter)
+        if _accepting(aut, frontier):
+            continue
+        if depth + 1 == horizon:
+            return UniversalityVerdict(horizon, "".join(word))
+        stack.extend((depth + 1, b, frontier) for b in letters)
     return UniversalityVerdict(horizon, None)
 
 

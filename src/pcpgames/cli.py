@@ -88,6 +88,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     aut = au.build_solution_checker(inst)
     if args.word is not None:
         w = args.word
+        inst.check_word(w)
         case = None
         for k in range(1, len(w) + 1):
             case = pcp.bad_prefix_case(inst, w[:k])

@@ -70,14 +70,15 @@ class PcpInstance:
             raise PcpError(f"unknown image letter {image_letter!r}") from None
 
     def h(self, w: str) -> str:
-        self._check_word(w)
+        self.check_word(w)
         return "".join(self.h_images[a] for a in w)
 
     def g(self, w: str) -> str:
-        self._check_word(w)
+        self.check_word(w)
         return "".join(self.g_images[a] for a in w)
 
-    def _check_word(self, w: str) -> None:
+    def check_word(self, w: str) -> None:
+        """Raise PcpError at the first letter of w outside the domain alphabet."""
         for a in w:
             if a not in self.domain_alphabet:
                 raise PcpError(f"unknown domain letter {a!r}")

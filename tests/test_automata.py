@@ -3,12 +3,13 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pcpgames import automata as au
 from pcpgames import pcp
 from pcpgames.automata import AutomatonError, Transition
 
-from conftest import load_instance
+from conftest import FIXTURES, load_instance
 
 
 @pytest.fixture(scope="module")
@@ -162,6 +163,115 @@ def test_bounded_universality_examples(aut_i1, aut_mm, aut_eq):
 def test_bounded_universality_cap(aut_i1):
     with pytest.raises(AutomatonError, match="safety cap"):
         au.bounded_universality(aut_i1, 3, max_words=0)
+
+
+def test_accepts_within_rejects_letters_outside_the_alphabet():
+    aut = au.build_solution_checker(load_instance("c4"))
+    assert au.accepts_within(aut, "a")
+    for w in ("az", "zzz", "z"):
+        with pytest.raises(AutomatonError, match="'z' is not in the alphabet"):
+            au.accepts_within(aut, w)
+
+
+def test_outgoing_is_sorted_and_complete(fixture_instances):
+    for inst in fixture_instances.values():
+        aut = au.unfold_self_loops(au.build_solution_checker(inst))
+        for q in aut.states:
+            for a in aut.alphabet + ("z",):
+                assert aut.outgoing(q, a) == _reference_outgoing(aut, q, a)
+
+
+def test_bounded_universality_deep_horizon_is_not_recursive():
+    # one state, initial and final, whose loop adds 1: only the empty prefix
+    # has weight 0, and the empty prefix is never accepted
+    loop = au.WeightedAutomaton(
+        states=("p",),
+        alphabet=("a",),
+        transitions=frozenset({Transition("p", "a", "p", 1)}),
+        initial="p",
+        finals=frozenset({"p"}),
+    )
+    verdict = au.bounded_universality(loop, 3000)
+    assert str(verdict) == f"Counterexample({'a' * 3000})"
+
+
+# --- reference: the path-enumerating checks the frontier search replaced ---
+
+
+def _reference_outgoing(aut, state, letter):
+    return sorted(t for t in aut.transitions if t.source == state and t.letter == letter)
+
+
+def reference_accepts_within(aut, w):
+    """Enumerate every transition path over every nonempty prefix of w."""
+    stack = [(aut.initial, 0, ())]
+    while stack:
+        state, pos, path = stack.pop()
+        if path and path[-1].target in aut.finals and sum(t.weight for t in path) == 0:
+            return True
+        if pos < len(w):
+            for t in _reference_outgoing(aut, state, w[pos]):
+                stack.append((t.target, pos + 1, path + (t,)))
+    return False
+
+
+def reference_bounded_universality(aut, horizon):
+    """Try every length-``horizon`` word in lexicographic order."""
+    for letters in itertools.product(sorted(aut.alphabet), repeat=horizon):
+        w = "".join(letters)
+        if not reference_accepts_within(aut, w):
+            return au.UniversalityVerdict(horizon, w)
+    return au.UniversalityVerdict(horizon, None)
+
+
+VARIANTS = {
+    "forward": lambda aut: aut,
+    "reverse": au.reverse,
+    "unfolded": au.unfold_self_loops,
+    "unfolded-reverse": lambda aut: au.unfold_self_loops(au.reverse(aut)),
+}
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+@pytest.mark.parametrize("name", sorted(p.stem for p in FIXTURES.glob("*.pcp")))
+def test_frontier_search_matches_path_enumeration(name, variant):
+    inst = load_instance(name)
+    aut = VARIANTS[variant](au.build_solution_checker(inst))
+    for n in range(1, 5):
+        for letters in itertools.product(inst.domain_alphabet, repeat=n):
+            w = "".join(letters)
+            assert au.accepts_within(aut, w) == reference_accepts_within(aut, w), w
+    for horizon in range(1, 10):
+        assert au.bounded_universality(aut, horizon) == reference_bounded_universality(aut, horizon)
+
+
+@st.composite
+def small_automata(draw):
+    alphabet = ("a", "b", "c")[: draw(st.integers(1, 3))]
+    states = ("p", "q", "r", "s")[: draw(st.integers(2, 4))]
+    edges = st.builds(
+        Transition,
+        st.sampled_from(states),
+        st.sampled_from(alphabet),
+        st.sampled_from(states),
+        st.integers(-3, 3),
+    )
+    return au.WeightedAutomaton(
+        states=states,
+        alphabet=alphabet,
+        transitions=frozenset(draw(st.lists(edges, max_size=12))),
+        initial=draw(st.sampled_from(states)),
+        finals=frozenset(draw(st.lists(st.sampled_from(states), min_size=1, max_size=2))),
+    )
+
+
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(aut=small_automata(), data=st.data())
+def test_frontier_search_matches_path_enumeration_on_random_automata(aut, data):
+    w = data.draw(st.text(alphabet=aut.alphabet, max_size=6))
+    assert au.accepts_within(aut, w) == reference_accepts_within(aut, w)
+    horizon = data.draw(st.integers(1, 5))
+    assert au.bounded_universality(aut, horizon) == reference_bounded_universality(aut, horizon)
 
 
 def test_desk_scale_solution_language(i1, eq, mm):

@@ -88,6 +88,14 @@ def test_check_word_illegal_letter(capsys):
     assert "unknown domain letter" in err
 
 
+def test_check_word_letter_outside_alphabet_is_an_error(capsys):
+    # "a" alone is a bad prefix of c4, so the word must be checked before any prefix
+    code, out, err = run(capsys, "check", "-i", fixture("c4.pcp"), "--word", "az")
+    assert code == 1
+    assert out == ""
+    assert err.splitlines() == ["error: unknown domain letter 'z'"]
+
+
 def test_check_word_reports_acceptance_lag(capsys):
     # fin's "aa" is bad at position 2 but only verifiable on a longer word
     code, out, _ = run(capsys, "check", "-i", fixture("fin.pcp"), "--word", "aa")
