@@ -349,7 +349,7 @@ class UniversalityVerdict:
 
 
 def bounded_universality(
-    aut: WeightedAutomaton, horizon: int, max_words: int = 1 << 20
+    aut: WeightedAutomaton, horizon: int, max_configs: int = 1 << 20
 ) -> UniversalityVerdict:
     """Search the length-``horizon`` words for one with no accepted prefix.
 
@@ -358,22 +358,23 @@ def bounded_universality(
     configurations its paths reach) to its extensions, and skips the
     extensions of an accepted prefix, since they are accepted too.  The
     first prefix to reach length ``horizon`` unaccepted is the least
-    counterexample.  ``max_words`` caps the number of words the search may
-    have to cover, ``len(alphabet) ** horizon``.
+    counterexample.  ``max_configs`` caps the number of configurations the
+    search may step, summed over every prefix it extends.
     """
     if horizon < 1:
         raise AutomatonError("horizon must be positive")
-    total = len(aut.alphabet) ** horizon
-    if total > max_words:
-        raise AutomatonError(f"{total} words exceed the safety cap {max_words}")
     letters = sorted(aut.alphabet, reverse=True)
     word: list[str] = []
     start: _Frontier = frozenset({(aut.initial, 0)})
     # (length of the parent prefix, next letter, parent's frontier); an
     # explicit stack, since the horizon may exceed the recursion limit
     stack = [(0, letter, start) for letter in letters]
+    stepped = 0
     while stack:
         depth, letter, frontier = stack.pop()
+        stepped += len(frontier)
+        if stepped > max_configs:
+            raise AutomatonError(f"the search stepped more than {max_configs} configurations, the safety cap")
         frontier = _step(aut, frontier, letter)
         del word[depth:]
         word.append(letter)

@@ -1,13 +1,14 @@
 """Braid words, Garside normal form, the reduced Burau oracle, and braid games.
 
 Braid words are sequences of signed Artin generator indices with free
-cancellation applied eagerly.  Equality modulo the braid relations is
-decided through the left Garside normal form over permutation braids: a
-power of the half twist followed by a left-weighted sequence of
-permutation factors.  The reduced Burau representation of the three-strand
-group (faithful there) serves as an independent triviality oracle, and a
-bounded rewriting search provides a third, brute-force opinion on short
-words.
+cancellation applied eagerly; the public constructors validate a word, and
+``concat`` cancels only at the seam of two valid words.  Equality modulo
+the braid relations is decided through the left Garside normal form over
+permutation braids: a power of the half twist followed by a left-weighted
+sequence of permutation factors, built by incremental left-weighting in one
+pass over the word.  The reduced Burau representation of the three-strand
+group (faithful there), computed with dense Laurent polynomials, serves as
+an independent triviality oracle.
 
 The game encodings map binary-alphabet words into fourth powers of the
 first two generators (three-strand case, with the squared half twist as a
@@ -18,7 +19,6 @@ subgroups of the five-strand group.
 from __future__ import annotations
 
 import functools
-from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -75,10 +75,24 @@ def parse_braid(strands: int, text: str) -> BraidWord:
     return braid(strands, (int(tok) for tok in text.split()))
 
 
+def _cancelled(strands: int, letters: tuple[int, ...]) -> BraidWord:
+    """Wrap letters already known to be valid and freely cancelled, skipping the re-scan."""
+    w = object.__new__(BraidWord)
+    object.__setattr__(w, "strands", strands)
+    object.__setattr__(w, "letters", letters)
+    return w
+
+
 def concat(u: BraidWord, v: BraidWord) -> BraidWord:
+    """Product u.v: both words are freely cancelled, so only the seam can cancel."""
     if u.strands != v.strands:
         raise BraidError("strand counts differ")
-    return braid(u.strands, u.letters + v.letters)
+    ul, vl = u.letters, v.letters
+    n, i = len(ul), 0
+    while n and i < len(vl) and ul[n - 1] == -vl[i]:
+        n -= 1
+        i += 1
+    return _cancelled(u.strands, ul[:n] + vl[i:])
 
 
 def invert(w: BraidWord) -> BraidWord:
@@ -217,25 +231,32 @@ class GarsideNormalForm:
 
 
 def _normalise_factors(n: int, factors: list[tuple[int, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """Incremental left-weighting: returns the count of leading half twists and the rest.
+
+    Each factor is appended to a left-weighted prefix and pushed left until a
+    pair is already left-weighted; the pairs further left are untouched, so
+    they stay left-weighted (the domino rule).  Half twists collect at the
+    front and the identity can form only at the tail, where it is dropped.
+    """
     ident = _identity_perm(n)
     w0 = _longest_perm(n)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = _renorm(factors[i], factors[i + 1])
-            if (a, b) != (factors[i], factors[i + 1]):
-                factors[i], factors[i + 1] = a, b
-                changed = True
-    lo = 0
-    hi = len(factors)
+    out: list[tuple[int, ...]] = []
+    for f in factors:
+        out.append(f)
+        i = len(out) - 1
+        while i:
+            left, right = _renorm(out[i - 1], out[i])
+            # the pair's product is fixed, so an unchanged left factor means an unchanged pair
+            if left == out[i - 1]:
+                break
+            out[i - 1], out[i] = left, right
+            i -= 1
+        if out[-1] == ident:
+            out.pop()
     power = 0
-    while lo < hi and factors[lo] == w0:
+    while power < len(out) and out[power] == w0:
         power += 1
-        lo += 1
-    while lo < hi and factors[hi - 1] == ident:
-        hi -= 1
-    body = tuple(factors[lo:hi])
+    body = tuple(out[power:])
     assert all(f != ident and f != w0 for f in body), "normalisation left a trivial factor"
     return power, body
 
@@ -246,7 +267,8 @@ def garside_nf(w: BraidWord) -> GarsideNormalForm:
     Negative letters are rewritten as a negative half-twist power times the
     left complement of the generator; the powers are commuted to the front
     through the flip automorphism, and the remaining positive factor
-    sequence is made left-weighted.
+    sequence is made left-weighted one factor at a time, each pushed left
+    only as far as the pairs it changes.
     """
     n = w.strands
     factors: list[tuple[int, ...]] = []
@@ -318,66 +340,6 @@ def is_trivial_fast(w: BraidWord) -> bool:
     return is_trivial(w)
 
 
-def _relation_images(a: int, b: int, c: int) -> Iterable[tuple[int, int, int]]:
-    """Signed forms of the braid relation applicable to the triple (a, b, c).
-
-    All six are consequences of the positive relation aba = bab for adjacent
-    generator indices; together with their mirror instances they form a
-    bidirectional, length-preserving rewrite family.
-    """
-    if abs(abs(a) - abs(b)) != 1:
-        return
-    x, y = abs(a), abs(b)
-    if (a, b, c) == (x, y, x):
-        yield (y, x, y)
-    elif (a, b, c) == (-x, -y, -x):
-        yield (-y, -x, -y)
-    elif (a, b, c) == (x, y, -x):
-        yield (-y, x, y)
-    elif (a, b, c) == (-x, y, x):
-        yield (y, x, -y)
-    elif (a, b, c) == (x, -y, -x):
-        yield (-y, -x, y)
-    elif (a, b, c) == (-x, -y, x):
-        yield (y, -x, -y)
-
-
-def _rewriting_neighbours(word: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
-    n = len(word)
-    for i in range(n - 1):
-        a, b = word[i], word[i + 1]
-        if a == -b:
-            yield word[:i] + word[i + 2:]
-        if abs(abs(a) - abs(b)) >= 2:
-            yield word[:i] + (b, a) + word[i + 2:]
-    for i in range(n - 2):
-        for image in _relation_images(word[i], word[i + 1], word[i + 2]):
-            yield word[:i] + image + word[i + 3:]
-
-
-def trivial_by_search(w: BraidWord, max_states: int = 500_000) -> bool:
-    """Bounded breadth-first rewriting search for the empty word.
-
-    Moves are free cancellation, far commutation, and the six signed forms
-    of the braid relation; all are length-non-increasing, so the search
-    terminates.  A test oracle for short words, not a decision procedure.
-    """
-    start = w.letters
-    seen = {start}
-    queue = deque([start])
-    while queue:
-        if len(seen) > max_states:
-            raise BraidError(f"rewriting search exceeded {max_states} states")
-        current = queue.popleft()
-        if not current:
-            return True
-        for nxt in _rewriting_neighbours(current):
-            if nxt not in seen:
-                seen.add(nxt)
-                queue.append(nxt)
-    return False
-
-
 # --- reduced Burau representation of the three-strand group ---
 
 Laurent = tuple[tuple[int, int], ...]  # sorted ((exponent, coefficient), ...)
@@ -390,35 +352,67 @@ LP_ONE: Laurent = ((0, 1),)
 _BURAU_IDENTITY: LaurentMatrix = ((LP_ONE, LP_ZERO), (LP_ZERO, LP_ONE))
 
 
-def _axpy(a: Laurent, sign: int, shift: int, b: Laurent) -> Laurent:
-    """a + sign * t^shift * b, in the sorted form with no zero coefficients."""
-    acc = dict(a)
-    for e, c in b:
-        acc[e + shift] = acc.get(e + shift, 0) + sign * c
-    return tuple(sorted((e, c) for e, c in acc.items() if c))
+# While burau3 runs, each entry is dense: (lowest exponent, coefficients),
+# with no zero coefficient at either end; the zero polynomial has none.
+_Dense = tuple[int, list[int]]
+
+
+def _neg_shift(a: _Dense, shift: int) -> _Dense:
+    """-t^shift * a."""
+    return a[0] + shift, [-c for c in a[1]]
+
+
+def _add_shift(a: _Dense, b: _Dense, shift: int) -> _Dense:
+    """a + t^shift * b."""
+    alo, ac = a
+    blo, bc = b
+    if not bc:
+        return a
+    blo += shift
+    if not ac:
+        return blo, bc
+    lo = min(alo, blo)
+    out = [0] * (max(alo + len(ac), blo + len(bc)) - lo)
+    i = alo - lo
+    out[i:i + len(ac)] = ac
+    i = blo - lo
+    out[i:i + len(bc)] = [x + y for x, y in zip(out[i:i + len(bc)], bc)]
+    if out[0] and out[-1]:
+        return lo, out
+    start, end = 0, len(out)
+    while start < end and not out[start]:
+        start += 1
+    while end > start and not out[end - 1]:
+        end -= 1
+    return (lo + start, out[start:end]) if start < end else (0, [])
 
 
 def burau3(w: BraidWord) -> LaurentMatrix:
     """Reduced Burau image of a three-strand braid word.
 
     Each generator image has a single non-trivial column, so right
-    multiplication by it is one column operation on each row (p, q).
+    multiplication by it is one column operation on each row (p, q).  The
+    entries stay dense while the word is read and become sorted
+    ``(exponent, coefficient)`` tuples once, at the end.
     """
     if w.strands != 3:
         raise BraidError("the reduced Burau oracle is wired for three strands only")
-    rows = [list(row) for row in _BURAU_IDENTITY]
+    one: _Dense = (0, [1])
+    zero: _Dense = (0, [])
+    rows = [(one, zero), (zero, one)]
     for x in w.letters:
-        for row in rows:
-            p, q = row
-            if x == 1:  # (-t p, p + q)
-                row[:] = _axpy(LP_ZERO, -1, 1, p), _axpy(q, 1, 0, p)
-            elif x == -1:  # (-t^-1 p, q + t^-1 p)
-                row[:] = _axpy(LP_ZERO, -1, -1, p), _axpy(q, 1, -1, p)
-            elif x == 2:  # (p + t q, -t q)
-                row[:] = _axpy(p, 1, 1, q), _axpy(LP_ZERO, -1, 1, q)
-            else:  # (p + q, -t^-1 q)
-                row[:] = _axpy(p, 1, 0, q), _axpy(LP_ZERO, -1, -1, q)
-    return tuple(tuple(row) for row in rows)  # type: ignore[return-value]
+        if x == 1:  # (-t p, p + q)
+            rows = [(_neg_shift(p, 1), _add_shift(q, p, 0)) for p, q in rows]
+        elif x == -1:  # (-t^-1 p, q + t^-1 p)
+            rows = [(_neg_shift(p, -1), _add_shift(q, p, -1)) for p, q in rows]
+        elif x == 2:  # (p + t q, -t q)
+            rows = [(_add_shift(p, q, 1), _neg_shift(q, 1)) for p, q in rows]
+        else:  # (p + q, -t^-1 q)
+            rows = [(_add_shift(p, q, 0), _neg_shift(q, -1)) for p, q in rows]
+    return tuple(  # type: ignore[return-value]
+        tuple(tuple((lo + i, c) for i, c in enumerate(coeffs) if c) for lo, coeffs in row)
+        for row in rows
+    )
 
 
 def burau3_is_scalar(m: LaurentMatrix) -> bool:

@@ -162,7 +162,7 @@ def test_bounded_universality_examples(aut_i1, aut_mm, aut_eq):
 
 def test_bounded_universality_cap(aut_i1):
     with pytest.raises(AutomatonError, match="safety cap"):
-        au.bounded_universality(aut_i1, 3, max_words=0)
+        au.bounded_universality(aut_i1, 3, max_configs=0)
 
 
 def test_accepts_within_rejects_letters_outside_the_alphabet():

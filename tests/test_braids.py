@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import random
+from collections import deque
+from typing import Iterable
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -171,6 +174,193 @@ def test_burau3_is_a_homomorphism(u, v):
     assert br.burau3(br.concat(u, v)) == _ref_burau_mul(br.burau3(u), br.burau3(v))
 
 
+# Reference Garside normalisation: the fixpoint sweep that re-scans the whole
+# factor list until no adjacent pair changes.
+
+
+def _sweep_normalise_factors(n: int, factors: list[tuple[int, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    ident = br._identity_perm(n)
+    w0 = br._longest_perm(n)
+    changed = True
+    while changed:
+        changed = False
+        for i in range(len(factors) - 1):
+            a, b = br._renorm(factors[i], factors[i + 1])
+            if (a, b) != (factors[i], factors[i + 1]):
+                factors[i], factors[i + 1] = a, b
+                changed = True
+    lo = 0
+    hi = len(factors)
+    power = 0
+    while lo < hi and factors[lo] == w0:
+        power += 1
+        lo += 1
+    while lo < hi and factors[hi - 1] == ident:
+        hi -= 1
+    body = tuple(factors[lo:hi])
+    assert all(f != ident and f != w0 for f in body), "normalisation left a trivial factor"
+    return power, body
+
+
+def _sweep_garside_nf(w: br.BraidWord) -> br.GarsideNormalForm:
+    with mock.patch.object(br, "_normalise_factors", _sweep_normalise_factors):
+        return br.garside_nf(w)
+
+
+def _reduced_lists(letters: list, max_size: int) -> st.SearchStrategy[list]:
+    """Freely reduced lists up to max_size long, half of them longer than max_size / 2.
+
+    ``letters`` lists each letter next to its inverse.  Each letter is drawn
+    among those that do not cancel its predecessor, so the length drawn is
+    the length kept.
+    """
+
+    def build(picks: list[int]) -> list:
+        chosen: list[int] = []
+        for k in picks:
+            if chosen and k >= chosen[-1] ^ 1:  # skip the predecessor's inverse
+                k += 1
+            chosen.append(k)
+        return [letters[k] for k in chosen]
+
+    sizes = st.one_of(st.integers(0, max_size), st.integers(max_size // 2, max_size))
+    picks = st.integers(0, len(letters) - 2)
+    return sizes.flatmap(lambda k: st.lists(picks, min_size=k, max_size=k)).map(build)
+
+
+def _letters(strands: int, max_size: int) -> st.SearchStrategy[list[int]]:
+    return _reduced_lists([s * g for g in range(1, strands) for s in (1, -1)], max_size)
+
+
+@st.composite
+def long_braids(draw, strands: st.SearchStrategy[int] = st.sampled_from([3, 4, 5])) -> br.BraidWord:
+    """Random words of up to 300 letters, w.v.w^-1 with a short v, and D^k.w."""
+    n = draw(strands)
+    shape = draw(st.sampled_from(["plain", "conjugate", "delta"]))
+    if shape == "conjugate":
+        w = br.braid(n, draw(_letters(n, 148)))
+        v = br.braid(n, draw(_letters(n, 4)))
+        return br.concat(br.concat(w, v), br.invert(w))
+    w = br.braid(n, draw(_letters(n, 300)))
+    if shape == "delta":
+        k = draw(st.integers(-4, 4))
+        return br.concat(br.braid_power(br.fundamental_braid(n), k), w)
+    return w
+
+
+_group_words = _reduced_lists([("c", 1), ("c", -1), ("d", 1), ("d", -1)], 40).map(fg.reduce)
+_counter_words = _reduced_lists([("r", 1), ("r", -1), ("t", 1), ("t", -1)], 16).map(fg.reduce)
+
+
+@st.composite
+def encoded_braids(draw, strands: st.SearchStrategy[int] = st.sampled_from([3, 5])) -> br.BraidWord:
+    """b3_encode or b5_encode outputs, optionally times the inverse of another."""
+    n = draw(strands)
+
+    def encode() -> br.BraidWord:
+        if n == 3:
+            return br.b3_encode(draw(_group_words), draw(st.integers(-3, 3)))
+        return br.b5_encode(draw(_group_words), draw(_counter_words))
+
+    w = encode()
+    return br.concat(w, br.invert(encode())) if draw(st.booleans()) else w
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(w=st.one_of(long_braids(), encoded_braids()))
+def test_garside_nf_matches_sweep_on_long_words(w):
+    assert br.garside_nf(w) == _sweep_garside_nf(w)
+
+
+@settings(max_examples=80, derandomize=True, deadline=None)
+@given(w=st.one_of(long_braids(st.just(3)), encoded_braids(st.just(3))))
+def test_burau3_matches_reference_on_long_words(w):
+    assert br.burau3(w) == _ref_burau3(w)
+
+
+@st.composite
+def concat_pairs(draw) -> tuple[br.BraidWord, br.BraidWord]:
+    """u and v, where v often starts by cancelling a tail of u."""
+    n = draw(st.sampled_from([2, 3, 4, 5]))
+    u = br.braid(n, draw(_letters(n, 40)))
+    cancel = draw(st.integers(0, len(u)))
+    v = br.braid(n, [-x for x in reversed(u.letters)][:cancel] + draw(_letters(n, 40)))
+    return u, v
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(pair=concat_pairs())
+def test_concat_matches_full_cancellation(pair):
+    u, v = pair
+    product = br.concat(u, v)
+    assert product == br.braid(u.strands, u.letters + v.letters)
+    assert br.BraidWord(product.strands, product.letters) == product
+
+
+# Brute-force rewriting search: a third, independent triviality opinion on
+# short words.
+
+
+def _relation_images(a: int, b: int, c: int) -> Iterable[tuple[int, int, int]]:
+    """Signed forms of the braid relation applicable to the triple (a, b, c).
+
+    All six are consequences of the positive relation aba = bab for adjacent
+    generator indices; together with their mirror instances they form a
+    bidirectional, length-preserving rewrite family.
+    """
+    if abs(abs(a) - abs(b)) != 1:
+        return
+    x, y = abs(a), abs(b)
+    if (a, b, c) == (x, y, x):
+        yield (y, x, y)
+    elif (a, b, c) == (-x, -y, -x):
+        yield (-y, -x, -y)
+    elif (a, b, c) == (x, y, -x):
+        yield (-y, x, y)
+    elif (a, b, c) == (-x, y, x):
+        yield (y, x, -y)
+    elif (a, b, c) == (x, -y, -x):
+        yield (-y, -x, y)
+    elif (a, b, c) == (-x, -y, x):
+        yield (y, -x, -y)
+
+
+def _rewriting_neighbours(word: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    n = len(word)
+    for i in range(n - 1):
+        a, b = word[i], word[i + 1]
+        if a == -b:
+            yield word[:i] + word[i + 2:]
+        if abs(abs(a) - abs(b)) >= 2:
+            yield word[:i] + (b, a) + word[i + 2:]
+    for i in range(n - 2):
+        for image in _relation_images(word[i], word[i + 1], word[i + 2]):
+            yield word[:i] + image + word[i + 3:]
+
+
+def trivial_by_search(w: br.BraidWord, max_states: int = 500_000) -> bool:
+    """Bounded breadth-first rewriting search for the empty word.
+
+    Moves are free cancellation, far commutation, and the six signed forms
+    of the braid relation; all are length-non-increasing, so the search
+    terminates.  A test oracle for short words, not a decision procedure.
+    """
+    start = w.letters
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        if len(seen) > max_states:
+            raise BraidError(f"rewriting search exceeded {max_states} states")
+        current = queue.popleft()
+        if not current:
+            return True
+        for nxt in _rewriting_neighbours(current):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return False
+
+
 def test_triple_oracle_agreement_fuzz():
     rng = random.Random(11)
     for _ in range(300):
@@ -180,7 +370,7 @@ def test_triple_oracle_agreement_fuzz():
         burau = br.burau3(w) == br._BURAU_IDENTITY
         assert garside == burau
         if length <= 8:
-            assert br.trivial_by_search(w) == garside
+            assert trivial_by_search(w) == garside
 
 
 def test_canonicity_against_rewriting_search():
@@ -188,13 +378,13 @@ def test_canonicity_against_rewriting_search():
     for _ in range(150):
         u = br.braid(3, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(0, 5))])
         v = br.braid(3, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(0, 5))])
-        assert br.braids_equal(u, v) == br.trivial_by_search(br.concat(u, br.invert(v)))
+        assert br.braids_equal(u, v) == trivial_by_search(br.concat(u, br.invert(v)))
 
 
 def test_search_handles_known_trivials():
-    assert br.trivial_by_search(br.braid(3, [1, 2, 1, -2, -1, -2]))
-    assert br.trivial_by_search(br.braid(3, [2, 1, 2, 2, 1, 2, -1, -2, -1, -1, -2, -1]))
-    assert not br.trivial_by_search(br.braid(3, [1, 2]))
+    assert trivial_by_search(br.braid(3, [1, 2, 1, -2, -1, -2]))
+    assert trivial_by_search(br.braid(3, [2, 1, 2, 2, 1, 2, -1, -2, -1, -1, -2, -1]))
+    assert not trivial_by_search(br.braid(3, [1, 2]))
 
 
 def test_exponent_sum_and_permutation_filters():

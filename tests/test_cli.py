@@ -119,6 +119,20 @@ def test_check_universality_all_accepted(capsys):
     assert out.splitlines()[0] == "all words of length 4 accepted"
 
 
+def test_check_universality_beyond_word_count_cap(capsys):
+    """2^21 words, but the search steps only a few configurations."""
+    code, out, err = run(capsys, "check", "-i", fixture("c4.pcp"), "--universality", "--max-len", "21")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "all words of length 21 accepted"
+
+
+def test_check_universality_cap_tripped(capsys):
+    """On i1 the frontier grows with the length, so a^1000 steps over 2^20 configurations."""
+    code, out, err = run(capsys, "check", "-i", fixture("i1.pcp"), "--universality", "--max-len", "1000")
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: the search stepped more than 1048576 configurations, the safety cap"]
+
+
 def test_solve_toy_cancel(capsys):
     code, out, _ = run(capsys, "solve", "--game", fixture("toy_cancel.game"), "--rounds", "1")
     assert code == 0

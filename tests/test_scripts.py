@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -36,3 +37,46 @@ def test_universality_sweep_script():
             token = "all" if verdict.all_accepted else verdict.counterexample
             assert cell.startswith(f"L={horizon}:{token}("), (name, cell)
         assert len(cells) == 12
+
+
+def _result(path: Path, correct: bool, attempted: int, failed: int, **metrics: tuple[float, str]) -> None:
+    path.mkdir(parents=True, exist_ok=True)
+    body = {"correct": correct, "attempted": attempted, "failed": failed,
+            "metrics": {name: {"value": v, "unit": u} for name, (v, u) in metrics.items()}}
+    (path / "result-certify-plays-trace0.json").write_text(json.dumps(body))
+
+
+def test_bench_fold_script(tmp_path):
+    for k, run_s in enumerate((3.0, 3.4, 3.2)):
+        _result(tmp_path / "parent" / str(k), True, 84, 0, run_s=(run_s, "s"), peak_rss_mb=(29.8, "MB"))
+    for k, run_s in enumerate((0.7, 0.6, 0.8)):
+        _result(tmp_path / "change" / str(k), k != 1, 84, k, run_s=(run_s, "s"), peak_rss_mb=(29.7, "MB"))
+    out = tmp_path / "BENCH.json"
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_fold.py"),
+         "--parent", *(str(tmp_path / "parent" / str(k)) for k in range(3)),
+         "--change", *(str(tmp_path / "change" / str(k)) for k in range(3)),
+         "-o", str(out)],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    entry = json.loads(out.read_text())["results"]["certify-plays-trace0"]
+    assert entry["parent"] == {"runs": 3, "correct": True, "attempted": 252, "failed": 0}
+    assert entry["change"] == {"runs": 3, "correct": False, "attempted": 252, "failed": 3}
+    assert entry["metrics"]["run_s"] == {
+        "unit": "s", "parent": 3.2, "change": 0.7,
+        "parent_runs": [3.0, 3.4, 3.2], "change_runs": [0.7, 0.6, 0.8],
+    }
+    assert entry["metrics"]["peak_rss_mb"]["unit"] == "MB"
+
+
+def test_bench_fold_script_rejects_unmatched_results(tmp_path):
+    _result(tmp_path / "parent", True, 1, 0, run_s=(1.0, "s"))
+    (tmp_path / "change").mkdir()
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_fold.py"),
+         "--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 1 and done.stdout == ""
+    assert done.stderr == "error: results on one side only: certify-plays-trace0\n"
