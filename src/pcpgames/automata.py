@@ -68,72 +68,8 @@ class WeightedAutomaton:
             index.setdefault((t.source, t.letter), []).append(t)
         return {key: tuple(ts) for key, ts in index.items()}
 
-    def outgoing(self, state: str, letter: str) -> list[Transition]:
-        return list(self._index.get((state, letter), ()))
-
     def sorted_transitions(self) -> list[Transition]:
         return sorted(self.transitions)
-
-
-@dataclass(frozen=True)
-class PathPrefix:
-    """A chained transition sequence with its cached total weight."""
-
-    transitions: tuple[Transition, ...]
-    weight: int
-
-    def __post_init__(self) -> None:
-        for t1, t2 in zip(self.transitions, self.transitions[1:]):
-            if t1.target != t2.source:
-                raise AutomatonError(f"path breaks between {t1} and {t2}")
-        if self.weight != sum(t.weight for t in self.transitions):
-            raise AutomatonError("cached weight disagrees with step weights")
-
-    @classmethod
-    def of(cls, transitions: tuple[Transition, ...]) -> "PathPrefix":
-        return cls(transitions, sum(t.weight for t in transitions))
-
-    @property
-    def word(self) -> str:
-        return "".join(t.letter for t in self.transitions)
-
-    @property
-    def reached(self) -> str | None:
-        return self.transitions[-1].target if self.transitions else None
-
-    @property
-    def states(self) -> tuple[str, ...]:
-        if not self.transitions:
-            return ()
-        return (self.transitions[0].source,) + tuple(t.target for t in self.transitions)
-
-
-@dataclass(frozen=True)
-class AutConfiguration:
-    state: str
-    remaining: str
-    weight: int
-
-
-def path_weight(p: PathPrefix) -> int:
-    return sum(t.weight for t in p.transitions)
-
-
-def reverse_path(p: PathPrefix) -> PathPrefix:
-    """The same walk traversed backwards, with each transition reversed and negated."""
-    rev = tuple(
-        Transition(t.target, t.letter, t.source, -t.weight)
-        for t in reversed(p.transitions)
-    )
-    return PathPrefix.of(rev)
-
-
-def step(cfg: AutConfiguration, t: Transition) -> AutConfiguration:
-    if t.source != cfg.state:
-        raise AutomatonError(f"transition leaves {t.source}, configuration is at {cfg.state}")
-    if not cfg.remaining or cfg.remaining[0] != t.letter:
-        raise AutomatonError(f"transition reads {t.letter!r}, next letter is {cfg.remaining[:1]!r}")
-    return AutConfiguration(t.target, cfg.remaining[1:], cfg.weight + t.weight)
 
 
 def build_solution_checker(inst: PcpInstance) -> WeightedAutomaton:
@@ -263,44 +199,6 @@ def is_complete(aut: WeightedAutomaton) -> bool:
     )
 
 
-def _paths_over(aut: WeightedAutomaton, w: str):
-    """Depth-first enumeration of all chained transition tuples reading prefixes of w."""
-    stack: list[tuple[str, int, tuple[Transition, ...]]] = [(aut.initial, 0, ())]
-    while stack:
-        state, pos, path = stack.pop()
-        if path:
-            yield path
-        if pos < len(w):
-            for t in reversed(aut.outgoing(state, w[pos])):
-                stack.append((t.target, pos + 1, path + (t,)))
-
-
-def enumerate_accepting_prefixes(
-    aut: WeightedAutomaton, w: str, mode: str = "forward", bound: int = 64
-) -> list[PathPrefix]:
-    """All zero-weight path prefixes over prefixes of w that end in a final state.
-
-    ``mode="forward"`` tests the plain prefix weight; ``mode="reverse-weight"``
-    tests the weight of the reversed, negated transition sequence.  The two
-    select the same paths (a sum and its negation vanish together); the mode
-    fixes which weight the returned prefixes carry.
-    """
-    if mode not in ("forward", "reverse-weight"):
-        raise AutomatonError(f"unknown mode {mode!r}")
-    if len(w) > bound:
-        raise AutomatonError(f"word of length {len(w)} exceeds bound {bound}")
-    found = []
-    for path in _paths_over(aut, w):
-        if path[-1].target not in aut.finals:
-            continue
-        prefix = PathPrefix.of(path)
-        if mode == "reverse-weight":
-            prefix = reverse_path(prefix)
-        if prefix.weight == 0:
-            found.append(prefix)
-    return found
-
-
 _Frontier = frozenset[tuple[str, int]]
 
 
@@ -318,10 +216,8 @@ def _accepting(aut: WeightedAutomaton, frontier: _Frontier) -> bool:
     return any((f, 0) in frontier for f in aut.finals)
 
 
-def accepts_within(aut: WeightedAutomaton, w: str, bound: int = 64) -> bool:
+def accepts_within(aut: WeightedAutomaton, w: str) -> bool:
     """True iff some nonempty prefix of w carries a zero-weight path into a final state."""
-    if len(w) > bound:
-        raise AutomatonError(f"word of length {len(w)} exceeds bound {bound}")
     for letter in w:
         if letter not in aut.alphabet:
             raise AutomatonError(f"letter {letter!r} is not in the alphabet {aut.alphabet}")
@@ -335,6 +231,14 @@ def accepts_within(aut: WeightedAutomaton, w: str, bound: int = 64) -> bool:
 
 @dataclass(frozen=True)
 class UniversalityVerdict:
+    """The outcome of a bounded universality search at horizon L.
+
+    ``AllAccepted(L)`` proves that every infinite word is accepted, since
+    every infinite word has a prefix of length L and that prefix already has
+    an accepted prefix.  ``Counterexample(u)`` proves less: no prefix of u
+    up to length L is accepted, but an extension of u may still be.
+    """
+
     horizon: int
     counterexample: str | None
 
@@ -358,8 +262,10 @@ def bounded_universality(
     configurations its paths reach) to its extensions, and skips the
     extensions of an accepted prefix, since they are accepted too.  The
     first prefix to reach length ``horizon`` unaccepted is the least
-    counterexample.  ``max_configs`` caps the number of configurations the
-    search may step, summed over every prefix it extends.
+    counterexample.  ``AllAccepted`` holds for every infinite word; a
+    ``Counterexample(u)`` only says that no prefix of u up to length
+    ``horizon`` is accepted.  ``max_configs`` caps the number of
+    configurations the search may step, summed over every prefix it extends.
     """
     if horizon < 1:
         raise AutomatonError("horizon must be positive")

@@ -24,6 +24,7 @@ from typing import Iterable
 
 from . import freegroup as fg
 from .freegroup import GroupWord
+from .wordgames import PairWordGame, WeightedWordGame
 
 
 class BraidError(ValueError):
@@ -480,10 +481,8 @@ class BraidGame:
     initial_braid: BraidWord
 
 
-def build_braid3_game(g) -> BraidGame:
+def build_braid3_game(g: WeightedWordGame) -> BraidGame:
     """Three-strand game from a binarized weighted word game."""
-    from .wordgames import WeightedWordGame
-
     if not isinstance(g, WeightedWordGame):
         raise BraidError("the three-strand game is built from a weighted word game")
     if g.alphabet.symbols != fg.BINARY_SYMBOLS:
@@ -496,10 +495,8 @@ def build_braid3_game(g) -> BraidGame:
     )
 
 
-def build_braid5_game(g) -> BraidGame:
+def build_braid5_game(g: PairWordGame) -> BraidGame:
     """Five-strand game from a binarized pair word game."""
-    from .wordgames import PairWordGame
-
     if not isinstance(g, PairWordGame):
         raise BraidError("the five-strand game is built from a pair word game")
     if g.alphabet.symbols != fg.BINARY_SYMBOLS:
@@ -512,10 +509,8 @@ def build_braid5_game(g) -> BraidGame:
     )
 
 
-def build_braid_game(g) -> BraidGame:
+def build_braid_game(g: WeightedWordGame | PairWordGame) -> BraidGame:
     """Dispatch on the game kind: weighted games go to three strands, pairs to five."""
-    from .wordgames import PairWordGame, WeightedWordGame
-
     if isinstance(g, WeightedWordGame):
         return build_braid3_game(g)
     if isinstance(g, PairWordGame):

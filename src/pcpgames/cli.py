@@ -43,10 +43,7 @@ def _color(text: str, code: str) -> str:
 
 
 def _read_instance(path: str) -> pcp.PcpInstance:
-    p = Path(path)
-    if not p.exists():
-        raise CliError(f"instance file not found: {path}")
-    return pcp.parse_instance(p.read_text(encoding="utf-8"))
+    return pcp.parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
 def _write_or_print(text: str, out: str | None) -> None:
@@ -94,7 +91,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             case = pcp.bad_prefix_case(inst, w[:k])
             if case is not None:
                 break
-        accepted = au.accepts_within(aut, w, bound=max(len(w), 1))
+        accepted = au.accepts_within(aut, w)
         if case is not None:
             print(f"accepted (case {case.value})" if accepted else f"REJECTED but case {case.value}")
         else:
@@ -114,8 +111,10 @@ def cmd_check(args: argparse.Namespace) -> int:
         verdict = au.bounded_universality(aut, args.max_len)
         if verdict.all_accepted:
             print(f"all words of length {args.max_len} accepted")
+            print("so every infinite word is accepted")
         else:
             print(f"counterexample: {verdict.counterexample}")
+            print(f"no prefix up to length {args.max_len} is accepted; a longer one may be")
         return 0
     raise CliError("check needs --word or --universality")
 
@@ -123,10 +122,7 @@ def cmd_check(args: argparse.Namespace) -> int:
 def _domains_from_args(args: argparse.Namespace) -> tuple[Domain, Domain]:
     """The domain to solve or play, and the word domain whose move labels name its moves."""
     if args.game is not None:
-        path = Path(args.game)
-        if not path.exists():
-            raise CliError(f"game dump not found: {args.game}")
-        domain = word_domain(wg.parse_weighted_game(path.read_text(encoding="utf-8")))
+        domain = word_domain(wg.parse_weighted_game(Path(args.game).read_text(encoding="utf-8")))
         return domain, domain
     if args.instance is None:
         raise CliError("need --game DUMP or --instance FILE")
@@ -181,8 +177,6 @@ def _policy_from_spec(spec: str, words: Domain, player: str) -> engine.Policy:
         return engine.random_policy(int(spec.split(":", 1)[1]))
     if spec.startswith("strategy:"):
         path = Path(spec.split(":", 1)[1])
-        if not path.exists():
-            raise CliError(f"strategy file not found: {path}")
         return engine.strategy_policy(_parse_strategy(path.read_text(encoding="utf-8")))
     if spec.startswith("script:"):
         body = spec.split(":", 1)[1]
@@ -236,10 +230,7 @@ def cmd_play(args: argparse.Namespace) -> int:
 
 
 def cmd_crosscheck(args: argparse.Namespace) -> int:
-    trace_path = Path(args.trace)
-    if not trace_path.exists():
-        raise CliError(f"trace file not found: {args.trace}")
-    trace = engine.parse_trace(trace_path.read_text(encoding="utf-8"))
+    trace = engine.parse_trace(Path(args.trace).read_text(encoding="utf-8"))
     inst = _read_instance(args.instance)
     pipe = build_pipeline(inst)
     report = engine.crosscheck(trace, pipe.crosscheck_domains())
@@ -308,8 +299,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, pcp.PcpError, au.AutomatonError, br.BraidError, ValueError) as exc:
+    except (CliError, pcp.PcpError, au.AutomatonError, br.BraidError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except EOFError:
+        print("error: input ended before the play did", file=sys.stderr)
         return 1
 
 

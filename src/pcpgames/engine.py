@@ -303,12 +303,6 @@ def crosscheck(trace: Trace, domains: list[GameDomain]) -> CrosscheckReport:
     return CrosscheckReport(True, None, tuple(lines))
 
 
-def all_defender_scripts(domain: GameDomain, horizon: int) -> Iterable[tuple[int, ...]]:
-    import itertools
-
-    return itertools.product(range(domain.move_count(DEFENDER)), repeat=horizon)
-
-
 def replay_reaches_target(
     domain: GameDomain,
     attacker_table: dict[tuple[str, int], int],

@@ -15,6 +15,7 @@ acting on column vectors extended by ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from . import freegroup as fg
 from .freegroup import GroupWord, RankedAlphabet
@@ -106,6 +107,17 @@ def _reduced_word_count(rank: int, max_len: int) -> int:
     return total
 
 
+def _encoded_words(
+    max_len: int, rank: int, max_words: int
+) -> Iterator[tuple[GroupWord, IntMatrix]]:
+    """Every reduced word of length <= max_len with its 4x4 block encoding."""
+    if _reduced_word_count(rank, max_len) > max_words:
+        raise ValueError(f"enumeration would exceed the cap of {max_words} words")
+    alphabet = RankedAlphabet(tuple(f"z{i}" for i in range(1, rank + 1)))
+    for w in fg.all_reduced_words(alphabet.symbols, max_len):
+        yield w, block_diag(f_encode(fg.alpha_encode(w, alphabet)), identity(2))
+
+
 def anchor_lemma_holds(max_len: int, rank: int = 3, max_words: int = 200_000) -> bool:
     """Exhaustively check fixes-anchor implies identity on encoded words.
 
@@ -114,11 +126,7 @@ def anchor_lemma_holds(max_len: int, rank: int = 3, max_words: int = 200_000) ->
     upper block of a 4x4 matrix, and requires that fixing the anchor row
     forces the identity matrix.
     """
-    if _reduced_word_count(rank, max_len) > max_words:
-        raise ValueError(f"enumeration would exceed the cap of {max_words} words")
-    alphabet = RankedAlphabet(tuple(f"z{i}" for i in range(1, rank + 1)))
-    for w in fg.all_reduced_words(alphabet.symbols, max_len):
-        m = block_diag(f_encode(fg.alpha_encode(w, alphabet)), identity(2))
+    for _, m in _encoded_words(max_len, rank, max_words):
         if fixes_anchor(m) and m != identity(4):
             return False
     return True
@@ -131,11 +139,7 @@ def column_anchor_lemma_report(
 
     Reported, not asserted: returns (holds, first counterexample word or None).
     """
-    if _reduced_word_count(rank, max_len) > max_words:
-        raise ValueError(f"enumeration would exceed the cap of {max_words} words")
-    alphabet = RankedAlphabet(tuple(f"z{i}" for i in range(1, rank + 1)))
-    for w in fg.all_reduced_words(alphabet.symbols, max_len):
-        m = block_diag(f_encode(fg.alpha_encode(w, alphabet)), identity(2))
+    for w, m in _encoded_words(max_len, rank, max_words):
         if mat_vec_mul(m, COLUMN_ANCHOR) == COLUMN_ANCHOR and m != identity(4):
             return False, fg.render(w)
     return True, None

@@ -21,6 +21,7 @@ from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import pcp
 from pcpgames import wordgames as wg
+from pcpgames.automata import Transition
 from pcpgames.domains import (
     build_pipeline,
     robot_domain,
@@ -29,7 +30,7 @@ from pcpgames.domains import (
 )
 from pcpgames.engine import ATTACKER, DEFENDER
 
-from conftest import load_instance
+from conftest import brute_attacker_wins, load_instance, paths_over, scripts
 
 FIXTURE_NAMES = ("i1", "eq", "mm", "fin", "c4", "c5", "c6")
 LEMMA1_FIXTURES = ("i1", "eq", "mm")
@@ -61,7 +62,7 @@ def test_criterion_02_desk_scale_solution_language():
                 bad = any(
                     pcp.bad_prefix_case(inst, w[:k]) is not None for k in range(1, n + 1)
                 )
-                accepted = au.accepts_within(aut, w, bound=6)
+                accepted = au.accepts_within(aut, w)
                 assert bad == accepted, (name, w)
                 words_checked += 1
     _report(2, f"bad-prefix existence == zero-weight acceptance on {words_checked} words", started)
@@ -70,25 +71,17 @@ def test_criterion_02_desk_scale_solution_language():
 def test_criterion_03_reverse_duality():
     started = time.time()
     aut = au.build_solution_checker(load_instance("i1"))
-    rev = au.reverse(aut)
-    rev_transitions = rev.transitions
+    rev_transitions = au.reverse(aut).transitions
+    (letter,) = aut.alphabet  # one letter, so these are all paths of length <= 10
     paths = 0
-    frontier: list[tuple[tuple, str]] = [((), q) for q in aut.states]
-    for _ in range(10):
-        nxt = []
-        for path, state in frontier:
-            for t in aut.sorted_transitions():
-                if t.source == state:
-                    grown = path + (t,)
-                    prefix = au.PathPrefix.of(grown)
-                    mirrored = au.reverse_path(prefix)
-                    assert mirrored.weight == -prefix.weight
-                    assert set(mirrored.transitions) <= rev_transitions
-                    for t1, t2 in zip(mirrored.transitions, mirrored.transitions[1:]):
-                        assert t1.target == t2.source
-                    paths += 1
-                    nxt.append((grown, t.target))
-        frontier = nxt
+    for start in aut.states:
+        for path in paths_over(aut, letter * 10, start=start):
+            mirrored = [Transition(t.target, t.letter, t.source, -t.weight) for t in reversed(path)]
+            assert sum(t.weight for t in mirrored) == -sum(t.weight for t in path)
+            assert set(mirrored) <= rev_transitions
+            for t1, t2 in zip(mirrored, mirrored[1:]):
+                assert t1.target == t2.source
+            paths += 1
     _report(3, f"reversal duality exact on {paths} paths of length <= 10", started)
 
 
@@ -102,9 +95,7 @@ def test_criterion_04_unfolding_preserves_bounded_language():
         for n in range(1, 7):
             for letters in itertools.product(inst.domain_alphabet, repeat=n):
                 w = "".join(letters)
-                assert au.accepts_within(aut, w, bound=6) == au.accepts_within(
-                    unfolded, w, bound=6
-                ), (name, w)
+                assert au.accepts_within(aut, w) == au.accepts_within(unfolded, w), (name, w)
                 words_checked += 1
     _report(4, f"unfolding preserves acceptance on {words_checked} words", started)
 
@@ -256,20 +247,6 @@ def test_criterion_09_robot_game_embedding():
     _report(9, "robot and 2n-dimensional matrix game configurations correspond on 200 plays", started)
 
 
-def _brute_attacker_wins(domain, cfg, rounds: int) -> bool:
-    if rounds == 0:
-        return False
-    for d in range(domain.move_count(DEFENDER)):
-        after_d = domain.apply(cfg, DEFENDER, d)
-        if not any(
-            domain.is_target(domain.apply(after_d, ATTACKER, a))
-            or _brute_attacker_wins(domain, domain.apply(after_d, ATTACKER, a), rounds - 1)
-            for a in range(domain.move_count(ATTACKER))
-        ):
-            return False
-    return True
-
-
 def test_criterion_10_solver_certificates():
     started = time.time()
     toy_cancel = wg.WeightedWordGame(
@@ -295,22 +272,20 @@ def test_criterion_10_solver_certificates():
     for label, domain in domains.items():
         for k in (1, 2, 3):
             solved = engine.attacker_wins_within(domain, k)
-            brute = _brute_attacker_wins(domain, domain.initial_config(), k)
+            brute = brute_attacker_wins(domain, domain.initial_config(), k)
             assert solved.attacker_wins == brute, (label, k)
             parallel = engine.attacker_wins_within(domain, k, jobs=4)
             assert parallel.verdict == solved.verdict
             assert parallel.strategy == solved.strategy
             assert parallel.explored == solved.explored
             if solved.attacker_wins:
-                for script in engine.all_defender_scripts(domain, k):
+                for script in scripts(domain, DEFENDER, k):
                     assert engine.replay_reaches_target(domain, solved.strategy, script), (
                         label, k, script,
                     )
             else:
                 table = solved.strategy
-                for script in itertools.product(
-                    range(domain.move_count(ATTACKER)), repeat=k
-                ):
+                for script in scripts(domain, ATTACKER, k):
                     cfg = domain.initial_config()
                     for rnd, a in enumerate(script, start=1):
                         d = table[(domain.canonical_key(cfg), k - rnd + 1)]

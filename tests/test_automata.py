@@ -9,7 +9,7 @@ from pcpgames import automata as au
 from pcpgames import pcp
 from pcpgames.automata import AutomatonError, Transition
 
-from conftest import FIXTURES, load_instance
+from conftest import FIXTURES, accepting, load_instance, paths_over
 
 
 @pytest.fixture(scope="module")
@@ -63,26 +63,12 @@ def test_reverse_needs_single_final(aut_i1):
         au.reverse(unfolded)
 
 
-def _all_paths(aut, length):
-    frontier = [((), aut.initial)]
-    for _ in range(length):
-        frontier = [
-            (path + (t,), t.target)
-            for path, state in frontier
-            for t in aut.sorted_transitions()
-            if t.source == state
-        ]
-    return [p for p, _ in frontier]
-
-
 def test_reverse_path_duality(aut_i1):
     rev = au.reverse(aut_i1)
-    for length in range(1, 7):
-        for path in _all_paths(aut_i1, length):
-            prefix = au.PathPrefix.of(path)
-            mirrored = au.reverse_path(prefix)
-            assert mirrored.weight == -prefix.weight
-            assert set(mirrored.transitions) <= rev.transitions
+    for path in paths_over(aut_i1, "a" * 6):
+        mirrored = [Transition(t.target, t.letter, t.source, -t.weight) for t in reversed(path)]
+        assert sum(t.weight for t in mirrored) == -sum(t.weight for t in path)
+        assert set(mirrored) <= rev.transitions
 
 
 def test_unfold_shape(aut_i1):
@@ -130,30 +116,6 @@ def test_unfold_preserves_bounded_language(fixture_instances):
                 assert au.accepts_within(aut, w) == au.accepts_within(unfolded, w)
 
 
-def test_step_examples(aut_i1):
-    cfg = au.AutConfiguration("q0", "a", 0)
-    t = Transition("q0", "a", "q1", -2)
-    assert au.step(cfg, t) == au.AutConfiguration("q1", "", -2)
-    zero = Transition("q4", "a", "q4", 0)
-    assert au.step(au.AutConfiguration("q4", "ab", 5), zero).weight == 5
-    with pytest.raises(AutomatonError):
-        au.step(au.AutConfiguration("q0", "b", 0), t)
-
-
-def test_enumerate_accepting_prefixes(aut_eq, aut_i1):
-    found = au.enumerate_accepting_prefixes(aut_eq, "a")
-    assert any(p.transitions == (Transition("q0", "a", "q4", 0),) for p in found)
-    assert au.enumerate_accepting_prefixes(aut_i1, "a" * 8, bound=8) == []
-    assert au.enumerate_accepting_prefixes(aut_i1, "") == []
-
-
-def test_enumerate_reverse_weight_mode(aut_eq):
-    forward = au.enumerate_accepting_prefixes(aut_eq, "aa", mode="forward")
-    rev = au.enumerate_accepting_prefixes(aut_eq, "aa", mode="reverse-weight")
-    assert len(forward) == len(rev)
-    assert {p.word for p in forward} == {p.word for p in rev}
-
-
 def test_bounded_universality_examples(aut_i1, aut_mm, aut_eq):
     assert au.bounded_universality(aut_i1, 6).counterexample == "aaaaaa"
     assert au.bounded_universality(aut_mm, 4).all_accepted
@@ -178,7 +140,8 @@ def test_outgoing_is_sorted_and_complete(fixture_instances):
         aut = au.unfold_self_loops(au.build_solution_checker(inst))
         for q in aut.states:
             for a in aut.alphabet + ("z",):
-                assert aut.outgoing(q, a) == _reference_outgoing(aut, q, a)
+                expected = sorted(t for t in aut.transitions if t.source == q and t.letter == a)
+                assert list(aut._index.get((q, a), ())) == expected
 
 
 def test_bounded_universality_deep_horizon_is_not_recursive():
@@ -198,21 +161,9 @@ def test_bounded_universality_deep_horizon_is_not_recursive():
 # --- reference: the path-enumerating checks the frontier search replaced ---
 
 
-def _reference_outgoing(aut, state, letter):
-    return sorted(t for t in aut.transitions if t.source == state and t.letter == letter)
-
-
 def reference_accepts_within(aut, w):
     """Enumerate every transition path over every nonempty prefix of w."""
-    stack = [(aut.initial, 0, ())]
-    while stack:
-        state, pos, path = stack.pop()
-        if path and path[-1].target in aut.finals and sum(t.weight for t in path) == 0:
-            return True
-        if pos < len(w):
-            for t in _reference_outgoing(aut, state, w[pos]):
-                stack.append((t.target, pos + 1, path + (t,)))
-    return False
+    return any(accepting(aut, path) for path in paths_over(aut, w))
 
 
 def reference_bounded_universality(aut, horizon):
@@ -326,10 +277,10 @@ def test_case_to_path_completeness(name, word, state):
     """Each witness case is certified by a zero-weight path through its family states."""
     inst = load_instance(name)
     aut = au.build_solution_checker(inst)
-    paths = []
-    for k in range(1, len(word) + 1):
-        paths += au.enumerate_accepting_prefixes(aut, word[:k], bound=8)
-    assert any(state in p.states for p in paths)
+    assert any(
+        accepting(aut, path) and any(state in (t.source, t.target) for t in path)
+        for path in paths_over(aut, word)
+    )
 
 
 def test_dot_round_trip(aut_i1):
@@ -342,15 +293,3 @@ def test_flat_round_trip(aut_i1):
     flat = au.export_flat(aut_i1)
     assert au.parse_flat(flat) == aut_i1
 
-
-def test_path_weight_and_prefix_invariants():
-    t1 = Transition("q0", "a", "q1", -2)
-    t2 = Transition("q1", "a", "q4", 0)
-    p = au.PathPrefix.of((t1, t2))
-    assert au.path_weight(p) == -2
-    assert p.word == "aa"
-    assert p.states == ("q0", "q1", "q4")
-    with pytest.raises(AutomatonError):
-        au.PathPrefix.of((t2, t1))
-    with pytest.raises(AutomatonError):
-        au.PathPrefix((t1,), 5)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import io
+
 import pytest
 
 from pcpgames import cli
@@ -16,6 +18,12 @@ def run(capsys, *argv):
 
 def fixture(name: str) -> str:
     return str(FIXTURES / name)
+
+
+def assert_one_error_line(code, err, path):
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(path) in err
 
 
 def test_build_automaton_golden(tmp_path, capsys):
@@ -50,6 +58,17 @@ def test_build_missing_file_names_path(capsys):
     code, _, err = run(capsys, "build", "-i", "no/such/file.pcp", "--emit", "automaton")
     assert code == 1
     assert "no/such/file.pcp" in err
+
+
+def test_build_instance_is_a_directory(capsys):
+    code, _, err = run(capsys, "build", "-i", str(FIXTURES))
+    assert_one_error_line(code, err, FIXTURES)
+
+
+def test_build_output_in_missing_directory(tmp_path, capsys):
+    out = tmp_path / "missing" / "x.dot"
+    code, _, err = run(capsys, "build", "-i", fixture("i1.pcp"), "-o", str(out))
+    assert_one_error_line(code, err, out)
 
 
 def test_build_game_emissions(tmp_path, capsys):
@@ -111,12 +130,14 @@ def test_check_universality_counterexample(capsys):
     code, out, _ = run(capsys, "check", "-i", fixture("i1.pcp"), "--universality", "--max-len", "6")
     assert code == 0
     assert out.splitlines()[0] == "counterexample: aaaaaa"
+    assert out.splitlines()[1] == "no prefix up to length 6 is accepted; a longer one may be"
 
 
 def test_check_universality_all_accepted(capsys):
     code, out, _ = run(capsys, "check", "-i", fixture("mm.pcp"), "--universality", "--max-len", "4")
     assert code == 0
     assert out.splitlines()[0] == "all words of length 4 accepted"
+    assert out.splitlines()[1] == "so every infinite word is accepted"
 
 
 def test_check_universality_beyond_word_count_cap(capsys):
@@ -153,6 +174,15 @@ def test_solve_writes_strategy(tmp_path, capsys):
     )
     assert code == 0
     assert strategy.read_text() == (GOLDEN / "toy_cancel.strategy").read_text()
+
+
+def test_solve_strategy_out_in_missing_directory(tmp_path, capsys):
+    strategy = tmp_path / "missing" / "s"
+    code, _, err = run(
+        capsys, "solve", "--game", fixture("toy_cancel.game"), "--rounds", "1",
+        "--strategy-out", str(strategy),
+    )
+    assert_one_error_line(code, err, strategy)
 
 
 def test_solve_jobs_agree(capsys):
@@ -275,6 +305,16 @@ def test_play_human_mode(tmp_path, capsys, monkeypatch):
     assert out.read_text() == (GOLDEN / "toy_cancel.trace").read_text()
 
 
+def test_play_human_at_end_of_input(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, _, err = run(
+        capsys, "play", "--game", fixture("toy_cancel.game"),
+        "--defender", "human", "--attacker", "script:0", "--rounds", "1",
+    )
+    assert code == 1
+    assert err == "error: input ended before the play did\n"
+
+
 def test_crosscheck_agrees(tmp_path, capsys):
     trace = tmp_path / "trace.txt"
     run(
@@ -310,6 +350,11 @@ def test_crosscheck_rejects_trace_of_another_instance(capsys):
     assert code == 1
     assert "AGREE" not in out
     assert err.startswith("error: ") and "matches no representation" in err
+
+
+def test_crosscheck_trace_is_a_directory(capsys):
+    code, _, err = run(capsys, "crosscheck", "--trace", str(FIXTURES), "--instance", fixture("i1.pcp"))
+    assert_one_error_line(code, err, FIXTURES)
 
 
 def test_usage_errors_exit_two(capsys):

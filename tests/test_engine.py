@@ -1,7 +1,6 @@
 from __future__ import annotations
 
 import functools
-import itertools
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +13,7 @@ from pcpgames.domains import matrix_domain, word_domain
 from pcpgames.domains import build_pipeline
 from pcpgames.engine import ATTACKER, DEFENDER
 
-from conftest import load_instance
+from conftest import brute_attacker_wins, load_instance, scripts
 
 
 @pytest.fixture(scope="module")
@@ -35,21 +34,6 @@ def toy_survive():
         attacker_moves=(wg.WeightedMove(fg.word("~a"), 0),),
         initial=wg.WordConfig(fg.EPSILON, 0),
     )
-
-
-def brute_attacker_wins(domain, cfg, rounds: int) -> bool:
-    """Unmemoized reference recursion for certificate checking."""
-    if rounds == 0:
-        return False
-    for d in range(domain.move_count(DEFENDER)):
-        after_d = domain.apply(cfg, DEFENDER, d)
-        if not any(
-            domain.is_target(domain.apply(after_d, ATTACKER, a))
-            or brute_attacker_wins(domain, domain.apply(after_d, ATTACKER, a), rounds - 1)
-            for a in range(domain.move_count(ATTACKER))
-        ):
-            return False
-    return True
 
 
 def test_toy_cancel_attacker_wins(toy_cancel):
@@ -101,7 +85,7 @@ def test_defender_survival_strategy_on_i1(pipelines):
     # the survival strategy emits the letter a each round (the only defender move)
     assert set(table.values()) == {0}
     # replayed against every attacker script it never hits a target
-    for script in itertools.product(range(domain.move_count(ATTACKER)), repeat=3):
+    for script in scripts(domain, ATTACKER, 3):
         cfg = domain.initial_config()
         for rnd, a in enumerate(script, start=1):
             d = table[(domain.canonical_key(cfg), 3 - rnd + 1)]
@@ -118,7 +102,7 @@ def test_winning_certificate_replays_against_all_scripts(pipelines):
     domain = word_domain(pipelines["eq"].weighted_game)
     result = engine.attacker_wins_within(domain, 2)
     assert result.attacker_wins
-    for script in engine.all_defender_scripts(domain, 2):
+    for script in scripts(domain, DEFENDER, 2):
         assert engine.replay_reaches_target(domain, result.strategy, script)
 
 
@@ -366,7 +350,7 @@ def test_solver_matches_exhaustive_reference(game, horizon):
     ):
         assert all(theirs.get(key, "missing") == value for key, value in mine.items())
     if result.attacker_wins:
-        for script in engine.all_defender_scripts(domain, horizon):
+        for script in scripts(domain, DEFENDER, horizon):
             assert engine.replay_reaches_target(domain, result.strategy, script)
     else:
         assert survives_every_attacker_move(domain, result.strategy, start, horizon)

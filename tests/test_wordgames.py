@@ -10,6 +10,8 @@ from pcpgames import freegroup as fg
 from pcpgames import wordgames as wg
 from pcpgames.automata import AutomatonError
 
+from conftest import accepting, paths_over
+
 
 @pytest.fixture(scope="module")
 def games(pipelines):
@@ -89,9 +91,8 @@ def accepting_paths(aut, max_len):
     out = []
     for n in range(1, max_len + 1):
         for letters in itertools.product(aut.alphabet, repeat=n):
-            w = "".join(letters)
-            for p in au.enumerate_accepting_prefixes(aut, w, bound=max_len):
-                if len(p.transitions) == n and aut.initial not in p.states[1:]:
+            for p in paths_over(aut, "".join(letters)):
+                if len(p) == n and accepting(aut, p) and all(t.target != aut.initial for t in p):
                     out.append(p)
     return out
 
@@ -131,8 +132,8 @@ def test_telescoping_invariant(pipelines):
         game = pipe.weighted_game
         junk = sorted(aut.alphabet)[0]
         for path in accepting_paths(aut, 4):
-            cfg = replay_path(game, aut, path.transitions)
-            final_state = path.transitions[-1].target
+            cfg = replay_path(game, aut, path)
+            final_state = path[-1].target
             assert fg.render(cfg.word) == f"{aut.initial} ~{final_state}"
             assert cfg.counter == 0
             # the extra move then unbraids to the target
@@ -149,15 +150,14 @@ def test_play_counter_tracks_path_weight(pipelines):
     pipe = pipelines["mm"]
     aut = pipe.game_automaton
     game = pipe.weighted_game
-    frontier = [((), aut.initial)]
-    for _ in range(3):
-        frontier = [
-            (path + (t,), t.target)
-            for path, state in frontier
-            for t in aut.sorted_transitions()
-            if t.source == state and t.target != aut.initial
-        ]
-    for path, _ in frontier[:40]:
+    paths = [
+        p
+        for letters in itertools.product(aut.alphabet, repeat=3)
+        for p in paths_over(aut, "".join(letters))
+        if len(p) == 3 and all(t.target != aut.initial for t in p)
+    ]
+    assert paths
+    for path in paths:
         cfg = replay_path(game, aut, path)
         assert cfg.counter == sum(t.weight for t in path)
 
