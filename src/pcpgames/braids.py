@@ -219,10 +219,6 @@ class GarsideNormalForm:
     power: int
     factors: tuple[tuple[int, ...], ...]
 
-    @property
-    def canonical_length(self) -> int:
-        return len(self.factors)
-
     def is_trivial(self) -> bool:
         return self.power == 0 and not self.factors
 
@@ -458,13 +454,11 @@ def _b5_second_letter(rank: int, sign: int) -> tuple[int, ...]:
     return base if sign > 0 else tuple(-x for x in reversed(base))
 
 
-def b5_encode(word: GroupWord, counter_word: GroupWord,
-              counter_alphabet: fg.RankedAlphabet | None = None) -> BraidWord:
+def b5_encode(word: GroupWord, counter_word: GroupWord) -> BraidWord:
     """Pair of words into the direct product of two free rank-2 subgroups."""
-    alphabet = counter_alphabet if counter_alphabet is not None else fg.COUNTER_ALPHABET
     letters = _binary_letters(word)
     for sym, sign in counter_word.letters:
-        letters.extend(_b5_second_letter(alphabet.rank(sym), sign))
+        letters.extend(_b5_second_letter(fg.COUNTER_ALPHABET.rank(sym), sign))
     return braid(5, letters)
 
 

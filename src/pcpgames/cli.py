@@ -53,29 +53,26 @@ def _write_or_print(text: str, out: str | None) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _transformed_automaton(inst: pcp.PcpInstance, reverse_flag: bool, unfold_flag: bool):
-    aut = au.build_solution_checker(inst)
-    if reverse_flag:
-        aut = au.reverse(aut)
-    if unfold_flag:
-        aut = au.unfold_self_loops(aut)
-    return aut
-
-
 def cmd_build(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     if args.emit == "automaton":
-        aut = _transformed_automaton(inst, args.reverse, args.unfold)
+        aut = au.build_solution_checker(inst)
+        if args.reverse:
+            aut = au.reverse(aut)
+        if args.unfold:
+            aut = au.unfold_self_loops(aut)
         if args.output is not None and not args.output.endswith(".dot"):
             text = au.export_flat(aut)
         else:
             text = au.export_dot(aut)
         _write_or_print(text, args.output)
         return 0
+    if args.reverse:
+        raise CliError("games come from the forward automaton; --reverse is for --emit automaton")
     if not args.unfold:
         raise CliError("the word game is built from the unfolded 9-state automaton; pass --unfold")
     field, dump = GAME_EMITTERS[args.emit]
-    pipe = build_pipeline(inst, wiring="reverse" if args.reverse else "forward")
+    pipe = build_pipeline(inst)
     _write_or_print(dump(getattr(pipe, field)), args.output)
     return 0
 
@@ -181,7 +178,11 @@ def _policy_from_spec(spec: str, words: Domain, player: str) -> engine.Policy:
     if spec.startswith("script:"):
         body = spec.split(":", 1)[1]
         path = Path(body)
-        if path.exists():
+        try:
+            is_file = path.exists()
+        except OSError:  # e.g. too long for a file name: the body is a literal script
+            is_file = False
+        if is_file:
             body = path.read_text(encoding="utf-8").strip()
         return engine.scripted_policy(_script_indices(body, words, player))
     raise CliError(f"unknown policy {spec!r} (use human, random:SEED, script:SPEC, strategy:FILE)")

@@ -200,8 +200,7 @@ class Pipeline:
 
     instance: PcpInstance
     automaton: au.WeightedAutomaton
-    game_automaton: au.WeightedAutomaton  # unfolded automaton (forward by default)
-    wiring: str
+    game_automaton: au.WeightedAutomaton  # the unfolded forward automaton
     weighted_game: wg.WeightedWordGame
     pair_game: wg.PairWordGame
     binary_weighted_game: wg.WeightedWordGame
@@ -219,34 +218,24 @@ class Pipeline:
         return [self.domain(r) for r in REPRESENTATIONS]
 
 
-def build_pipeline(inst: PcpInstance, wiring: str = "forward") -> Pipeline:
+def build_pipeline(inst: PcpInstance) -> Pipeline:
     """Instance -> automaton -> word game -> every downstream representation.
 
-    The default wiring feeds the unfolded forward automaton into the game
-    builder (initial word q0, winning states q4/q8), mirroring the move
-    construction in the source material.  The reverse wiring is exposed for
-    comparison but is not a sound game: the reversed automaton's start state
-    has incoming edges (the old accepting self-loops), so a play can bounce
-    back to it and synthesize the empty word with zero weight without ever
-    touching a final state.  The forward automaton's start state is a
-    source, which is what makes the empty-word target honest.
+    The games read the unfolded forward automaton (initial word q0, winning
+    states q4/q8): its start state is a source, so a play cannot come back
+    to it, which is what makes the empty-word target honest.
     """
-    if wiring not in ("reverse", "forward"):
-        raise ValueError(f"wiring must be 'reverse' or 'forward', not {wiring!r}")
     automaton = au.build_solution_checker(inst)
-    base = au.reverse(automaton) if wiring == "reverse" else automaton
-    unfolded = au.unfold_self_loops(base)
+    unfolded = au.unfold_self_loops(automaton)
     weighted = wg.build_weighted_word_game(unfolded)
-    pair = wg.to_pair_game(weighted)
-    binary_pair = wg.binarize(pair)
-    binary_weighted = wg.binarize_weighted(weighted)
+    binary_weighted = wg.binarize(weighted)
+    binary_pair = wg.to_pair_game(binary_weighted)
     return Pipeline(
         instance=inst,
         automaton=automaton,
         game_automaton=unfolded,
-        wiring=wiring,
         weighted_game=weighted,
-        pair_game=pair,
+        pair_game=wg.to_pair_game(weighted),
         binary_weighted_game=binary_weighted,
         binary_pair_game=binary_pair,
         matrix_game=mx.build_matrix_game(binary_pair),

@@ -155,19 +155,13 @@ def to_pair_game(g: WeightedWordGame) -> PairWordGame:
     )
 
 
-def binarize(g: PairWordGame) -> PairWordGame:
-    """Map first components through the binary-alphabet embedding."""
-    enc = lambda w: fg.alpha_encode(w, g.alphabet)
-    return PairWordGame(
-        alphabet=fg.BINARY_ALPHABET,
-        defender_moves=tuple(PairMove(enc(m.word), m.counter_word) for m in g.defender_moves),
-        attacker_moves=tuple(PairMove(enc(m.word), m.counter_word) for m in g.attacker_moves),
-        initial=PairConfig(enc(g.initial.word), g.initial.counter_word),
-    )
+def binarize(g: WeightedWordGame) -> WeightedWordGame:
+    """Map every word through the binary-alphabet embedding; weights untouched.
 
-
-def binarize_weighted(g: WeightedWordGame) -> WeightedWordGame:
-    """Binary-alphabet form of the weighted game (weights untouched)."""
+    Binarizing touches only words and :func:`to_pair_game` only weights, so
+    the two commute: the binary pair game is ``to_pair_game(binarize(g))``,
+    and the words are encoded once for both binary games.
+    """
     enc = lambda w: fg.alpha_encode(w, g.alphabet)
     return WeightedWordGame(
         alphabet=fg.BINARY_ALPHABET,
@@ -177,30 +171,27 @@ def binarize_weighted(g: WeightedWordGame) -> WeightedWordGame:
     )
 
 
-def dump_weighted_game(g: WeightedWordGame) -> str:
+def _dump_game(g: WeightedWordGame | PairWordGame, initial: WeightedMove | PairMove,
+               target: WeightedMove | PairMove) -> str:
+    """Alphabet, initial and target configurations, then every move, in the move format."""
     lines = [
         "alphabet " + " ".join(g.alphabet.symbols),
-        f"initial word={fg.render(g.initial.word)} weight={g.initial.counter}",
-        "target word= weight=0",
+        f"initial {initial.render()}",
+        f"target {target.render()}",
     ]
-    for m in g.defender_moves:
-        lines.append(f"player=D {m.render()}")
-    for m in g.attacker_moves:
-        lines.append(f"player=A {m.render()}")
+    lines += [f"player=D {m.render()}" for m in g.defender_moves]
+    lines += [f"player=A {m.render()}" for m in g.attacker_moves]
     return "\n".join(lines) + "\n"
+
+
+def dump_weighted_game(g: WeightedWordGame) -> str:
+    initial = WeightedMove(g.initial.word, g.initial.counter)
+    return _dump_game(g, initial, WeightedMove(fg.EPSILON, 0))
 
 
 def dump_pair_game(g: PairWordGame) -> str:
-    lines = [
-        "alphabet " + " ".join(g.alphabet.symbols),
-        f"initial word={fg.render(g.initial.word)} counter={fg.render(g.initial.counter_word)}",
-        "target word= counter=",
-    ]
-    for m in g.defender_moves:
-        lines.append(f"player=D {m.render()}")
-    for m in g.attacker_moves:
-        lines.append(f"player=A {m.render()}")
-    return "\n".join(lines) + "\n"
+    initial = PairMove(g.initial.word, g.initial.counter_word)
+    return _dump_game(g, initial, PairMove(fg.EPSILON, fg.EPSILON))
 
 
 def parse_weighted_game(text: str) -> WeightedWordGame:

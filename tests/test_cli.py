@@ -71,16 +71,36 @@ def test_build_output_in_missing_directory(tmp_path, capsys):
     assert_one_error_line(code, err, out)
 
 
+GAME_EMISSIONS = ("word-game", "pair-game", "matrix-game", "braid3-game", "braid5-game")
+
+
 def test_build_game_emissions(tmp_path, capsys):
-    for emit in ("word-game", "pair-game", "matrix-game", "braid3-game", "braid5-game"):
+    """Every game dump of i1 is frozen: move order fixes strategy indices in each form."""
+    for emit in GAME_EMISSIONS:
         out = tmp_path / emit
         code, _, _ = run(
             capsys, "build", "-i", fixture("i1.pcp"), "--unfold", "--emit", emit, "-o", str(out)
         )
         assert code == 0, emit
-        assert out.read_text()
+        golden = GOLDEN / f"i1_{emit.replace('-', '_')}.txt"
+        assert out.read_text() == golden.read_text(), emit
     game = wg.parse_weighted_game((tmp_path / "word-game").read_text())
     assert game.defender_moves and game.attacker_moves
+
+
+@pytest.mark.parametrize("emit", GAME_EMISSIONS)
+def test_build_reverse_game_is_an_error(tmp_path, capsys, emit):
+    """The games come only from the forward automaton; --reverse shapes only --emit automaton."""
+    out = tmp_path / "g.game"
+    code, stdout, err = run(
+        capsys, "build", "-i", fixture("i1.pcp"), "--reverse", "--unfold", "--emit", emit,
+        "-o", str(out),
+    )
+    assert code == 1
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "--reverse" in err
+    assert stdout == ""
+    assert not out.exists()
 
 
 def test_build_game_requires_unfolded(capsys):
@@ -228,6 +248,23 @@ def test_play_script_with_indices(capsys):
     )
     assert code == 0
     assert "player=D move=1" in out
+
+
+def test_play_script_literal_too_long_for_a_file_name(capsys):
+    code, out, err = run(
+        capsys, "play", "-i", fixture("i1.pcp"), "--defender", "script:" + "a" * 300,
+        "--attacker", "random:1", "--rounds", "300",
+    )
+    assert code == 0, err
+    assert len(out.splitlines()) == 600
+
+
+def test_play_script_file_that_cannot_be_read(tmp_path, capsys):
+    code, _, err = run(
+        capsys, "play", "--game", fixture("toy_cancel.game"),
+        "--defender", f"script:{tmp_path}", "--attacker", "script:0", "--rounds", "1",
+    )
+    assert_one_error_line(code, err, tmp_path)
 
 
 def test_play_bad_script_token(capsys):

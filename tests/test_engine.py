@@ -50,7 +50,7 @@ def test_toy_survive_defender_survives(toy_survive):
 
 def test_toy_matrix_form_same_strategy_indices(toy_cancel):
     word_result = engine.attacker_wins_within(word_domain(toy_cancel), 1)
-    matrix_game = mx.build_matrix_game(wg.binarize(wg.to_pair_game(toy_cancel)))
+    matrix_game = mx.build_matrix_game(wg.to_pair_game(wg.binarize(toy_cancel)))
     matrix_result = engine.attacker_wins_within(matrix_domain(matrix_game), 1)
     assert matrix_result.verdict == "AttackerWinsWithin(1)"
     assert list(word_result.strategy.values()) == list(matrix_result.strategy.values())

@@ -278,24 +278,3 @@ def test_dump_golden_pins_move_order(pipelines):
 
     text = wg.dump_weighted_game(pipelines["i1"].weighted_game)
     assert text == (GOLDEN / "i1_word_game.txt").read_text(encoding="utf-8")
-
-
-def test_reverse_wiring_crosschecks_but_is_unsound(i1):
-    """The reverse-wired game stays consistent across representations, yet its
-    bounce back to the start state lets the attacker win every instance."""
-    import random
-
-    from pcpgames import engine
-    from pcpgames.domains import build_pipeline
-
-    pipe = build_pipeline(i1, wiring="reverse")
-    assert fg.render(pipe.weighted_game.initial.word) == "q4"
-    word = pipe.domain("word")
-    for seed in range(4):
-        trace = engine.play(
-            word, engine.random_policy(seed), engine.random_policy(seed + 50), 3,
-            stop_at_target=False,
-        )
-        assert engine.crosscheck(trace, pipe.crosscheck_domains()).agree
-    result = engine.attacker_wins_within(word, 3)
-    assert result.attacker_wins  # the documented false positive (a^w is a solution)
