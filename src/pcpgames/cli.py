@@ -1,8 +1,9 @@
 """Command-line front end for the instance -> automaton -> games pipeline.
 
 Exit codes: 0 on success, 1 on a domain error (bad instance, missing file,
-cap exceeded, crosscheck disagreement), 2 on usage errors.  The only
-environment knob is PCPGAMES_COLOR=1, which colorizes final verdict lines.
+cap exceeded, crosscheck disagreement), 2 on usage errors, which argparse
+reports.  The only environment knob is PCPGAMES_COLOR=1, which colorizes
+final verdict lines.
 """
 
 from __future__ import annotations
@@ -69,8 +70,6 @@ def cmd_build(args: argparse.Namespace) -> int:
         return 0
     if args.reverse:
         raise CliError("games come from the forward automaton; --reverse is for --emit automaton")
-    if not args.unfold:
-        raise CliError("the word game is built from the unfolded 9-state automaton; pass --unfold")
     field, dump = GAME_EMITTERS[args.emit]
     pipe = build_pipeline(inst)
     _write_or_print(dump(getattr(pipe, field)), args.output)
@@ -102,27 +101,23 @@ def cmd_check(args: argparse.Namespace) -> int:
                 "(acceptance can lag the first bad prefix at finite length; try a longer word)"
             )
         return 0 if agree else 1
-    if args.universality:
-        if args.max_len is None:
-            raise CliError("--universality needs --max-len")
-        verdict = au.bounded_universality(aut, args.max_len)
-        if verdict.all_accepted:
-            print(f"all words of length {args.max_len} accepted")
-            print("so every infinite word is accepted")
-        else:
-            print(f"counterexample: {verdict.counterexample}")
-            print(f"no prefix up to length {args.max_len} is accepted; a longer one may be")
-        return 0
-    raise CliError("check needs --word or --universality")
+    verdict = au.bounded_universality(aut, args.universality)
+    if verdict.all_accepted:
+        print(f"all words of length {args.universality} accepted")
+        print("so every infinite word is accepted")
+    else:
+        print(f"counterexample: {verdict.counterexample}")
+        print(f"no prefix up to length {args.universality} is accepted; a longer one may be")
+    return 0
 
 
 def _domains_from_args(args: argparse.Namespace) -> tuple[Domain, Domain]:
     """The domain to solve or play, and the word domain whose move labels name its moves."""
     if args.game is not None:
+        if args.representation != "word":
+            raise CliError(f"--game loads a word game; --representation {args.representation} needs -i")
         domain = word_domain(wg.parse_weighted_game(Path(args.game).read_text(encoding="utf-8")))
         return domain, domain
-    if args.instance is None:
-        raise CliError("need --game DUMP or --instance FILE")
     pipe = build_pipeline(_read_instance(args.instance))
     return pipe.domain(args.representation), pipe.domain("word")
 
@@ -153,9 +148,7 @@ def _parse_strategy(text: str) -> dict[tuple[str, int], int]:
 def cmd_solve(args: argparse.Namespace) -> int:
     domain, _ = _domains_from_args(args)
     try:
-        result = engine.attacker_wins_within(
-            domain, args.rounds, max_nodes=args.max_nodes, jobs=args.jobs
-        )
+        result = engine.attacker_wins_within(domain, args.rounds, max_nodes=args.max_nodes)
     except engine.ResourceCapExceeded as exc:
         raise CliError(f"{exc} (partial statistics: explored={exc.explored})") from exc
     color = "32" if result.attacker_wins else "36"
@@ -244,6 +237,13 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     return 0 if report.agree else 1
 
 
+def _add_game_source(parser: argparse.ArgumentParser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--game", help="weighted word game dump")
+    source.add_argument("-i", "--instance", help="instance to build every representation from")
+    parser.add_argument("--representation", choices=REPRESENTATIONS, default="word")
+
+
 def make_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pcpgames",
@@ -255,31 +255,26 @@ def make_parser() -> argparse.ArgumentParser:
     p_build.add_argument("-i", "--instance", required=True)
     p_build.add_argument("--emit", choices=EMIT_CHOICES, default="automaton")
     p_build.add_argument("--reverse", action="store_true", help="reverse transitions, swap initial/final")
-    p_build.add_argument("--unfold", action="store_true", help="unfold self-loops into the 9-state form")
+    p_build.add_argument("--unfold", action="store_true", help="unfold self-loops (games always are)")
     p_build.add_argument("-o", "--output", default=None)
     p_build.set_defaults(func=cmd_build)
 
     p_check = sub.add_parser("check", help="prefix classification and bounded universality")
     p_check.add_argument("-i", "--instance", required=True)
-    p_check.add_argument("--word", default=None)
-    p_check.add_argument("--universality", action="store_true")
-    p_check.add_argument("--max-len", type=int, default=None)
+    mode = p_check.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--word", help="classify the prefixes of this word")
+    mode.add_argument("--universality", type=int, metavar="L", help="bounded universality at length L")
     p_check.set_defaults(func=cmd_check)
 
     p_solve = sub.add_parser("solve", help="bounded-horizon attacker-wins search")
-    p_solve.add_argument("--game", default=None, help="weighted word game dump to solve")
-    p_solve.add_argument("-i", "--instance", default=None)
-    p_solve.add_argument("--representation", choices=REPRESENTATIONS, default="word")
+    _add_game_source(p_solve)
     p_solve.add_argument("--rounds", type=int, required=True)
-    p_solve.add_argument("--jobs", type=int, default=1, help="accepted; the search is sequential")
     p_solve.add_argument("--max-nodes", type=int, default=500_000)
     p_solve.add_argument("--strategy-out", default=None)
     p_solve.set_defaults(func=cmd_solve)
 
     p_play = sub.add_parser("play", help="play out policies and record a trace")
-    p_play.add_argument("--game", default=None)
-    p_play.add_argument("-i", "--instance", default=None)
-    p_play.add_argument("--representation", choices=REPRESENTATIONS, default="word")
+    _add_game_source(p_play)
     p_play.add_argument("--defender", required=True)
     p_play.add_argument("--attacker", required=True)
     p_play.add_argument("--rounds", type=int, required=True)

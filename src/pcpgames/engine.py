@@ -21,8 +21,7 @@ Every memo value is still the exact value of its ``(key, remaining)`` pair,
 so verdicts, round counts and the move at every table key do not depend on
 the stops; the strategy tables hold only entries for positions the search
 visited.  The search is sequential: pure-Python moves gain nothing from
-threads under the interpreter lock, so ``jobs`` is accepted but does not
-change the search.
+threads under the interpreter lock.
 """
 
 from __future__ import annotations
@@ -124,10 +123,8 @@ class _Solver:
         return SolveResult(True, result, horizon, dict(self.attacker_table), len(self.memo))
 
 
-def attacker_wins_within(
-    domain: GameDomain, horizon: int, max_nodes: int = 500_000, jobs: int = 1
-) -> SolveResult:
-    """Solve the game to the given horizon; ``jobs`` is accepted, the search is sequential."""
+def attacker_wins_within(domain: GameDomain, horizon: int, max_nodes: int = 500_000) -> SolveResult:
+    """Solve the game to the given horizon."""
     if horizon < 1:
         raise ValueError("horizon must be at least one round")
     return _Solver(domain, max_nodes).solve(horizon)
@@ -242,6 +239,8 @@ def play(
     stop_at_target: bool = True,
 ) -> Trace:
     """Alternate the two policies for the given number of rounds, recording configs."""
+    if rounds < 1:
+        raise ValueError("a play needs at least one round")
     cfg = domain.initial_config()
     records: list[TraceRecord] = []
     for rnd in range(1, rounds + 1):
@@ -279,7 +278,10 @@ def crosscheck(trace: Trace, domains: list[GameDomain]) -> CrosscheckReport:
     after every recorded move.  A trace belongs to these games only if, after
     every move, some domain's canonical key equals the recorded ``config``;
     otherwise a ``ValueError`` names the first round and player that differ.
+    An empty trace certifies nothing and is a ``ValueError`` too.
     """
+    if not trace.records:
+        raise ValueError("the trace has no records")
     configs = {d.name: d.initial_config() for d in domains}
     lines = []
     for record in trace.records:

@@ -103,10 +103,13 @@ def test_build_reverse_game_is_an_error(tmp_path, capsys, emit):
     assert not out.exists()
 
 
-def test_build_game_requires_unfolded(capsys):
-    code, _, err = run(capsys, "build", "-i", fixture("i1.pcp"), "--emit", "word-game")
-    assert code == 1
-    assert "9-state" in err
+def test_build_game_without_unfold_matches_golden(tmp_path, capsys):
+    """Games are always built from the unfolded automaton, so --unfold changes no game dump."""
+    for emit in GAME_EMISSIONS:
+        out = tmp_path / emit
+        code, _, err = run(capsys, "build", "-i", fixture("i1.pcp"), "--emit", emit, "-o", str(out))
+        assert (code, err) == (0, ""), emit
+        assert out.read_text() == (GOLDEN / f"i1_{emit.replace('-', '_')}.txt").read_text(), emit
 
 
 def test_check_word_accepted(capsys):
@@ -147,14 +150,14 @@ def test_check_word_reports_acceptance_lag(capsys):
 
 
 def test_check_universality_counterexample(capsys):
-    code, out, _ = run(capsys, "check", "-i", fixture("i1.pcp"), "--universality", "--max-len", "6")
+    code, out, _ = run(capsys, "check", "-i", fixture("i1.pcp"), "--universality", "6")
     assert code == 0
     assert out.splitlines()[0] == "counterexample: aaaaaa"
     assert out.splitlines()[1] == "no prefix up to length 6 is accepted; a longer one may be"
 
 
 def test_check_universality_all_accepted(capsys):
-    code, out, _ = run(capsys, "check", "-i", fixture("mm.pcp"), "--universality", "--max-len", "4")
+    code, out, _ = run(capsys, "check", "-i", fixture("mm.pcp"), "--universality", "4")
     assert code == 0
     assert out.splitlines()[0] == "all words of length 4 accepted"
     assert out.splitlines()[1] == "so every infinite word is accepted"
@@ -162,14 +165,14 @@ def test_check_universality_all_accepted(capsys):
 
 def test_check_universality_beyond_word_count_cap(capsys):
     """2^21 words, but the search steps only a few configurations."""
-    code, out, err = run(capsys, "check", "-i", fixture("c4.pcp"), "--universality", "--max-len", "21")
+    code, out, err = run(capsys, "check", "-i", fixture("c4.pcp"), "--universality", "21")
     assert (code, err) == (0, "")
     assert out.splitlines()[0] == "all words of length 21 accepted"
 
 
 def test_check_universality_cap_tripped(capsys):
     """On i1 the frontier grows with the length, so a^1000 steps over 2^20 configurations."""
-    code, out, err = run(capsys, "check", "-i", fixture("i1.pcp"), "--universality", "--max-len", "1000")
+    code, out, err = run(capsys, "check", "-i", fixture("i1.pcp"), "--universality", "1000")
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: the search stepped more than 1048576 configurations, the safety cap"]
 
@@ -203,13 +206,6 @@ def test_solve_strategy_out_in_missing_directory(tmp_path, capsys):
         "--strategy-out", str(strategy),
     )
     assert_one_error_line(code, err, strategy)
-
-
-def test_solve_jobs_agree(capsys):
-    _, out1, _ = run(capsys, "solve", "-i", fixture("eq.pcp"), "--rounds", "2", "--jobs", "1")
-    _, out4, _ = run(capsys, "solve", "-i", fixture("eq.pcp"), "--rounds", "2", "--jobs", "4")
-    assert out1 == out4
-    assert out1.splitlines()[0] == "AttackerWinsWithin(2)"
 
 
 def test_solve_cap_exceeded(capsys):
@@ -395,15 +391,23 @@ def test_crosscheck_trace_is_a_directory(capsys):
 
 
 def test_usage_errors_exit_two(capsys):
-    with pytest.raises(SystemExit) as info:
-        cli.main(["not-a-command"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        cli.main(["build", "-i", "x.pcp", "--emit", "nonsense"])
-    assert info.value.code == 2
-    with pytest.raises(SystemExit) as info:
-        cli.main(["build", "-i", "x.pcp", "--no-such-flag"])
-    assert info.value.code == 2
+    toy, eq = fixture("toy_cancel.game"), fixture("eq.pcp")
+    for argv in (
+        ["not-a-command"],
+        ["build", "-i", "x.pcp", "--emit", "nonsense"],
+        ["build", "-i", "x.pcp", "--no-such-flag"],
+        ["check", "-i", eq, "--word", "a", "--universality", "3"],
+        ["check", "-i", eq, "--universality"],
+        ["check", "-i", eq, "--word", "a", "--universality", "--max-len", "3"],
+        ["solve", "-i", eq, "--game", toy, "--rounds", "1"],
+        ["play", "-i", eq, "--game", toy, "--defender", "script:a", "--attacker", "script:0",
+         "--rounds", "1"],
+        ["solve", "--game", toy, "--rounds", "1", "--jobs", "2"],
+    ):
+        with pytest.raises(SystemExit) as info:
+            cli.main(argv)
+        assert info.value.code == 2, argv
+        assert "usage: pcpgames" in capsys.readouterr().err, argv
 
 
 def test_end_to_end_round_trip_attacker(tmp_path, capsys):
@@ -453,12 +457,44 @@ def test_solve_other_representations(capsys, representation):
 
 
 def test_check_requires_mode(capsys):
-    code, _, err = run(capsys, "check", "-i", fixture("i1.pcp"))
-    assert code == 1
-    assert "--word or --universality" in err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["check", "-i", fixture("i1.pcp")])
+    assert info.value.code == 2
+    assert "one of the arguments --word --universality is required" in capsys.readouterr().err
 
 
 def test_solve_requires_game_or_instance(capsys):
-    code, _, err = run(capsys, "solve", "--rounds", "1")
-    assert code == 1
-    assert "--game DUMP or --instance FILE" in err
+    with pytest.raises(SystemExit) as info:
+        cli.main(["solve", "--rounds", "1"])
+    assert info.value.code == 2
+    assert "one of the arguments --game -i/--instance is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["solve", "play"])
+def test_game_dump_is_only_the_word_representation(capsys, command):
+    argv = [command, "--game", fixture("toy_cancel.game"), "--representation", "braid3", "--rounds", "1"]
+    if command == "play":
+        argv += ["--defender", "script:a", "--attacker", "script:0"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: --game loads a word game") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("rounds", ["0", "-2"])
+def test_play_needs_a_round(tmp_path, capsys, rounds):
+    trace = tmp_path / "trace.txt"
+    code, out, err = run(
+        capsys, "play", "--game", fixture("toy_cancel.game"), "--defender", "script:a",
+        "--attacker", "script:0", "--rounds", rounds, "-o", str(trace),
+    )
+    assert code == 1 and out == ""
+    assert err == "error: a play needs at least one round\n"
+    assert not trace.exists()
+
+
+def test_crosscheck_empty_trace_is_an_error(tmp_path, capsys):
+    trace = tmp_path / "empty.trace"
+    trace.write_text("", encoding="utf-8")
+    code, out, err = run(capsys, "crosscheck", "--trace", str(trace), "--instance", fixture("i1.pcp"))
+    assert code == 1 and "AGREE" not in out
+    assert err == "error: the trace has no records\n"

@@ -234,7 +234,15 @@ def test_binarize_words_and_targets(pipelines):
     rng = random.Random(9)
     pipe = pipelines["eq"]
     pair, binary = pipe.pair_game, pipe.binary_pair_game
+    weighted, binary_weighted = pipe.weighted_game, pipe.binary_weighted_game
     enc = lambda w: fg.alpha_encode(w, pair.alphabet)
+    for wm, bw in zip(
+        weighted.defender_moves + weighted.attacker_moves,
+        binary_weighted.defender_moves + binary_weighted.attacker_moves,
+        strict=True,
+    ):
+        assert bw.word == enc(wm.word)
+        assert bw.weight == wm.weight
     for pm, bm in zip(pair.attacker_moves, binary.attacker_moves):
         assert bm.word == enc(pm.word)
         assert bm.counter_word == pm.counter_word
@@ -248,13 +256,6 @@ def test_binarize_words_and_targets(pipelines):
             bcfg = binary.apply(binary.apply(bcfg, binary.defender_moves[d]), binary.attacker_moves[a])
             assert binary.is_target(bcfg) == pair.is_target(pcfg)
             assert bcfg.word == enc(pcfg.word)
-
-
-def test_binarize_weighted_matches_pair_binarization(pipelines):
-    pipe = pipelines["i1"]
-    for bw, bp in zip(pipe.binary_weighted_game.attacker_moves, pipe.binary_pair_game.attacker_moves):
-        assert bw.word == bp.word
-        assert wg.counter_value(bp.counter_word) == bw.weight
 
 
 def test_dump_parse_round_trip(pipelines):
