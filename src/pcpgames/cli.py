@@ -22,7 +22,7 @@ from . import wordgames as wg
 from .domains import REPRESENTATIONS, Domain, build_pipeline, word_domain
 from .engine import ATTACKER, DEFENDER
 
-# --emit choice -> (Pipeline field, dumper) for the game emissions.
+# --emit choice -> (Pipeline attribute, dumper) for the game emissions.
 GAME_EMITTERS = {
     "word-game": ("weighted_game", wg.dump_weighted_game),
     "pair-game": ("pair_game", wg.dump_pair_game),
@@ -160,25 +160,39 @@ def cmd_solve(args: argparse.Namespace) -> int:
     return 0
 
 
+_POLICY_FORMS = {
+    "random": "random:SEED with an integer SEED",
+    "strategy": "strategy:FILE",
+    "script": "script:SPEC",
+}
+
+
 def _policy_from_spec(spec: str, words: Domain, player: str) -> engine.Policy:
     if spec == "human":
         return engine.human_policy()
-    if spec.startswith("random:"):
-        return engine.random_policy(int(spec.split(":", 1)[1]))
-    if spec.startswith("strategy:"):
-        path = Path(spec.split(":", 1)[1])
-        return engine.strategy_policy(_parse_strategy(path.read_text(encoding="utf-8")))
-    if spec.startswith("script:"):
-        body = spec.split(":", 1)[1]
-        path = Path(body)
+    kind, _, body = spec.partition(":")
+    if kind not in _POLICY_FORMS:
+        raise CliError(f"unknown policy {spec!r} (use human, random:SEED, script:SPEC, strategy:FILE)")
+    option = "--defender" if player == DEFENDER else "--attacker"
+    malformed = CliError(f"{option} {spec!r}: expected {_POLICY_FORMS[kind]}")
+    if not body.strip():
+        raise malformed
+    if kind == "random":
         try:
-            is_file = path.exists()
-        except OSError:  # e.g. too long for a file name: the body is a literal script
-            is_file = False
-        if is_file:
-            body = path.read_text(encoding="utf-8").strip()
-        return engine.scripted_policy(_script_indices(body, words, player))
-    raise CliError(f"unknown policy {spec!r} (use human, random:SEED, script:SPEC, strategy:FILE)")
+            seed = int(body)
+        except ValueError:
+            raise malformed from None
+        return engine.random_policy(seed)
+    if kind == "strategy":
+        return engine.strategy_policy(_parse_strategy(Path(body).read_text(encoding="utf-8")))
+    path = Path(body)
+    try:
+        is_file = path.exists()
+    except OSError:  # e.g. too long for a file name: the body is a literal script
+        is_file = False
+    if is_file:
+        body = path.read_text(encoding="utf-8").strip()
+    return engine.scripted_policy(_script_indices(body, words, player))
 
 
 def _script_indices(body: str, words: Domain, player: str) -> list[int]:

@@ -1,4 +1,4 @@
-"""Game domains for the solver plus the full per-instance pipeline.
+"""Game domains for the solver plus the per-instance pipeline.
 
 Every representation is one :class:`Domain`: the same word game seen
 through another image.  Every representation derived from one word game
@@ -10,13 +10,18 @@ the braid word itself; the preimage is the canonical key and drives the
 target predicate (the encodings are injective on everything a play can
 reach), while the braid word stays available for the independent braid
 oracles that the test suite replays against.
+
+The pipeline builds the automaton, its unfolding and the word game
+eagerly, since every representation reads them and a bad instance should
+fail at once; each downstream game is built on first use and kept, so a
+word-only solve never pays for the matrix or braid encodings.
 """
 
 from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Any, Callable
 
 from . import automata as au
@@ -196,18 +201,41 @@ REPRESENTATIONS = tuple(_REPRESENTATION_DOMAINS)
 
 @dataclass(frozen=True)
 class Pipeline:
-    """Every representation of one instance, move lists index-aligned throughout."""
+    """Every representation of one instance, move lists index-aligned throughout.
+
+    The fields are built by :func:`build_pipeline`.  Each downstream game is
+    a cached property: built from its predecessor on first access, then
+    reused, so repeated ``domain()`` calls never rebuild a game.
+    """
 
     instance: PcpInstance
     automaton: au.WeightedAutomaton
     game_automaton: au.WeightedAutomaton  # the unfolded forward automaton
     weighted_game: wg.WeightedWordGame
-    pair_game: wg.PairWordGame
-    binary_weighted_game: wg.WeightedWordGame
-    binary_pair_game: wg.PairWordGame
-    matrix_game: mx.MatrixGame
-    braid3_game: br.BraidGame
-    braid5_game: br.BraidGame
+
+    @cached_property
+    def pair_game(self) -> wg.PairWordGame:
+        return wg.to_pair_game(self.weighted_game)
+
+    @cached_property
+    def binary_weighted_game(self) -> wg.WeightedWordGame:
+        return wg.binarize(self.weighted_game)
+
+    @cached_property
+    def binary_pair_game(self) -> wg.PairWordGame:
+        return wg.to_pair_game(self.binary_weighted_game)
+
+    @cached_property
+    def matrix_game(self) -> mx.MatrixGame:
+        return mx.build_matrix_game(self.binary_pair_game)
+
+    @cached_property
+    def braid3_game(self) -> br.BraidGame:
+        return br.build_braid3_game(self.binary_weighted_game)
+
+    @cached_property
+    def braid5_game(self) -> br.BraidGame:
+        return br.build_braid5_game(self.binary_pair_game)
 
     def domain(self, representation: str) -> Domain:
         if representation not in _REPRESENTATION_DOMAINS:
@@ -219,26 +247,18 @@ class Pipeline:
 
 
 def build_pipeline(inst: PcpInstance) -> Pipeline:
-    """Instance -> automaton -> word game -> every downstream representation.
+    """Instance -> automaton -> word game; the other games follow on first use.
 
     The games read the unfolded forward automaton (initial word q0, winning
     states q4/q8): its start state is a source, so a play cannot come back
-    to it, which is what makes the empty-word target honest.
+    to it, which is what makes the empty-word target honest.  Everything up
+    to the word game is built here, so a bad instance fails here.
     """
     automaton = au.build_solution_checker(inst)
     unfolded = au.unfold_self_loops(automaton)
-    weighted = wg.build_weighted_word_game(unfolded)
-    binary_weighted = wg.binarize(weighted)
-    binary_pair = wg.to_pair_game(binary_weighted)
     return Pipeline(
         instance=inst,
         automaton=automaton,
         game_automaton=unfolded,
-        weighted_game=weighted,
-        pair_game=wg.to_pair_game(weighted),
-        binary_weighted_game=binary_weighted,
-        binary_pair_game=binary_pair,
-        matrix_game=mx.build_matrix_game(binary_pair),
-        braid3_game=br.build_braid3_game(binary_weighted),
-        braid5_game=br.build_braid5_game(binary_pair),
+        weighted_game=wg.build_weighted_word_game(unfolded),
     )

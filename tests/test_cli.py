@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from pcpgames import cli
+from pcpgames import braids, cli, domains, matrices
 from pcpgames import wordgames as wg
 
 from conftest import FIXTURES, GOLDEN
@@ -326,6 +326,24 @@ def test_play_script_letters_resolve_in_every_representation(capsys, representat
     assert out != word_out  # same moves, configurations in another representation
 
 
+@pytest.mark.parametrize(
+    "option, spec, form",
+    [
+        ("--defender", "script:", "script:SPEC"),
+        ("--defender", "strategy:", "strategy:FILE"),
+        ("--attacker", "random:x", "random:SEED"),
+    ],
+)
+def test_play_malformed_policy_names_option_and_form(capsys, option, spec, form):
+    policies = {"--defender": "script:a", "--attacker": "script:0", option: spec}
+    code, out, err = run(
+        capsys, "play", "--game", fixture("toy_cancel.game"),
+        "--defender", policies["--defender"], "--attacker", policies["--attacker"], "--rounds", "1",
+    )
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {option} {spec!r}: expected {form}") and err.count("\n") == 1
+
+
 def test_play_human_mode(tmp_path, capsys, monkeypatch):
     answers = iter(["0", "0"])
     monkeypatch.setattr("builtins.input", lambda prompt="": next(answers))
@@ -498,3 +516,84 @@ def test_crosscheck_empty_trace_is_an_error(tmp_path, capsys):
     code, out, err = run(capsys, "crosscheck", "--trace", str(trace), "--instance", fixture("i1.pcp"))
     assert code == 1 and "AGREE" not in out
     assert err == "error: the trace has no records\n"
+
+
+# --- the pipeline builds each representation on first use, and only once ---
+
+ENCODING_BUILDERS = (
+    (wg, "binarize"),
+    (wg, "to_pair_game"),
+    (matrices, "build_matrix_game"),
+    (braids, "build_braid3_game"),
+    (braids, "build_braid5_game"),
+)
+
+
+@pytest.fixture
+def encodings_forbidden(monkeypatch):
+    """Make every builder past the word game raise, as a word-only command must not call one."""
+    def forbidden(*args):
+        raise AssertionError("a word-only command built an encoded game")
+
+    for module, name in ENCODING_BUILDERS:
+        monkeypatch.setattr(module, name, forbidden)
+
+
+def test_word_solve_builds_no_encoding(capsys, encodings_forbidden):
+    code, out, _ = run(capsys, "solve", "-i", fixture("c4.pcp"), "--rounds", "2")
+    assert code == 0
+    assert out.splitlines()[0] == "AttackerWinsWithin(2)"
+
+
+def test_word_game_emission_builds_no_encoding(tmp_path, capsys, encodings_forbidden):
+    out = tmp_path / "word-game"
+    code, _, _ = run(capsys, "build", "-i", fixture("i1.pcp"), "--emit", "word-game", "-o", str(out))
+    assert code == 0
+    assert out.read_text() == (GOLDEN / "i1_word_game.txt").read_text()
+
+
+def test_word_play_builds_no_encoding(capsys, encodings_forbidden):
+    code, out, err = run(
+        capsys, "play", "-i", fixture("i1.pcp"), "--defender", "script:aa",
+        "--attacker", "random:1", "--rounds", "2", "--run-to-end",
+    )
+    assert code == 0, err
+    assert len(out.splitlines()) == 4
+
+
+@pytest.fixture
+def builder_calls(monkeypatch):
+    """Count the calls of each game builder (the word game's too), keyed by name."""
+    calls = {}
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] = calls.get(name, 0) + 1
+            return fn(*args)
+        return wrapper
+
+    for module, name in ENCODING_BUILDERS + ((wg, "build_weighted_word_game"),):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    return calls
+
+
+def test_crosscheck_builds_each_game_once(capsys, builder_calls):
+    code, out, _ = run(
+        capsys, "crosscheck", "--trace", str(GOLDEN / "i1_play.trace"), "--instance", fixture("i1.pcp")
+    )
+    assert code == 0 and out.rstrip().endswith("AGREE at all rounds")
+    # to_pair_game runs once: the pair domain reads the binary pair game only
+    assert builder_calls == {
+        "build_weighted_word_game": 1, "binarize": 1, "to_pair_game": 1,
+        "build_matrix_game": 1, "build_braid3_game": 1, "build_braid5_game": 1,
+    }
+
+
+def test_repeated_domain_calls_reuse_the_game(builder_calls):
+    pipe = domains.build_pipeline(cli._read_instance(fixture("i1.pcp")))
+    assert "build_matrix_game" not in builder_calls
+    for _ in range(3):
+        pipe.domain("matrix")
+    assert builder_calls["build_matrix_game"] == 1
+    assert pipe.braid3_game is pipe.braid3_game
+    assert builder_calls["build_braid3_game"] == 1
