@@ -268,22 +268,30 @@ def garside_nf(w: BraidWord) -> GarsideNormalForm:
     only as far as the pairs it changes.
     """
     n = w.strands
+    letters = _letter_factors(n)
     factors: list[tuple[int, ...]] = []
-    dpows: list[int] = []
-    for x in w.letters:
-        if x > 0:
-            factors.append(_gen_perm(n, x))
-            dpows.append(0)
-        else:
-            factors.append(_left_complement(_gen_perm(n, -x)))
-            dpows.append(-1)
     power = 0
-    for i in range(len(factors) - 1, -1, -1):
-        if power % 2:
-            factors[i] = _tau(factors[i])
-        power += dpows[i]
+    for x in reversed(w.letters):
+        factor, flipped, dpow = letters[x]
+        factors.append(flipped if power % 2 else factor)
+        power += dpow
+    factors.reverse()
     extra, body = _normalise_factors(n, factors)
     return GarsideNormalForm(n, power + extra, body)
+
+
+@functools.lru_cache(maxsize=None)
+def _letter_factors(n: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """Per signed generator: its permutation factor, the factor's flip, its half-twist power.
+
+    A positive generator is its own factor with power 0; a negative one is
+    the left complement of the generator with power -1.
+    """
+    table = {}
+    for i in range(1, n):
+        for x, factor, dpow in ((i, _gen_perm(n, i), 0), (-i, _left_complement(_gen_perm(n, i)), -1)):
+            table[x] = (factor, _tau(factor), dpow)
+    return table
 
 
 def factor_word(perm: tuple[int, ...]) -> tuple[int, ...]:

@@ -5,11 +5,16 @@ through another image.  Every representation derived from one word game
 keeps its move lists in the same order, so a move index means the same
 thing in each domain and traces replay across representations unchanged.
 
+Each domain also answers ``target_reply``: the least attacker move whose
+reply reaches the target.  The moves are invertible, so the word and pair
+games list once the configuration each reply takes to the target and answer
+with one lookup; the matrix and robot domains apply the replies in turn.
+
 Braid configurations carry the group-word preimage of the braid alongside
 the braid word itself; the preimage is the canonical key and drives the
-target predicate (the encodings are injective on everything a play can
-reach), while the braid word stays available for the independent braid
-oracles that the test suite replays against.
+target predicate and ``target_reply`` (the encodings are injective on
+everything a play can reach), while the braid word stays available for the
+independent braid oracles that the test suite replays against.
 
 The pipeline builds the automaton, its unfolding and the word game
 eagerly, since every representation reads them and a bad instance should
@@ -37,9 +42,11 @@ from .pcp import PcpInstance
 class Domain:
     """One representation of a game, as the solver and the replays see it.
 
-    ``step(config, move)`` applies one entry of a move tuple.  ``is_target``
-    and ``canonical_key`` are stored callables rather than methods, so the
-    solver calls them without an extra frame.
+    ``step(config, move)`` applies one entry of a move tuple.
+    ``target_reply(config)`` is the least attacker move index whose reply
+    takes ``config`` to the target, or None.  ``is_target``,
+    ``target_reply`` and ``canonical_key`` are stored callables rather than
+    methods, so the solver calls them without an extra frame.
     """
 
     name: str
@@ -48,6 +55,7 @@ class Domain:
     attacker_moves: tuple
     step: Callable[[Any, Any], Any]
     is_target: Callable[[Any], bool]
+    target_reply: Callable[[Any], int | None]
     canonical_key: Callable[[Any], str]
     label: Callable[[Any], str]
 
@@ -82,24 +90,48 @@ def _vector_text(v: mx.IntVector) -> str:
     return " ".join(str(x) for x in v)
 
 
+def _scanning_domain(
+    name: str,
+    initial: Any,
+    defender_moves: tuple,
+    attacker_moves: tuple,
+    step: Callable[[Any, Any], Any],
+    is_target: Callable[[Any], bool],
+    canonical_key: Callable[[Any], str],
+    label: Callable[[Any], str],
+) -> Domain:
+    """A domain whose ``target_reply`` applies each attacker reply in order."""
+
+    def target_reply(config: Any) -> int | None:
+        for a, move in enumerate(attacker_moves):
+            if is_target(step(config, move)):
+                return a
+        return None
+
+    return Domain(
+        name, initial, defender_moves, attacker_moves,
+        step, is_target, target_reply, canonical_key, label,
+    )
+
+
 def word_domain(game: wg.WeightedWordGame) -> Domain:
     return Domain(
         "word", game.initial, game.defender_moves, game.attacker_moves,
-        game.apply, game.is_target, _weighted_key, wg.WeightedMove.render,
+        game.apply, game.is_target, game.target_reply, _weighted_key, wg.WeightedMove.render,
     )
 
 
 def pair_domain(game: wg.PairWordGame) -> Domain:
     return Domain(
         "pair", game.initial, game.defender_moves, game.attacker_moves,
-        game.apply, game.is_target, _pair_key, wg.PairMove.render,
+        game.apply, game.is_target, game.target_reply, _pair_key, wg.PairMove.render,
     )
 
 
 def matrix_domain(game: mx.MatrixGame) -> Domain:
     """Product convention: the configuration is the accumulated move product."""
     initial = game.initial if game.initial is not None else mx.identity(game.dimension)
-    return Domain(
+    return _scanning_domain(
         "matrix", initial, game.defender, game.attacker,
         mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=game.anchor),
         _matrix_text, _matrix_text,
@@ -112,7 +144,7 @@ def _act_on_vector(config: mx.IntVector, m: mx.IntMatrix) -> mx.IntVector:
 
 def vector_matrix_domain(game: mx.MatrixGame) -> Domain:
     """Vector convention: matrices act on a column configuration vector."""
-    return Domain(
+    return _scanning_domain(
         "robot-matrix", game.anchor, game.defender, game.attacker,
         _act_on_vector, partial(operator.eq, game.target_vector), _vector_text, _matrix_text,
     )
@@ -123,7 +155,7 @@ def _translate(config: mx.IntVector, v: mx.IntVector) -> mx.IntVector:
 
 
 def robot_domain(game: mx.RobotGame) -> Domain:
-    return Domain(
+    return _scanning_domain(
         "robot", game.initial, game.defender, game.attacker,
         _translate, partial(operator.eq, game.target), _vector_text, _vector_text,
     )
@@ -172,7 +204,7 @@ def braid3_domain(braid_game: br.BraidGame, source: wg.WeightedWordGame) -> Doma
         "braid3", initial,
         tuple(zip(braid_game.defender_braids, source.defender_moves)),
         tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
-        _braid3_step, source.is_target, _weighted_key, _braid_label,
+        _braid3_step, source.is_target, source.target_reply, _weighted_key, _braid_label,
     )
 
 
@@ -185,7 +217,7 @@ def braid5_domain(braid_game: br.BraidGame, source: wg.PairWordGame) -> Domain:
         "braid5", initial,
         tuple(zip(braid_game.defender_braids, source.defender_moves)),
         tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
-        _braid5_step, source.is_target, _pair_key, _braid_label,
+        _braid5_step, source.is_target, source.target_reply, _pair_key, _braid_label,
     )
 
 

@@ -1,8 +1,9 @@
 """Bounded-horizon solver for alternating Attacker-Defender reachability games.
 
 A game domain is anything with an initial configuration, indexed move lists
-for the two players, a pure ``apply``, a target predicate, and a canonical
-string key for configurations.  Rounds alternate Defender then Attacker and
+for the two players, a pure ``apply``, a target predicate, the least
+attacker reply that reaches the target, and a canonical string key for
+configurations.  Rounds alternate Defender then Attacker and
 the target is only ever evaluated after an attacker move, so round zero can
 never be trivially winning.
 
@@ -10,10 +11,11 @@ The solver computes, for each configuration and remaining-round budget, the
 least number of rounds within which the attacker can force a target, and
 stops as soon as that value is decided:
 
-* after a defender move, every attacker reply is applied and tested for the
-  target first; only if none hits is the search recursed into those replies,
-  and it stops at the first reply worth two rounds, which no reply other than
-  an immediate target could beat;
+* after a defender move, the domain's ``target_reply`` names the least
+  attacker reply that reaches the target, without applying the replies;
+  only if there is none are the replies applied and searched in order, and
+  the search stops at the first reply worth two rounds, which no reply other
+  than an immediate target could beat;
 * at the first defender move the attacker cannot answer within the budget the
   position is a survival, and the remaining defender moves are not searched.
 
@@ -47,6 +49,14 @@ class GameDomain(Protocol):
     def apply(self, config: Any, player: str, index: int) -> Any: ...
 
     def is_target(self, config: Any) -> bool: ...
+
+    def target_reply(self, config: Any) -> int | None:
+        """Least attacker move index whose reply reaches the target, else None.
+
+        Equal to the first ``a`` with ``is_target(apply(config, ATTACKER, a))``;
+        the solver uses it in place of applying and testing every reply.
+        """
+        ...
 
     def canonical_key(self, config: Any) -> str: ...
 
@@ -83,26 +93,20 @@ class _Solver:
 
     def value(self, cfg: Any, remaining: int) -> int | None:
         """Least j <= remaining within which Attacker forces a target, else None."""
-        key = (self.domain.canonical_key(cfg), remaining)
+        domain = self.domain
+        key = (domain.canonical_key(cfg), remaining)
         if key in self.memo:
             return self.memo[key]
         if len(self.memo) >= self.max_nodes:
             raise ResourceCapExceeded(len(self.memo), self.max_nodes)
         worst = 0
-        for d in range(self.domain.move_count(DEFENDER)):
-            after_d = self.domain.apply(cfg, DEFENDER, d)
-            best: int | None = None
-            chosen: int | None = None
-            children = []
-            for a in range(self.domain.move_count(ATTACKER)):
-                after_a = self.domain.apply(after_d, ATTACKER, a)
-                if self.domain.is_target(after_a):
-                    best, chosen = 1, a
-                    break
-                children.append(after_a)
+        for d in range(domain.move_count(DEFENDER)):
+            after_d = domain.apply(cfg, DEFENDER, d)
+            chosen = domain.target_reply(after_d)
+            best = None if chosen is None else 1
             if best is None and remaining > 1:
-                for a, after_a in enumerate(children):
-                    sub = self.value(after_a, remaining - 1)
+                for a in range(domain.move_count(ATTACKER)):
+                    sub = self.value(domain.apply(after_d, ATTACKER, a), remaining - 1)
                     if sub is not None and (best is None or sub + 1 < best):
                         best, chosen = sub + 1, a
                         if best == 2:
@@ -111,7 +115,7 @@ class _Solver:
                 self.defender_table[key] = d
                 self.memo[key] = None
                 return None
-            self.attacker_table[(self.domain.canonical_key(after_d), remaining)] = chosen
+            self.attacker_table[(domain.canonical_key(after_d), remaining)] = chosen
             worst = max(worst, best)
         self.memo[key] = worst
         return worst

@@ -5,11 +5,12 @@ import functools
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pcpgames import braids as br
 from pcpgames import engine
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import wordgames as wg
-from pcpgames.domains import matrix_domain, word_domain
+from pcpgames.domains import braid3_domain, braid5_domain, matrix_domain, pair_domain, word_domain
 from pcpgames.domains import build_pipeline
 from pcpgames.engine import ATTACKER, DEFENDER
 
@@ -236,6 +237,33 @@ def test_explored_counts_pinned(name, horizon, verdict, explored):
     assert result.explored == explored
 
 
+class CountingDomain:
+    """Forwards to a domain, counting its ``apply`` and ``is_target`` calls."""
+
+    def __init__(self, domain):
+        self.domain = domain
+        self.calls = {"apply": 0, "is_target": 0}
+
+    def __getattr__(self, name):
+        return getattr(self.domain, name)
+
+    def apply(self, cfg, player, index):
+        self.calls["apply"] += 1
+        return self.domain.apply(cfg, player, index)
+
+    def is_target(self, cfg):
+        self.calls["is_target"] += 1
+        return self.domain.is_target(cfg)
+
+
+def test_i1_word_solve_work_pinned():
+    # Replies are applied only to recurse into them; target hits come from target_reply.
+    domain = CountingDomain(word_domain(build_pipeline(load_instance("i1")).weighted_game))
+    result = engine.attacker_wins_within(domain, 4)
+    assert (result.verdict, result.explored) == ("DefenderSurvives(4)", 12_290)
+    assert domain.calls == {"apply": 24_848, "is_target": 0}
+
+
 class ReferenceSolver(engine._Solver):
     """The exhaustive search: every defender move and every attacker reply."""
 
@@ -345,3 +373,92 @@ def test_solver_matches_exhaustive_reference(game, horizon):
             assert engine.replay_reaches_target(domain, result.strategy, script)
     else:
         assert survives_every_attacker_move(domain, result.strategy, start, horizon)
+
+
+# --- target_reply against the scan it replaces ---
+
+
+def first_target_reply(domain, cfg):
+    """The first attacker reply whose result is a target, or None."""
+    for a in range(domain.move_count(ATTACKER)):
+        if domain.is_target(domain.apply(cfg, ATTACKER, a)):
+            return a
+    return None
+
+
+def check_target_reply_along(domains, moves) -> int:
+    """Replay ``(player, index)`` moves in every domain, checking ``target_reply``
+    at each configuration reached; returns how many had a target reply."""
+    hits = 0
+    for domain in domains:
+        cfg = domain.initial_config()
+        for player, index in moves:
+            cfg = domain.apply(cfg, player, index)
+            expected = first_target_reply(domain, cfg)
+            assert domain.target_reply(cfg) == expected, (domain.name, domain.canonical_key(cfg))
+            hits += expected is not None
+    return hits
+
+
+def table_or_random(table, seed: int) -> engine.Policy:
+    """Follow an attacker table where it has an entry, else move at random."""
+    fallback = engine.random_policy(seed)
+
+    def policy(domain, cfg, player, rnd, remaining):
+        key = (domain.canonical_key(cfg), remaining)
+        return table[key] if key in table else fallback(domain, cfg, player, rnd, remaining)
+
+    return policy
+
+
+@pytest.mark.parametrize("name", ["eq", "mm", "c4", "i1", "fin", "c5", "c6"])
+def test_target_reply_matches_scan_on_fixture_plays(name):
+    # Two-round plays against the word solve's winning table reach the target
+    # where the attacker wins; four-round random plays grow the configurations.
+    pipe = build_pipeline(load_instance(name))
+    word = pipe.domain("word")
+    solved = engine.attacker_wins_within(word, 2)
+    table = solved.strategy if solved.attacker_wins else {}
+    hits = 0
+    for seed in range(3):
+        for trace in (
+            engine.play(word, engine.random_policy(seed), table_or_random(table, seed + 10), 2,
+                        stop_at_target=False),
+            engine.play(word, engine.random_policy(seed + 20), engine.random_policy(seed + 30), 4,
+                        stop_at_target=False),
+        ):
+            moves = [(r.player, r.move) for r in trace.records]
+            hits += check_target_reply_along(pipe.crosscheck_domains(), moves)
+    if solved.attacker_wins:
+        assert hits > 0
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(game=small_word_games(), data=st.data())
+def test_target_reply_matches_scan_on_small_games(game, data):
+    binary = wg.binarize(game)
+    binary_pair = wg.to_pair_game(binary)
+    domains = [
+        word_domain(game),
+        pair_domain(binary_pair),
+        matrix_domain(mx.build_matrix_game(binary_pair)),
+        braid3_domain(br.build_braid3_game(binary), binary),
+        braid5_domain(br.build_braid5_game(binary_pair), binary_pair),
+    ]
+    rounds = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, len(game.defender_moves) - 1),
+            st.integers(0, len(game.attacker_moves) - 1),
+        ),
+        max_size=3,
+    ))
+    check_target_reply_along(domains, [(p, i) for d, a in rounds for p, i in ((DEFENDER, d), (ATTACKER, a))])
+    # The configuration each reply sends to the target; replies with one word
+    # and weight (the "undo" replies) tie there, and the least index must win.
+    word, pair = domains[0], domains[1]
+    for m in game.attacker_moves:
+        cfg = wg.WordConfig(fg.invert(m.word), -m.weight)
+        assert word.target_reply(cfg) == first_target_reply(word, cfg) is not None
+    for m in binary_pair.attacker_moves:
+        cfg = wg.PairConfig(fg.invert(m.word), fg.invert(m.counter_word))
+        assert pair.target_reply(cfg) == first_target_reply(pair, cfg) is not None
