@@ -6,9 +6,12 @@ keeps its move lists in the same order, so a move index means the same
 thing in each domain and traces replay across representations unchanged.
 
 Each domain also answers ``target_reply``: the least attacker move whose
-reply reaches the target.  The moves are invertible, so the word and pair
-games list once the configuration each reply takes to the target and answer
-with one lookup; the matrix and robot domains apply the replies in turn.
+reply reaches the target.  The moves are invertible, so every domain lists
+once the configuration each reply takes to the target and answers with one
+lookup: the word and pair games key it by the inverted move words, the
+matrix game by the anchor row x0*M^-1, the robot game by ``target - v`` and
+its matrix embedding by ``M^-1 * target``.  No domain applies the replies to
+find a target.
 
 Braid configurations carry the group-word preimage of the braid alongside
 the braid word itself; the preimage is the canonical key and drives the
@@ -90,30 +93,6 @@ def _vector_text(v: mx.IntVector) -> str:
     return " ".join(str(x) for x in v)
 
 
-def _scanning_domain(
-    name: str,
-    initial: Any,
-    defender_moves: tuple,
-    attacker_moves: tuple,
-    step: Callable[[Any, Any], Any],
-    is_target: Callable[[Any], bool],
-    canonical_key: Callable[[Any], str],
-    label: Callable[[Any], str],
-) -> Domain:
-    """A domain whose ``target_reply`` applies each attacker reply in order."""
-
-    def target_reply(config: Any) -> int | None:
-        for a, move in enumerate(attacker_moves):
-            if is_target(step(config, move)):
-                return a
-        return None
-
-    return Domain(
-        name, initial, defender_moves, attacker_moves,
-        step, is_target, target_reply, canonical_key, label,
-    )
-
-
 def word_domain(game: wg.WeightedWordGame) -> Domain:
     return Domain(
         "word", game.initial, game.defender_moves, game.attacker_moves,
@@ -129,11 +108,15 @@ def pair_domain(game: wg.PairWordGame) -> Domain:
 
 
 def matrix_domain(game: mx.MatrixGame) -> Domain:
-    """Product convention: the configuration is the accumulated move product."""
+    """Product convention: the configuration is the accumulated move product.
+
+    Raises ValueError unless the game is 2+2 block-diagonal; the check and
+    the reply table are made once per game (``MatrixGame.target_reply``).
+    """
     initial = game.initial if game.initial is not None else mx.identity(game.dimension)
-    return _scanning_domain(
+    return Domain(
         "matrix", initial, game.defender, game.attacker,
-        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=game.anchor),
+        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=game.anchor), game.target_reply,
         _matrix_text, _matrix_text,
     )
 
@@ -143,10 +126,17 @@ def _act_on_vector(config: mx.IntVector, m: mx.IntMatrix) -> mx.IntVector:
 
 
 def vector_matrix_domain(game: mx.MatrixGame) -> Domain:
-    """Vector convention: matrices act on a column configuration vector."""
-    return _scanning_domain(
+    """Vector convention: matrices act on a column configuration vector.
+
+    The reply table keys each attacker move M by M^-1 * target, so the moves
+    must be robot shift matrices, whose inverses are exact (ValueError otherwise).
+    """
+    target = game.target_vector
+    return Domain(
         "robot-matrix", game.anchor, game.defender, game.attacker,
-        _act_on_vector, partial(operator.eq, game.target_vector), _vector_text, _matrix_text,
+        _act_on_vector, partial(operator.eq, target),
+        wg.least_index(mx.mat_vec_mul(mx.shift_inverse(m), target) for m in game.attacker).get,
+        _vector_text, _matrix_text,
     )
 
 
@@ -155,9 +145,11 @@ def _translate(config: mx.IntVector, v: mx.IntVector) -> mx.IntVector:
 
 
 def robot_domain(game: mx.RobotGame) -> Domain:
-    return _scanning_domain(
+    return Domain(
         "robot", game.initial, game.defender, game.attacker,
-        _translate, partial(operator.eq, game.target), _vector_text, _vector_text,
+        _translate, partial(operator.eq, game.target),
+        wg.least_index(tuple(t - dv for t, dv in zip(game.target, v)) for v in game.attacker).get,
+        _vector_text, _vector_text,
     )
 
 

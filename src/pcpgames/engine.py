@@ -131,6 +131,8 @@ def attacker_wins_within(domain: GameDomain, horizon: int, max_nodes: int = 500_
     """Solve the game to the given horizon."""
     if horizon < 1:
         raise ValueError("horizon must be at least one round")
+    if max_nodes < 1:
+        raise ValueError("max_nodes must be at least 1")
     return _Solver(domain, max_nodes).solve(horizon)
 
 

@@ -5,7 +5,11 @@ the two elementary congruence-subgroup generators (entries ±2 off the
 diagonal); pairs of words map block-diagonally into 4x4 matrices of
 determinant one.  A matrix game configuration is the accumulated product of
 the played matrices acting on the anchor row vector from the right, so the
-word-to-matrix correspondence is a literal homomorphism statement.
+word-to-matrix correspondence is a literal homomorphism statement.  Every
+such product stays 2+2 block-diagonal, so a move multiplies the two 2x2
+blocks (8 multiplications, not the 64 of a generic 4x4 product), and the
+attacker reply that fixes the anchor is found with one lookup of the anchor
+row x0*P: x0*P*M fixes x0 exactly when x0*P = x0*M^-1.
 
 The robot game embedding doubles the dimension: a move vector v becomes the
 block matrix with identity diagonal blocks and diag(v) in the top right,
@@ -15,11 +19,12 @@ acting on column vectors extended by ones.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from functools import cached_property
+from typing import Callable, Iterator
 
 from . import freegroup as fg
 from .freegroup import GroupWord, RankedAlphabet
-from .wordgames import COUNTER_ALPHABET, PairWordGame
+from .wordgames import COUNTER_ALPHABET, PairWordGame, least_index
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -94,6 +99,25 @@ def fixes_anchor(m: IntMatrix, anchor: IntVector = ANCHOR_ROW) -> bool:
     return row_vec_mul(anchor, m) == anchor
 
 
+def _is_block_diagonal(m: IntMatrix) -> bool:
+    """Whether ``m`` is a 4x4 matrix with two 2x2 diagonal blocks and zeros elsewhere."""
+    return (
+        len(m) == 4
+        and all(len(row) == 4 for row in m)
+        and not any(m[i][j] for i, j in ((0, 2), (0, 3), (1, 2), (1, 3), (2, 0), (2, 1), (3, 0), (3, 1)))
+    )
+
+
+def block_inverse(m: IntMatrix) -> IntMatrix:
+    """The inverse of a 2+2 block-diagonal matrix whose blocks have determinant one.
+
+    Each block's inverse is its adjugate; for any other determinant the
+    result is not the inverse, which the caller must check.
+    """
+    (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = m
+    return ((d, -b, 0, 0), (-c, a, 0, 0), (0, 0, h, -f), (0, 0, -g, e))
+
+
 def closed_form_alpha_image(j: int) -> IntMatrix:
     """f of the rank-j letter image: ((1+4j, -8j^2), (2, 1-4j))."""
     return ((1 + 4 * j, -8 * j * j), (2, 1 - 4 * j))
@@ -164,6 +188,38 @@ class MatrixGame:
     target_vector: IntVector | None = None
     convention: str = "product"
 
+    @cached_property
+    def target_reply(self) -> Callable[[IntMatrix], int | None]:
+        """The least attacker move whose product with a configuration fixes the anchor.
+
+        Product convention only.  ``anchor*P*M_a`` is the anchor exactly when
+        ``anchor*P`` is ``anchor*M_a^-1``, so the returned function reads the
+        anchor row of the configuration ``P`` and looks it up in a table of
+        ``anchor*M_a^-1`` -> least ``a``.  Built once per game, on first
+        access; it raises ValueError unless the initial matrix and every move
+        are 2+2 block-diagonal (what :func:`apply_matrix_move` multiplies) and
+        each inverse, checked against its move, is exact.
+        """
+        if self.convention != "product":
+            raise ValueError(f"a {self.convention}-convention matrix game has no anchor-row lookup")
+        initial = self.initial if self.initial is not None else identity(self.dimension)
+        if not all(_is_block_diagonal(m) for m in (initial,) + self.defender + self.attacker):
+            raise ValueError("the initial matrix and every move must be 2+2 block-diagonal")
+        preimages = []
+        for a, m in enumerate(self.attacker):
+            preimage = row_vec_mul(self.anchor, block_inverse(m))
+            if row_vec_mul(preimage, m) != self.anchor:
+                raise ValueError(f"attacker move {a} has a block of determinant other than one")
+            preimages.append(preimage)
+        table = least_index(preimages)
+        x0, x1, x2, x3 = self.anchor
+
+        def target_reply(accumulated: IntMatrix) -> int | None:
+            (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, v, w) = accumulated
+            return table.get((x0 * p + x1 * r, x0 * q + x1 * s, x2 * t + x3 * v, x2 * u + x3 * w))
+
+        return target_reply
+
 
 def build_matrix_game(g: PairWordGame) -> MatrixGame:
     """Encode a binarized pair word game move-for-move into SL(4,Z).
@@ -185,8 +241,20 @@ def build_matrix_game(g: PairWordGame) -> MatrixGame:
 
 
 def apply_matrix_move(accumulated: IntMatrix, m: IntMatrix) -> IntMatrix:
-    """Right multiplication, matching word concatenation order."""
-    return mat_mul(accumulated, m)
+    """Right multiplication, matching word concatenation order.
+
+    Both matrices must be 2+2 block-diagonal (every product-convention game
+    is; ``MatrixGame.target_reply`` checks it), so only the two 2x2 blocks
+    are multiplied.  Equal to ``mat_mul(accumulated, m)``.
+    """
+    (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = accumulated
+    (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, v, w) = m
+    return (
+        (a * p + b * r, a * q + b * s, 0, 0),
+        (c * p + d * r, c * q + d * s, 0, 0),
+        (0, 0, e * t + f * v, e * u + f * w),
+        (0, 0, g * t + h * v, g * u + h * w),
+    )
 
 
 @dataclass(frozen=True)
@@ -206,6 +274,18 @@ def _shift_matrix(v: IntVector) -> IntMatrix:
     for i in range(n):
         rows.append(tuple(1 if j == i + n else 0 for j in range(2 * n)))
     return tuple(rows)
+
+
+def shift_inverse(m: IntMatrix) -> IntMatrix:
+    """The inverse of the robot shift matrix of v, which is the shift matrix of -v.
+
+    Raises ValueError if ``m`` is not a shift matrix.
+    """
+    n = len(m) // 2
+    v = tuple(m[i][i + n] for i in range(n))
+    if m != _shift_matrix(v):
+        raise ValueError("not a robot-game shift matrix")
+    return _shift_matrix(tuple(-x for x in v))
 
 
 def robot_to_matrix_game(r: RobotGame) -> MatrixGame:

@@ -81,7 +81,7 @@ class WeightedWordGame:
     def _target_preimages(self) -> dict[tuple, int]:
         """The configuration each attacker move sends to the target -> the least such move."""
         shared: dict[fg.Letter, fg.Letter] = {}
-        return _least_index((_inverse_letters(m.word, shared), -m.weight) for m in self.attacker_moves)
+        return least_index((_inverse_letters(m.word, shared), -m.weight) for m in self.attacker_moves)
 
     def target_reply(self, cfg: WordConfig) -> int | None:
         """Least attacker move taking ``cfg`` to the target, or None; one lookup.
@@ -114,7 +114,7 @@ class PairWordGame:
     def _target_preimages(self) -> dict[tuple, int]:
         """The configuration each attacker move sends to the target -> the least such move."""
         shared: dict[fg.Letter, fg.Letter] = {}
-        return _least_index(
+        return least_index(
             (_inverse_letters(m.word, shared), _inverse_letters(m.counter_word, shared))
             for m in self.attacker_moves
         )
@@ -129,7 +129,7 @@ def _inverse_letters(w: GroupWord, shared: dict[fg.Letter, fg.Letter]) -> tuple[
     return tuple(shared.setdefault((sym, -sign), (sym, -sign)) for sym, sign in reversed(w.letters))
 
 
-def _least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
+def least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
     """Each distinct key -> the index of its first occurrence."""
     index: dict[Hashable, int] = {}
     for i, key in enumerate(keys):

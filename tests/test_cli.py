@@ -216,6 +216,15 @@ def test_solve_cap_exceeded(capsys):
     assert "partial statistics" in err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_solve_needs_a_positive_node_cap(capsys, cap):
+    code, out, err = run(
+        capsys, "solve", "-i", fixture("c4.pcp"), "--rounds", "2", "--max-nodes", cap
+    )
+    assert code == 1 and out == ""
+    assert err == "error: max_nodes must be at least 1\n"
+
+
 def test_play_golden_trace(tmp_path, capsys):
     out = tmp_path / "trace.txt"
     code, _, _ = run(

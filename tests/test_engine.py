@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,7 +12,7 @@ from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import wordgames as wg
 from pcpgames.domains import braid3_domain, braid5_domain, matrix_domain, pair_domain, word_domain
-from pcpgames.domains import build_pipeline
+from pcpgames.domains import build_pipeline, robot_domain, vector_matrix_domain
 from pcpgames.engine import ATTACKER, DEFENDER
 
 from conftest import brute_attacker_wins, load_instance, scripts
@@ -264,6 +265,20 @@ def test_i1_word_solve_work_pinned():
     assert domain.calls == {"apply": 24_848, "is_target": 0}
 
 
+def test_c4_matrix_solve_work_pinned():
+    # The anchor-row lookup finds target hits: no reply is applied to test it.
+    domain = CountingDomain(matrix_domain(build_pipeline(load_instance("c4")).matrix_game))
+    result = engine.attacker_wins_within(domain, 2)
+    assert (result.verdict, result.explored) == ("AttackerWinsWithin(2)", 15)
+    assert domain.calls == {"apply": 32, "is_target": 0}
+
+
+def test_node_cap_validation(toy_cancel):
+    for cap in (0, -3):
+        with pytest.raises(ValueError, match="max_nodes must be at least 1"):
+            engine.attacker_wins_within(word_domain(toy_cancel), 1, max_nodes=cap)
+
+
 class ReferenceSolver(engine._Solver):
     """The exhaustive search: every defender move and every attacker reply."""
 
@@ -462,3 +477,35 @@ def test_target_reply_matches_scan_on_small_games(game, data):
     for m in binary_pair.attacker_moves:
         cfg = wg.PairConfig(fg.invert(m.word), fg.invert(m.counter_word))
         assert pair.target_reply(cfg) == first_target_reply(pair, cfg) is not None
+    matrix = domains[2]
+    for m in matrix.attacker_moves:
+        cfg = mx.block_inverse(m)
+        assert matrix.target_reply(cfg) == first_target_reply(matrix, cfg) is not None
+
+
+def test_robot_target_reply_matches_scan_on_robot_plays():
+    # The robot game and its 2n-dimensional matrix embedding of acceptance criterion 9.
+    robot = mx.RobotGame(
+        attacker=((1, 0), (0, 1), (-1, -1), (2, -1)),
+        defender=((1, 1), (-1, 0), (0, -2)),
+        initial=(0, 0),
+        target=(3, 1),
+        dimension=2,
+    )
+    native = robot_domain(robot)
+    embedded = vector_matrix_domain(mx.robot_to_matrix_game(robot))
+    hits = 0
+    for seed in range(200):
+        rng = random.Random(4000 + seed)
+        moves = [
+            (player, rng.randrange(native.move_count(player)))
+            for _ in range(5) for player in (DEFENDER, ATTACKER)
+        ]
+        hits += check_target_reply_along([native, embedded], moves)
+    assert hits > 0
+    # A reply whose preimage is also another's: the least index must win.
+    tied = mx.RobotGame(attacker=((1,), (2,), (1,)), defender=((0,),), initial=(0,), target=(3,), dimension=1)
+    for domain in (robot_domain(tied), vector_matrix_domain(mx.robot_to_matrix_game(tied))):
+        for start in range(-1, 5):
+            cfg = (start,) if domain.name == "robot" else (start, 1)
+            assert domain.target_reply(cfg) == first_target_reply(domain, cfg)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
-from pcpgames.domains import robot_domain, vector_matrix_domain
+from pcpgames.domains import matrix_domain, robot_domain, vector_matrix_domain
 
 ALPHA3 = fg.RankedAlphabet(("z1", "z2", "z3"))
 
@@ -132,6 +132,82 @@ def test_apply_matrix_move_basics():
     assert mx.apply_matrix_move(mx.identity(4), m4) == m4
     inv = mx.f_encode(fg.invert(fg.alpha_encode(fg.word("z2"), ALPHA3)))
     assert mx.mat_mul(m, inv) == mx.identity(2)
+
+
+def pair_image(word, counter_word, inverted: bool):
+    if inverted:
+        word, counter_word = fg.invert(word), fg.invert(counter_word)
+    return mx.pair_encode(word, counter_word)
+
+
+counter_words = st.lists(st.sampled_from([("r", 1), ("r", -1)]), max_size=4).map(fg.reduce)
+pair_images = st.builds(pair_image, binary_words, counter_words, st.booleans())
+
+
+@settings(max_examples=200, derandomize=True)
+@given(start=pair_images, moves=st.lists(pair_images, max_size=8))
+def test_block_product_matches_generic_product(start, moves):
+    # Pair images and their inverses, as the matrix game plays them.
+    block = generic = start
+    for m in moves:
+        block, generic = mx.apply_matrix_move(block, m), mx.mat_mul(generic, m)
+        assert block == generic
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    anchor=st.tuples(*[st.integers(-2, 2)] * 4).filter(any),
+    replies=st.lists(pair_images, min_size=1, max_size=4),
+    config=pair_images,
+)
+def test_anchor_row_lookup_matches_generic_scan(anchor, replies, config):
+    # Any anchor, not only ANCHOR_ROW; each reply's own preimage is a hit, and
+    # repeated replies tie there, so the least index must win.
+    domain = matrix_domain(
+        mx.MatrixGame(defender=(mx.identity(4),), attacker=tuple(replies), dimension=4, anchor=anchor)
+    )
+    for cfg in [config] + [mx.block_inverse(m) for m in replies]:
+        expected = next(
+            (a for a, m in enumerate(replies) if mx.fixes_anchor(mx.mat_mul(cfg, m), anchor)), None
+        )
+        assert domain.target_reply(cfg) == expected
+
+
+def test_block_inverse_inverts_pair_images():
+    m = mx.pair_encode(fg.word("c", "d", "~c"), fg.word("r", "r"))
+    assert mx.mat_mul(m, mx.block_inverse(m)) == mx.identity(4)
+
+
+@pytest.mark.parametrize(
+    "game",
+    [
+        mx.MatrixGame(defender=(mx.identity(4),), attacker=(mx._shift_matrix((1, 2)),),
+                      dimension=4, anchor=mx.ANCHOR_ROW),
+        mx.MatrixGame(defender=(mx.identity(4),), attacker=(mx.identity(4),), dimension=4,
+                      anchor=mx.ANCHOR_ROW, initial=mx._shift_matrix((0, 1))),
+        mx.MatrixGame(defender=(mx.identity(4),), attacker=(mx.block_diag(((2, 0), (0, 1)), mx.identity(2)),),
+                      dimension=4, anchor=mx.ANCHOR_ROW),
+        mx.robot_to_matrix_game(
+            mx.RobotGame(attacker=((1, 0),), defender=((0, 1),), initial=(0, 0), target=(1, 1), dimension=2)
+        ),
+    ],
+    ids=["move-not-block-diagonal", "initial-not-block-diagonal", "determinant-two", "vector-convention"],
+)
+def test_matrix_domain_refuses_games_it_cannot_multiply_by_blocks(game):
+    with pytest.raises(ValueError):
+        matrix_domain(game)
+
+
+def test_matrix_reply_table_built_once_per_game(pipelines):
+    pipe = pipelines["eq"]
+    assert pipe.domain("matrix").target_reply is pipe.domain("matrix").target_reply
+
+
+def test_shift_inverse():
+    m = mx._shift_matrix((2, -3))
+    assert mx.mat_mul(m, mx.shift_inverse(m)) == mx.identity(4)
+    with pytest.raises(ValueError, match="shift matrix"):
+        mx.shift_inverse(mx.block_diag(((1, 1), (0, 1)), mx.identity(2)))
 
 
 @settings(max_examples=100, derandomize=True)
