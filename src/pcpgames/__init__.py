@@ -3,9 +3,9 @@
 from .pcp import PcpInstance, parse_instance, desynchronize
 from .automata import build_solution_checker, reverse, unfold_self_loops
 from .wordgames import build_weighted_word_game, to_pair_game, binarize
-from .matrices import build_matrix_game, robot_to_matrix_game
-from .braids import build_braid_game, garside_nf, braids_equal
-from .engine import attacker_wins_within, defender_survival_strategy, play, crosscheck
+from .matrices import build_matrix_game
+from .braids import garside_nf, braids_equal
+from .engine import attacker_wins_within, play, crosscheck
 from .domains import build_pipeline
 
 __version__ = "0.1.0"
@@ -21,12 +21,9 @@ __all__ = [
     "to_pair_game",
     "binarize",
     "build_matrix_game",
-    "robot_to_matrix_game",
-    "build_braid_game",
     "garside_nf",
     "braids_equal",
     "attacker_wins_within",
-    "defender_survival_strategy",
     "play",
     "crosscheck",
     "build_pipeline",

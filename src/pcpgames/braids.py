@@ -511,15 +511,6 @@ def build_braid5_game(g: PairWordGame) -> BraidGame:
     )
 
 
-def build_braid_game(g: WeightedWordGame | PairWordGame) -> BraidGame:
-    """Dispatch on the game kind: weighted games go to three strands, pairs to five."""
-    if isinstance(g, WeightedWordGame):
-        return build_braid3_game(g)
-    if isinstance(g, PairWordGame):
-        return build_braid5_game(g)
-    raise BraidError(f"cannot build a braid game from {type(g).__name__}")
-
-
 def dump_braid_game(g: BraidGame) -> str:
     lines = [
         f"strands {g.strands}",

@@ -10,8 +10,8 @@ reply reaches the target.  The moves are invertible, so every domain lists
 once the configuration each reply takes to the target and answers with one
 lookup: the word and pair games key it by the inverted move words, the
 matrix game by the anchor row x0*M^-1, the robot game by ``target - v`` and
-its matrix embedding by ``M^-1 * target``.  No domain applies the replies to
-find a target.
+its matrix embedding by ``shift_matrix(-v) * target``.  No domain applies
+the replies to find a target.
 
 Braid configurations carry the group-word preimage of the braid alongside
 the braid word itself; the preimage is the canonical key and drives the
@@ -108,14 +108,13 @@ def pair_domain(game: wg.PairWordGame) -> Domain:
 
 
 def matrix_domain(game: mx.MatrixGame) -> Domain:
-    """Product convention: the configuration is the accumulated move product.
+    """The configuration is the accumulated move product.
 
     Raises ValueError unless the game is 2+2 block-diagonal; the check and
     the reply table are made once per game (``MatrixGame.target_reply``).
     """
-    initial = game.initial if game.initial is not None else mx.identity(game.dimension)
     return Domain(
-        "matrix", initial, game.defender, game.attacker,
+        "matrix", game.initial, game.defender, game.attacker,
         mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=game.anchor), game.target_reply,
         _matrix_text, _matrix_text,
     )
@@ -125,17 +124,21 @@ def _act_on_vector(config: mx.IntVector, m: mx.IntMatrix) -> mx.IntVector:
     return mx.mat_vec_mul(m, config)
 
 
-def vector_matrix_domain(game: mx.MatrixGame) -> Domain:
-    """Vector convention: matrices act on a column configuration vector.
+def robot_matrix_domain(game: mx.RobotGame) -> Domain:
+    """The robot game's 2n-dimensional embedding: ``shift_matrix(v)`` acts on (x, 1...1).
 
-    The reply table keys each attacker move M by M^-1 * target, so the moves
-    must be robot shift matrices, whose inverses are exact (ValueError otherwise).
+    ``shift_matrix(-v)`` inverts a move, so it keys the reply table.
     """
-    target = game.target_vector
+    ones = (1,) * len(game.target)
+    target = game.target + ones
     return Domain(
-        "robot-matrix", game.anchor, game.defender, game.attacker,
+        "robot-matrix", game.initial + ones,
+        tuple(mx.shift_matrix(v) for v in game.defender),
+        tuple(mx.shift_matrix(v) for v in game.attacker),
         _act_on_vector, partial(operator.eq, target),
-        wg.least_index(mx.mat_vec_mul(mx.shift_inverse(m), target) for m in game.attacker).get,
+        wg.least_index(
+            mx.mat_vec_mul(mx.shift_matrix(tuple(-x for x in v)), target) for v in game.attacker
+        ).get,
         _vector_text, _matrix_text,
     )
 

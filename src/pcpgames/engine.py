@@ -128,19 +128,15 @@ class _Solver:
 
 
 def attacker_wins_within(domain: GameDomain, horizon: int, max_nodes: int = 500_000) -> SolveResult:
-    """Solve the game to the given horizon."""
+    """Solve the game to the given horizon; ValueError if it is deeper than the recursion limit."""
     if horizon < 1:
         raise ValueError("horizon must be at least one round")
     if max_nodes < 1:
         raise ValueError("max_nodes must be at least 1")
-    return _Solver(domain, max_nodes).solve(horizon)
-
-
-def defender_survival_strategy(
-    domain: GameDomain, horizon: int, max_nodes: int = 500_000
-) -> dict[tuple[str, int], int] | None:
-    result = attacker_wins_within(domain, horizon, max_nodes=max_nodes)
-    return None if result.attacker_wins else result.strategy
+    try:
+        return _Solver(domain, max_nodes).solve(horizon)
+    except RecursionError as exc:
+        raise ValueError(f"horizon {horizon} is too deep for the recursive solver") from exc
 
 
 # --- traces and policies ---

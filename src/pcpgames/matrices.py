@@ -12,8 +12,8 @@ attacker reply that fixes the anchor is found with one lookup of the anchor
 row x0*P: x0*P*M fixes x0 exactly when x0*P = x0*M^-1.
 
 The robot game embedding doubles the dimension: a move vector v becomes the
-block matrix with identity diagonal blocks and diag(v) in the top right,
-acting on column vectors extended by ones.
+shift matrix with identity diagonal blocks and diag(v) in the top right,
+acting on column vectors extended by ones (``domains.robot_matrix_domain``).
 """
 
 from __future__ import annotations
@@ -171,39 +171,31 @@ def column_anchor_lemma_report(
 
 @dataclass(frozen=True)
 class MatrixGame:
-    """Move matrices plus the anchor; the two conventions share the type.
+    """The SL(4,Z) game: 2+2 block-diagonal move matrices and the anchor row.
 
-    ``convention="product"``: the configuration is the accumulated product,
-    starting from the encoded initial word (the identity when the source
-    game starts empty), and the target is fixing the anchor row.
-    ``convention="vector"``: the configuration is a column vector (starting
-    from the anchor) and the target is reaching ``target_vector``.
+    The configuration is the accumulated product, starting from ``initial``
+    (the encoded initial pair of the source game; the identity by default),
+    and the target is a product that fixes the anchor row.
     """
 
     defender: tuple[IntMatrix, ...]
     attacker: tuple[IntMatrix, ...]
-    dimension: int
-    anchor: IntVector
-    initial: IntMatrix | None = None  # product convention; None means identity
-    target_vector: IntVector | None = None
-    convention: str = "product"
+    anchor: IntVector = ANCHOR_ROW
+    initial: IntMatrix = identity(4)
 
     @cached_property
     def target_reply(self) -> Callable[[IntMatrix], int | None]:
         """The least attacker move whose product with a configuration fixes the anchor.
 
-        Product convention only.  ``anchor*P*M_a`` is the anchor exactly when
-        ``anchor*P`` is ``anchor*M_a^-1``, so the returned function reads the
-        anchor row of the configuration ``P`` and looks it up in a table of
+        ``anchor*P*M_a`` is the anchor exactly when ``anchor*P`` is
+        ``anchor*M_a^-1``, so the returned function reads the anchor row of
+        the configuration ``P`` and looks it up in a table of
         ``anchor*M_a^-1`` -> least ``a``.  Built once per game, on first
         access; it raises ValueError unless the initial matrix and every move
         are 2+2 block-diagonal (what :func:`apply_matrix_move` multiplies) and
         each inverse, checked against its move, is exact.
         """
-        if self.convention != "product":
-            raise ValueError(f"a {self.convention}-convention matrix game has no anchor-row lookup")
-        initial = self.initial if self.initial is not None else identity(self.dimension)
-        if not all(_is_block_diagonal(m) for m in (initial,) + self.defender + self.attacker):
+        if not all(_is_block_diagonal(m) for m in (self.initial,) + self.defender + self.attacker):
             raise ValueError("the initial matrix and every move must be 2+2 block-diagonal")
         preimages = []
         for a, m in enumerate(self.attacker):
@@ -233,18 +225,15 @@ def build_matrix_game(g: PairWordGame) -> MatrixGame:
     return MatrixGame(
         defender=tuple(pair_encode(m.word, m.counter_word) for m in g.defender_moves),
         attacker=tuple(pair_encode(m.word, m.counter_word) for m in g.attacker_moves),
-        dimension=4,
-        anchor=ANCHOR_ROW,
         initial=pair_encode(g.initial.word, g.initial.counter_word),
-        convention="product",
     )
 
 
 def apply_matrix_move(accumulated: IntMatrix, m: IntMatrix) -> IntMatrix:
     """Right multiplication, matching word concatenation order.
 
-    Both matrices must be 2+2 block-diagonal (every product-convention game
-    is; ``MatrixGame.target_reply`` checks it), so only the two 2x2 blocks
+    Both matrices must be 2+2 block-diagonal (every matrix game's are;
+    ``MatrixGame.target_reply`` checks it), so only the two 2x2 blocks
     are multiplied.  Equal to ``mat_mul(accumulated, m)``.
     """
     (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = accumulated
@@ -259,14 +248,20 @@ def apply_matrix_move(accumulated: IntMatrix, m: IntMatrix) -> IntMatrix:
 
 @dataclass(frozen=True)
 class RobotGame:
+    """Moves translate an integer vector; the target is reaching ``target``."""
+
     attacker: tuple[IntVector, ...]
     defender: tuple[IntVector, ...]
     initial: IntVector
     target: IntVector
-    dimension: int
+
+    def __post_init__(self) -> None:
+        if len({len(v) for v in self.attacker + self.defender + (self.initial, self.target)}) != 1:
+            raise ValueError("robot game vectors must all have the same dimension")
 
 
-def _shift_matrix(v: IntVector) -> IntMatrix:
+def shift_matrix(v: IntVector) -> IntMatrix:
+    """Identity diagonal blocks and diag(v) top right: adds v to (x, 1...1)."""
     n = len(v)
     rows = []
     for i in range(n):
@@ -276,48 +271,18 @@ def _shift_matrix(v: IntVector) -> IntMatrix:
     return tuple(rows)
 
 
-def shift_inverse(m: IntMatrix) -> IntMatrix:
-    """The inverse of the robot shift matrix of v, which is the shift matrix of -v.
-
-    Raises ValueError if ``m`` is not a shift matrix.
-    """
-    n = len(m) // 2
-    v = tuple(m[i][i + n] for i in range(n))
-    if m != _shift_matrix(v):
-        raise ValueError("not a robot-game shift matrix")
-    return _shift_matrix(tuple(-x for x in v))
-
-
-def robot_to_matrix_game(r: RobotGame) -> MatrixGame:
-    """Dimension-2n matrix game whose vector configurations mirror the robot game."""
-    n = r.dimension
-    if any(len(v) != n for v in r.attacker + r.defender + (r.initial, r.target)):
-        raise ValueError("robot game vectors must all have the declared dimension")
-    return MatrixGame(
-        defender=tuple(_shift_matrix(v) for v in r.defender),
-        attacker=tuple(_shift_matrix(v) for v in r.attacker),
-        dimension=2 * n,
-        anchor=r.initial + (1,) * n,
-        target_vector=r.target + (1,) * n,
-        convention="vector",
-    )
-
-
 def render_matrix(m: IntMatrix) -> str:
     return "\n".join(" ".join(str(x) for x in row) for row in m)
 
 
 def dump_matrix_game(g: MatrixGame) -> str:
     lines = [
-        f"# dimension={g.dimension} convention={g.convention}",
+        "# dimension=4 convention=product",
         "# anchor " + " ".join(str(x) for x in g.anchor),
+        "# initial",
+        render_matrix(g.initial),
+        "",
     ]
-    if g.target_vector is not None:
-        lines.append("# target " + " ".join(str(x) for x in g.target_vector))
-    if g.initial is not None:
-        lines.append("# initial")
-        lines.append(render_matrix(g.initial))
-        lines.append("")
     for label, matrices in (("D", g.defender), ("A", g.attacker)):
         for i, m in enumerate(matrices):
             lines.append(f"# player={label} move={i}")

@@ -21,6 +21,7 @@ the given automaton on the reversed stored prefix.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Hashable, Iterable
@@ -267,6 +268,8 @@ def parse_weighted_game(text: str) -> WeightedWordGame:
                 raise ValueError(f"unknown player in line {line!r}")
         else:
             raise ValueError(f"unrecognized game dump line {line!r}")
+    if not defender or not attacker:
+        raise ValueError(f"the game dump has no player={'A' if defender else 'D'} move")
     if alphabet is None:
         symbols: list[str] = []
         for m in list(defender) + list(attacker) + [WeightedMove(initial.word, 0)]:
@@ -277,8 +280,11 @@ def parse_weighted_game(text: str) -> WeightedWordGame:
     return WeightedWordGame(alphabet, tuple(defender), tuple(attacker), initial)
 
 
+_MOVE_FIELD = re.compile(r"word=(.*) weight=(-?\d+)")
+
+
 def _split_move(rest: str) -> tuple[GroupWord, int]:
-    if "word=" not in rest or " weight=" not in rest:
+    field = _MOVE_FIELD.fullmatch(rest)
+    if field is None:
         raise ValueError(f"malformed move field {rest!r}")
-    words, _, weight = rest.rpartition(" weight=")
-    return fg.parse(words[len("word="):]), int(weight)
+    return fg.parse(field.group(1)), int(field.group(2))

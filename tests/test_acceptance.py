@@ -25,7 +25,7 @@ from pcpgames.automata import Transition
 from pcpgames.domains import (
     build_pipeline,
     robot_domain,
-    vector_matrix_domain,
+    robot_matrix_domain,
     word_domain,
 )
 from pcpgames.engine import ATTACKER, DEFENDER
@@ -230,10 +230,9 @@ def test_criterion_09_robot_game_embedding():
         defender=((1, 1), (-1, 0), (0, -2)),
         initial=(0, 0),
         target=(3, 1),
-        dimension=2,
     )
     native = robot_domain(robot)
-    embedded = vector_matrix_domain(mx.robot_to_matrix_game(robot))
+    embedded = robot_matrix_domain(robot)
     for seed in range(200):
         rng = random.Random(4000 + seed)
         rc, mc = native.initial_config(), embedded.initial_config()

@@ -491,13 +491,20 @@ def test_braid5_game_shapes(pipelines):
 
 
 def test_braid_game_dispatch(pipelines):
+    # Each binarized game kind goes to its own braid encoding; the others are refused.
     pipe = pipelines["eq"]
-    assert br.build_braid_game(pipe.binary_weighted_game).strands == 3
-    assert br.build_braid_game(pipe.binary_pair_game).strands == 5
+    assert br.build_braid3_game(pipe.binary_weighted_game).strands == 3
+    assert br.build_braid5_game(pipe.binary_pair_game).strands == 5
     with pytest.raises(BraidError):
-        br.build_braid_game(pipe.weighted_game)  # not binarized
+        br.build_braid3_game("nonsense")
     with pytest.raises(BraidError):
-        br.build_braid_game("nonsense")
+        br.build_braid5_game("nonsense")
+    with pytest.raises(BraidError, match="binarize"):
+        br.build_braid3_game(pipe.weighted_game)
+    with pytest.raises(BraidError, match="binarize"):
+        br.build_braid5_game(pipe.pair_game)
+    with pytest.raises(BraidError, match="pair word game"):
+        br.build_braid5_game(pipe.binary_weighted_game)
 
 
 def test_word_game_target_reaches_trivial_braid(pipelines):

@@ -189,6 +189,36 @@ def test_solve_toy_survive(capsys):
     assert out.splitlines()[0] == "DefenderSurvives(3)"
 
 
+def test_solve_horizon_too_deep_for_the_recursion_is_an_error(capsys):
+    code, out, _ = run(capsys, "solve", "--game", fixture("toy_survive.game"), "--rounds", "900")
+    assert code == 0
+    assert out.splitlines()[0] == "DefenderSurvives(900)"
+    code, out, err = run(capsys, "solve", "--game", fixture("toy_survive.game"), "--rounds", "5000")
+    assert code == 1 and out == ""
+    assert err == "error: horizon 5000 is too deep for the recursive solver\n"
+
+
+@pytest.mark.parametrize(
+    "moves, command, message",
+    [
+        ("player=A word=~a weight=0", "solve", "the game dump has no player=D move"),
+        ("player=D word=a weight=0", "play", "the game dump has no player=A move"),
+        (
+            "player=D word=a weight=x\nplayer=A word=~a weight=0", "solve",
+            "malformed move field 'word=a weight=x'",
+        ),
+    ],
+    ids=["no-defender-move", "no-attacker-move", "weight-not-an-integer"],
+)
+def test_malformed_game_dump_is_an_error(tmp_path, capsys, moves, command, message):
+    game = tmp_path / "bad.game"
+    game.write_text(f"alphabet a\ninitial word= weight=0\n{moves}\n")
+    policies = ("--defender", "script:0", "--attacker", "random:1") if command == "play" else ()
+    code, out, err = run(capsys, command, "--game", str(game), "--rounds", "1", *policies)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_solve_writes_strategy(tmp_path, capsys):
     strategy = tmp_path / "s.txt"
     code, out, _ = run(

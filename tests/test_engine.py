@@ -12,7 +12,7 @@ from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import wordgames as wg
 from pcpgames.domains import braid3_domain, braid5_domain, matrix_domain, pair_domain, word_domain
-from pcpgames.domains import build_pipeline, robot_domain, vector_matrix_domain
+from pcpgames.domains import build_pipeline, robot_domain, robot_matrix_domain
 from pcpgames.engine import ATTACKER, DEFENDER
 
 from conftest import brute_attacker_wins, load_instance, scripts
@@ -82,8 +82,9 @@ def test_monotone_in_horizon(pipelines):
 
 def test_defender_survival_strategy_on_i1(pipelines):
     domain = word_domain(pipelines["i1"].weighted_game)
-    table = engine.defender_survival_strategy(domain, 3)
-    assert table is not None
+    result = engine.attacker_wins_within(domain, 3)
+    assert not result.attacker_wins
+    table = result.strategy
     # the survival strategy emits the letter a each round (the only defender move)
     assert set(table.values()) == {0}
     # replayed against every attacker script it never hits a target
@@ -97,7 +98,11 @@ def test_defender_survival_strategy_on_i1(pipelines):
 
 
 def test_defender_survival_none_when_attacker_wins(toy_cancel):
-    assert engine.defender_survival_strategy(word_domain(toy_cancel), 1) is None
+    # No defender survival table: the strategy is the attacker's, keyed by the
+    # position after the defender's move.
+    result = engine.attacker_wins_within(word_domain(toy_cancel), 1)
+    assert result.attacker_wins
+    assert result.strategy == {("a;0", 1): 0}
 
 
 def test_winning_certificate_replays_against_all_scripts(pipelines):
@@ -213,7 +218,6 @@ def test_crosscheck_detects_fault_injection(pipelines):
     corrupted_game = mx.MatrixGame(
         defender=(mx.identity(4),) * len(good.defender),
         attacker=(mx.identity(4),) * len(good.attacker),
-        dimension=4,
         anchor=good.anchor,
     )
     report = engine.crosscheck(trace, [domain, matrix_domain(corrupted_game)])
@@ -490,10 +494,9 @@ def test_robot_target_reply_matches_scan_on_robot_plays():
         defender=((1, 1), (-1, 0), (0, -2)),
         initial=(0, 0),
         target=(3, 1),
-        dimension=2,
     )
     native = robot_domain(robot)
-    embedded = vector_matrix_domain(mx.robot_to_matrix_game(robot))
+    embedded = robot_matrix_domain(robot)
     hits = 0
     for seed in range(200):
         rng = random.Random(4000 + seed)
@@ -504,8 +507,8 @@ def test_robot_target_reply_matches_scan_on_robot_plays():
         hits += check_target_reply_along([native, embedded], moves)
     assert hits > 0
     # A reply whose preimage is also another's: the least index must win.
-    tied = mx.RobotGame(attacker=((1,), (2,), (1,)), defender=((0,),), initial=(0,), target=(3,), dimension=1)
-    for domain in (robot_domain(tied), vector_matrix_domain(mx.robot_to_matrix_game(tied))):
+    tied = mx.RobotGame(attacker=((1,), (2,), (1,)), defender=((0,),), initial=(0,), target=(3,))
+    for domain in (robot_domain(tied), robot_matrix_domain(tied)):
         for start in range(-1, 5):
             cfg = (start,) if domain.name == "robot" else (start, 1)
             assert domain.target_reply(cfg) == first_target_reply(domain, cfg)

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
-from pcpgames.domains import matrix_domain, robot_domain, vector_matrix_domain
+from pcpgames.domains import matrix_domain, robot_domain, robot_matrix_domain
 
 ALPHA3 = fg.RankedAlphabet(("z1", "z2", "z3"))
 
@@ -92,7 +92,6 @@ def test_build_matrix_game_determinants(pipelines):
     for m in game.defender + game.attacker:
         assert mx.det(m) == 1
     assert game.anchor == (1, 0, 1, 0)
-    assert game.dimension == 4
 
 
 def test_matrix_game_requires_binary_words(pipelines):
@@ -164,7 +163,7 @@ def test_anchor_row_lookup_matches_generic_scan(anchor, replies, config):
     # Any anchor, not only ANCHOR_ROW; each reply's own preimage is a hit, and
     # repeated replies tie there, so the least index must win.
     domain = matrix_domain(
-        mx.MatrixGame(defender=(mx.identity(4),), attacker=tuple(replies), dimension=4, anchor=anchor)
+        mx.MatrixGame(defender=(mx.identity(4),), attacker=tuple(replies), anchor=anchor)
     )
     for cfg in [config] + [mx.block_inverse(m) for m in replies]:
         expected = next(
@@ -181,17 +180,15 @@ def test_block_inverse_inverts_pair_images():
 @pytest.mark.parametrize(
     "game",
     [
-        mx.MatrixGame(defender=(mx.identity(4),), attacker=(mx._shift_matrix((1, 2)),),
-                      dimension=4, anchor=mx.ANCHOR_ROW),
-        mx.MatrixGame(defender=(mx.identity(4),), attacker=(mx.identity(4),), dimension=4,
-                      anchor=mx.ANCHOR_ROW, initial=mx._shift_matrix((0, 1))),
-        mx.MatrixGame(defender=(mx.identity(4),), attacker=(mx.block_diag(((2, 0), (0, 1)), mx.identity(2)),),
-                      dimension=4, anchor=mx.ANCHOR_ROW),
-        mx.robot_to_matrix_game(
-            mx.RobotGame(attacker=((1, 0),), defender=((0, 1),), initial=(0, 0), target=(1, 1), dimension=2)
+        mx.MatrixGame(defender=(mx.identity(4),), attacker=(mx.shift_matrix((1, 2)),)),
+        mx.MatrixGame(
+            defender=(mx.identity(4),), attacker=(mx.identity(4),), initial=mx.shift_matrix((0, 1))
+        ),
+        mx.MatrixGame(
+            defender=(mx.identity(4),), attacker=(mx.block_diag(((2, 0), (0, 1)), mx.identity(2)),)
         ),
     ],
-    ids=["move-not-block-diagonal", "initial-not-block-diagonal", "determinant-two", "vector-convention"],
+    ids=["move-not-block-diagonal", "initial-not-block-diagonal", "determinant-two"],
 )
 def test_matrix_domain_refuses_games_it_cannot_multiply_by_blocks(game):
     with pytest.raises(ValueError):
@@ -204,10 +201,7 @@ def test_matrix_reply_table_built_once_per_game(pipelines):
 
 
 def test_shift_inverse():
-    m = mx._shift_matrix((2, -3))
-    assert mx.mat_mul(m, mx.shift_inverse(m)) == mx.identity(4)
-    with pytest.raises(ValueError, match="shift matrix"):
-        mx.shift_inverse(mx.block_diag(((1, 1), (0, 1)), mx.identity(2)))
+    assert mx.mat_mul(mx.shift_matrix((2, -3)), mx.shift_matrix((-2, 3))) == mx.identity(4)
 
 
 @settings(max_examples=100, derandomize=True)
@@ -218,13 +212,13 @@ def test_matrix_multiplication_associative(u, v, w):
 
 
 def test_robot_single_step():
-    matrix = mx._shift_matrix((2,))
+    matrix = mx.shift_matrix((2,))
     assert matrix == ((1, 2), (0, 1))
     assert mx.mat_vec_mul(matrix, (3, 1)) == (5, 1)
 
 
 def test_robot_zero_move_is_identity():
-    assert mx._shift_matrix((0, 0)) == mx.identity(4)
+    assert mx.shift_matrix((0, 0)) == mx.identity(4)
 
 
 @pytest.fixture()
@@ -234,21 +228,20 @@ def robot2():
         defender=((1, 1), (-1, 0)),
         initial=(0, 0),
         target=(2, 1),
-        dimension=2,
     )
 
 
 def test_robot_matrix_game_shape(robot2):
-    game = mx.robot_to_matrix_game(robot2)
-    assert game.dimension == 4
-    assert game.anchor == (0, 0, 1, 1)
-    assert game.target_vector == (2, 1, 1, 1)
-    assert game.convention == "vector"
+    domain = robot_matrix_domain(robot2)
+    assert domain.initial_config() == (0, 0, 1, 1)
+    assert domain.is_target((2, 1, 1, 1))
+    assert not domain.is_target((2, 1, 0, 0))
+    assert domain.defender_moves[0] == ((1, 0, 1, 0), (0, 1, 0, 1), (0, 0, 1, 0), (0, 0, 0, 1))
 
 
 def test_robot_dual_simulation(robot2):
     native = robot_domain(robot2)
-    embedded = vector_matrix_domain(mx.robot_to_matrix_game(robot2))
+    embedded = robot_matrix_domain(robot2)
     rng = random.Random(17)
     for _ in range(50):
         rc, mc = native.initial_config(), embedded.initial_config()
@@ -264,10 +257,8 @@ def test_robot_dual_simulation(robot2):
 
 
 def test_robot_dimension_validation():
-    with pytest.raises(ValueError):
-        mx.robot_to_matrix_game(
-            mx.RobotGame(attacker=((1,),), defender=((1, 2),), initial=(0,), target=(1,), dimension=1)
-        )
+    with pytest.raises(ValueError, match="same dimension"):
+        mx.RobotGame(attacker=((1,),), defender=((1, 2),), initial=(0,), target=(1,))
 
 
 def test_dump_matrix_game(pipelines):
