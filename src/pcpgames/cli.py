@@ -1,9 +1,8 @@
 """Command-line front end for the instance -> automaton -> games pipeline.
 
 Exit codes: 0 on success, 1 on a domain error (bad instance, missing file,
-cap exceeded, crosscheck disagreement), 2 on usage errors, which argparse
-reports.  The only environment knob is PCPGAMES_COLOR=1, which colorizes
-final verdict lines.
+cap exceeded, crosscheck disagreement) or a closed stdout, 2 on usage
+errors, which argparse reports.
 """
 
 from __future__ import annotations
@@ -33,14 +32,8 @@ GAME_EMITTERS = {
 EMIT_CHOICES = ("automaton",) + tuple(GAME_EMITTERS)
 
 
-class CliError(Exception):
+class CliError(ValueError):
     pass
-
-
-def _color(text: str, code: str) -> str:
-    if os.environ.get("PCPGAMES_COLOR") == "1":
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
 
 
 def _read_instance(path: str) -> pcp.PcpInstance:
@@ -151,8 +144,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = engine.attacker_wins_within(domain, args.rounds, max_nodes=args.max_nodes)
     except engine.ResourceCapExceeded as exc:
         raise CliError(f"{exc} (partial statistics: explored={exc.explored})") from exc
-    color = "32" if result.attacker_wins else "36"
-    print(_color(result.verdict, color))
+    print(result.verdict)
     print(f"explored={result.explored} horizon={result.horizon}")
     if args.strategy_out is not None:
         Path(args.strategy_out).write_text(_render_strategy(result.strategy), encoding="utf-8")
@@ -227,12 +219,7 @@ def cmd_play(args: argparse.Namespace) -> int:
     domain, words = _domains_from_args(args)
     defender = _policy_from_spec(args.defender, words, DEFENDER)
     attacker = _policy_from_spec(args.attacker, words, ATTACKER)
-    try:
-        trace = engine.play(
-            domain, defender, attacker, args.rounds, stop_at_target=not args.run_to_end
-        )
-    except KeyError as exc:
-        raise CliError(f"{exc.args[0]}: the strategy does not fit this game and horizon") from exc
+    trace = engine.play(domain, defender, attacker, args.rounds, stop_at_target=not args.run_to_end)
     _write_or_print(trace.render(), args.output)
     return 0
 
@@ -242,12 +229,7 @@ def cmd_crosscheck(args: argparse.Namespace) -> int:
     inst = _read_instance(args.instance)
     pipe = build_pipeline(inst)
     report = engine.crosscheck(trace, pipe.crosscheck_domains())
-    out = report.render()
-    if report.agree:
-        out = out.replace("AGREE at all rounds", _color("AGREE at all rounds", "32"))
-    else:
-        out = _color(out, "31")
-    sys.stdout.write(out)
+    sys.stdout.write(report.render())
     return 0 if report.agree else 1
 
 
@@ -308,8 +290,15 @@ def main(argv: list[str] | None = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except (CliError, pcp.PcpError, au.AutomatonError, br.BraidError, ValueError, OSError) as exc:
+        code = args.func(args)
+        sys.stdout.flush()  # a buffered write to a closed pipe fails here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader of stdout has gone; point stdout at devnull so the
+        # interpreter's final flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except EOFError:

@@ -13,11 +13,14 @@ matrix game by the anchor row x0*M^-1, the robot game by ``target - v`` and
 its matrix embedding by ``shift_matrix(-v) * target``.  No domain applies
 the replies to find a target.
 
-Braid configurations carry the group-word preimage of the braid alongside
-the braid word itself; the preimage is the canonical key and drives the
-target predicate and ``target_reply`` (the encodings are injective on
-everything a play can reach), while the braid word stays available for the
-independent braid oracles that the test suite replays against.
+A braid domain is built on the domain it encodes (``braid3`` on the binary
+word game, ``braid5`` on the binary pair game): its configuration is
+``BraidConfig(braid, source)``, the braid word beside the source
+configuration it encodes.  The source domain steps ``source`` and supplies
+the canonical key, the target predicate and ``target_reply`` (the encodings
+are injective on everything a play can reach), while the braid word stays
+available for the independent braid oracles that the test suite replays
+against.
 
 The pipeline builds the automaton, its unfolding and the word game
 eagerly, since every representation reads them and a bad instance should
@@ -156,63 +159,44 @@ def robot_domain(game: mx.RobotGame) -> Domain:
     )
 
 
-@dataclass(frozen=True)
-class Braid3Config:
+@dataclass(frozen=True, slots=True)
+class BraidConfig:
+    """A braid word and the source configuration it encodes.
+
+    ``word``, ``counter`` (braid3) and ``counter_word`` (braid5) forward to
+    ``source``; perfbench's play certificate reads them.  Slots make the
+    construction on every braid step cheaper.
+    """
+
     braid: br.BraidWord
-    word: fg.GroupWord
-    counter: int
-
-
-@dataclass(frozen=True)
-class Braid5Config:
-    braid: br.BraidWord
-    word: fg.GroupWord
-    counter_word: fg.GroupWord
-
-
-def _braid3_step(config: Braid3Config, move: tuple[br.BraidWord, wg.WeightedMove]) -> Braid3Config:
-    braid, source = move
-    return Braid3Config(
-        br.concat(config.braid, braid),
-        fg.concat(config.word, source.word),
-        config.counter + source.weight,
-    )
-
-
-def _braid5_step(config: Braid5Config, move: tuple[br.BraidWord, wg.PairMove]) -> Braid5Config:
-    braid, source = move
-    return Braid5Config(
-        br.concat(config.braid, braid),
-        fg.concat(config.word, source.word),
-        fg.concat(config.counter_word, source.counter_word),
-    )
+    source: Any
+    word = property(operator.attrgetter("source.word"))
+    counter = property(operator.attrgetter("source.counter"))
+    counter_word = property(operator.attrgetter("source.counter_word"))
 
 
 def _braid_label(move: tuple[br.BraidWord, Any]) -> str:
     return move[0].render()
 
 
-def braid3_domain(braid_game: br.BraidGame, source: wg.WeightedWordGame) -> Domain:
-    """Each move is a braid zipped with the binarized source move it encodes."""
-    initial = Braid3Config(braid_game.initial_braid, source.initial.word, source.initial.counter)
+def braid_domain(name: str, braid_game: br.BraidGame, source: Domain) -> Domain:
+    """Each move is a braid zipped with the source move it encodes."""
+    source_step, is_target = source.step, source.is_target
+    target_reply, canonical_key = source.target_reply, source.canonical_key
+
+    def step(config: BraidConfig, move: tuple[br.BraidWord, Any]) -> BraidConfig:
+        braid, source_move = move
+        return BraidConfig(br.concat(config.braid, braid), source_step(config.source, source_move))
+
     return Domain(
-        "braid3", initial,
+        name, BraidConfig(braid_game.initial_braid, source.initial),
         tuple(zip(braid_game.defender_braids, source.defender_moves)),
         tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
-        _braid3_step, source.is_target, source.target_reply, _weighted_key, _braid_label,
-    )
-
-
-def braid5_domain(braid_game: br.BraidGame, source: wg.PairWordGame) -> Domain:
-    """Each move is a braid zipped with the binarized source pair move it encodes."""
-    initial = Braid5Config(
-        braid_game.initial_braid, source.initial.word, source.initial.counter_word
-    )
-    return Domain(
-        "braid5", initial,
-        tuple(zip(braid_game.defender_braids, source.defender_moves)),
-        tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
-        _braid5_step, source.is_target, source.target_reply, _pair_key, _braid_label,
+        step,
+        lambda config: is_target(config.source),
+        lambda config: target_reply(config.source),
+        lambda config: canonical_key(config.source),
+        _braid_label,
     )
 
 
@@ -220,8 +204,8 @@ _REPRESENTATION_DOMAINS: dict[str, Callable[["Pipeline"], Domain]] = {
     "word": lambda p: word_domain(p.weighted_game),
     "pair": lambda p: pair_domain(p.binary_pair_game),
     "matrix": lambda p: matrix_domain(p.matrix_game),
-    "braid3": lambda p: braid3_domain(p.braid3_game, p.binary_weighted_game),
-    "braid5": lambda p: braid5_domain(p.braid5_game, p.binary_pair_game),
+    "braid3": lambda p: braid_domain("braid3", p.braid3_game, word_domain(p.binary_weighted_game)),
+    "braid5": lambda p: braid_domain("braid5", p.braid5_game, p.domain("pair")),
 }
 REPRESENTATIONS = tuple(_REPRESENTATION_DOMAINS)
 

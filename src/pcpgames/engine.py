@@ -204,7 +204,10 @@ def strategy_policy(table: dict[tuple[str, int], int]) -> Policy:
     def policy(domain: GameDomain, cfg: Any, player: str, rnd: int, remaining: int) -> int:
         key = (domain.canonical_key(cfg), remaining)
         if key not in table:
-            raise KeyError(f"strategy has no move for key {key!r}")
+            raise ValueError(
+                f"strategy has no move for key {key!r}: "
+                "the strategy does not fit this game and horizon"
+            )
         move, count = table[key], domain.move_count(player)
         if not 0 <= move < count:
             raise ValueError(

@@ -188,17 +188,40 @@ def test_criterion_08_cross_representation_integration():
         matrix = pipe.domain("matrix")
         braid3 = pipe.domain("braid3")
         braid5 = pipe.domain("braid5")
+        # Each braid domain encodes a source domain: braid3 the binary word
+        # game, braid5 the binary pair game.
+        binary = word_domain(pipe.binary_weighted_game)
+        encodings = (
+            (braid3, pipe.braid3_game, binary, ("word", "counter")),
+            (braid5, pipe.braid5_game, pair, ("word", "counter_word")),
+        )
         n_plays = 67 if name != "i1" else 66
         for seed in range(n_plays):
             rng = random.Random(100_000 * (offset + 1) + seed)
             configs = {
                 d.name: d.initial_config() for d in (word, pair, matrix, braid3, braid5)
             }
+            binary_cfg = binary.initial_config()
+            played = {dom.name: list(game.initial_braid.letters) for dom, game, _, _ in encodings}
             for _ in range(4):
                 for player in (DEFENDER, ATTACKER):
                     move = rng.randrange(word.move_count(player))
                     for dom in (word, pair, matrix, braid3, braid5):
                         configs[dom.name] = dom.apply(configs[dom.name], player, move)
+                    binary_cfg = binary.apply(binary_cfg, player, move)
+                    sources = {"braid3": binary_cfg, "braid5": configs["pair"]}
+                    for dom, game, source, names in encodings:
+                        cfg, source_cfg = configs[dom.name], sources[dom.name]
+                        braids = game.defender_braids if player == DEFENDER else game.attacker_braids
+                        played[dom.name] += braids[move].letters
+                        assert cfg.braid == br.braid(game.strands, played[dom.name])
+                        assert cfg.source == source_cfg
+                        assert dom.canonical_key(cfg) == source.canonical_key(source_cfg)
+                        assert dom.is_target(cfg) == source.is_target(source_cfg)
+                        assert dom.target_reply(cfg) == source.target_reply(source_cfg)
+                        # Beside ``braid``, the names the benchmark's play certificate reads.
+                        for attr in names:
+                            assert getattr(cfg, attr) == getattr(source_cfg, attr)
                     word_target = word.is_target(configs["word"])
                     pair_target = pair.is_target(configs["pair"])
                     product = configs["matrix"]

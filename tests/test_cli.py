@@ -1,6 +1,10 @@
 from __future__ import annotations
 
 import io
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -196,6 +200,24 @@ def test_solve_horizon_too_deep_for_the_recursion_is_an_error(capsys):
     code, out, err = run(capsys, "solve", "--game", fixture("toy_survive.game"), "--rounds", "5000")
     assert code == 1 and out == ""
     assert err == "error: horizon 5000 is too deep for the recursive solver\n"
+
+
+def test_closed_stdout_exits_1_with_nothing_on_stderr():
+    # As when `pcpgames solve ... | grep -q` exits before the output is written.
+    # capsys has no file descriptor to close, so this runs in a child process.
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "pcpgames.cli", "solve", "--game", fixture("toy_cancel.game"), "--rounds", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == b""
 
 
 @pytest.mark.parametrize(

@@ -11,7 +11,7 @@ from pcpgames import engine
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import wordgames as wg
-from pcpgames.domains import braid3_domain, braid5_domain, matrix_domain, pair_domain, word_domain
+from pcpgames.domains import braid_domain, matrix_domain, pair_domain, word_domain
 from pcpgames.domains import build_pipeline, robot_domain, robot_matrix_domain
 from pcpgames.engine import ATTACKER, DEFENDER
 
@@ -178,7 +178,7 @@ def test_trace_render_parse_round_trip(pipelines):
 
 def test_strategy_policy_missing_key(toy_cancel):
     domain = word_domain(toy_cancel)
-    with pytest.raises(KeyError):
+    with pytest.raises(ValueError, match="strategy has no move for key .*does not fit this game"):
         engine.play(domain, engine.scripted_policy([0]), engine.strategy_policy({}), 1)
 
 
@@ -461,8 +461,8 @@ def test_target_reply_matches_scan_on_small_games(game, data):
         word_domain(game),
         pair_domain(binary_pair),
         matrix_domain(mx.build_matrix_game(binary_pair)),
-        braid3_domain(br.build_braid3_game(binary), binary),
-        braid5_domain(br.build_braid5_game(binary_pair), binary_pair),
+        braid_domain("braid3", br.build_braid3_game(binary), word_domain(binary)),
+        braid_domain("braid5", br.build_braid5_game(binary_pair), pair_domain(binary_pair)),
     ]
     rounds = data.draw(st.lists(
         st.tuples(
