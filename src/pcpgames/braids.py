@@ -6,9 +6,12 @@ cancellation applied eagerly; the public constructors validate a word, and
 the braid relations is decided through the left Garside normal form over
 permutation braids: a power of the half twist followed by a left-weighted
 sequence of permutation factors, built by incremental left-weighting in one
-pass over the word.  The reduced Burau representation of the three-strand
-group (faithful there), computed with dense Laurent polynomials, serves as
-an independent triviality oracle.
+pass over the word; the factors are coded as ints, so the pass compares ints
+and looks left-weighted pairs up in one memo.  The reduced Burau
+representation of the three-strand group (faithful there) serves as an
+independent triviality oracle; each Laurent entry is packed into one Python
+int by the Kronecker substitution t -> 2^k, so a letter costs a few shifts
+and adds.
 
 The game encodings map binary-alphabet words into fourth powers of the
 first two generators (three-strand case, with the squared half twist as a
@@ -19,8 +22,9 @@ subgroups of the five-strand group.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from . import freegroup as fg
 from .freegroup import GroupWord
@@ -139,7 +143,7 @@ def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(q[x] for x in p)
 
 
-def _inverse_perm(p: tuple[int, ...]) -> tuple[int, ...]:
+def _inverse_perm(p: Sequence[int]) -> tuple[int, ...]:
     inv = [0] * len(p)
     for i, v in enumerate(p):
         inv[v] = i
@@ -174,10 +178,11 @@ def _left_complement(p: tuple[int, ...]) -> tuple[int, ...]:
 
 def perm_of_braid(w: BraidWord) -> tuple[int, ...]:
     """Image of the braid in the symmetric group (a triviality filter)."""
-    p = _identity_perm(w.strands)
+    strand_at = list(range(w.strands))  # position -> strand that started there
     for x in w.letters:
-        p = _compose(p, _gen_perm(w.strands, abs(x)))
-    return p
+        i = abs(x)
+        strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
+    return _inverse_perm(strand_at)
 
 
 def linking_numbers(w: BraidWord) -> dict[tuple[int, int], int]:
@@ -197,7 +202,6 @@ def linking_numbers(w: BraidWord) -> dict[tuple[int, int], int]:
     return {pair: value for pair, value in counts.items() if value}
 
 
-@functools.lru_cache(maxsize=None)
 def _renorm(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Make the factor pair left-weighted by sliding head letters of y into x."""
     n = len(x)
@@ -227,34 +231,83 @@ class GarsideNormalForm:
         return f"D^{self.power} [{facs}]"
 
 
-def _normalise_factors(n: int, factors: list[tuple[int, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
+_IDENTITY_CODE = 0
+_HALF_TWIST_CODE = 1
+
+
+class _FactorCodes:
+    """The permutation factors of one strand count, coded as ints in order of first use.
+
+    Codes are interned on demand, so only the factors a word reaches get one,
+    and they stay below n!: ``x * n! + y`` keys a factor pair in ``pairs``,
+    the memo of left-weighted pairs that ``renorm`` fills on a miss.  The
+    identity is code 0 and the half twist code 1.
+    """
+
+    def __init__(self, n: int) -> None:
+        self.size = math.factorial(n)
+        self.perms: list[tuple[int, ...]] = []  # code -> permutation
+        self.codes: dict[tuple[int, ...], int] = {}  # permutation -> code
+        self.pairs: dict[int, tuple[int, int]] = {}
+        self.intern(_identity_perm(n))
+        self.intern(_longest_perm(n))
+        # per signed generator: the codes of its factor and of the factor's flip, its power
+        self.letters = {
+            x: (self.intern(factor), self.intern(flipped), dpow)
+            for x, (factor, flipped, dpow) in _letter_factors(n).items()
+        }
+
+    def intern(self, perm: tuple[int, ...]) -> int:
+        code = self.codes.get(perm)
+        if code is None:
+            code = self.codes[perm] = len(self.perms)
+            self.perms.append(perm)
+        return code
+
+    def renorm(self, x: int, y: int) -> tuple[int, int]:
+        left, right = _renorm(self.perms[x], self.perms[y])
+        pair = self.pairs[x * self.size + y] = (self.intern(left), self.intern(right))
+        return pair
+
+
+@functools.lru_cache(maxsize=None)
+def _factor_codes(n: int) -> _FactorCodes:
+    return _FactorCodes(n)
+
+
+def _normalise_factors(codes: _FactorCodes, factors: list[int]) -> tuple[int, list[int]]:
     """Incremental left-weighting: returns the count of leading half twists and the rest.
 
     Each factor is appended to a left-weighted prefix and pushed left until a
     pair is already left-weighted; the pairs further left are untouched, so
     they stay left-weighted (the domino rule).  Half twists collect at the
     front and the identity can form only at the tail, where it is dropped.
+    Factors are codes (see ``_FactorCodes``), so each step is one int
+    comparison and one dict lookup.
     """
-    ident = _identity_perm(n)
-    w0 = _longest_perm(n)
-    out: list[tuple[int, ...]] = []
-    for f in factors:
-        out.append(f)
-        i = len(out) - 1
+    pairs, size, renorm = codes.pairs, codes.size, codes.renorm
+    out: list[int] = []
+    for y in factors:
+        # y is the factor being pushed; it lands at out[i] once its pair holds
+        i = len(out)
+        out.append(y)
         while i:
-            left, right = _renorm(out[i - 1], out[i])
+            x = out[i - 1]
+            left, right = pairs.get(x * size + y) or renorm(x, y)
             # the pair's product is fixed, so an unchanged left factor means an unchanged pair
-            if left == out[i - 1]:
+            if left == x:
                 break
-            out[i - 1], out[i] = left, right
+            out[i] = right
+            y = left
             i -= 1
-        if out[-1] == ident:
+        out[i] = y
+        if out[-1] == _IDENTITY_CODE:
             out.pop()
     power = 0
-    while power < len(out) and out[power] == w0:
+    while power < len(out) and out[power] == _HALF_TWIST_CODE:
         power += 1
-    body = tuple(out[power:])
-    assert all(f != ident and f != w0 for f in body), "normalisation left a trivial factor"
+    body = out[power:]
+    assert _IDENTITY_CODE not in body and _HALF_TWIST_CODE not in body, "normalisation left a trivial factor"
     return power, body
 
 
@@ -265,19 +318,22 @@ def garside_nf(w: BraidWord) -> GarsideNormalForm:
     left complement of the generator; the powers are commuted to the front
     through the flip automorphism, and the remaining positive factor
     sequence is made left-weighted one factor at a time, each pushed left
-    only as far as the pairs it changes.
+    only as far as the pairs it changes.  The factors travel as int codes
+    and become permutation tuples only in the returned normal form.
     """
     n = w.strands
-    letters = _letter_factors(n)
-    factors: list[tuple[int, ...]] = []
+    codes = _factor_codes(n)
+    letters = codes.letters
+    factors: list[int] = []
     power = 0
     for x in reversed(w.letters):
         factor, flipped, dpow = letters[x]
         factors.append(flipped if power % 2 else factor)
         power += dpow
     factors.reverse()
-    extra, body = _normalise_factors(n, factors)
-    return GarsideNormalForm(n, power + extra, body)
+    extra, body = _normalise_factors(codes, factors)
+    perms = codes.perms
+    return GarsideNormalForm(n, power + extra, tuple(perms[c] for c in body))
 
 
 @functools.lru_cache(maxsize=None)
@@ -357,66 +413,70 @@ LP_ONE: Laurent = ((0, 1),)
 _BURAU_IDENTITY: LaurentMatrix = ((LP_ONE, LP_ZERO), (LP_ZERO, LP_ONE))
 
 
-# While burau3 runs, each entry is dense: (lowest exponent, coefficients),
-# with no zero coefficient at either end; the zero polynomial has none.
-_Dense = tuple[int, list[int]]
+def _unpack(value: int, low: int, digits: int, width: int) -> Laurent:
+    """The Laurent polynomial P for which t^low * P(t) takes the value ``value`` at t = 2^(8 * width).
 
-
-def _neg_shift(a: _Dense, shift: int) -> _Dense:
-    """-t^shift * a."""
-    return a[0] + shift, [-c for c in a[1]]
-
-
-def _add_shift(a: _Dense, b: _Dense, shift: int) -> _Dense:
-    """a + t^shift * b."""
-    alo, ac = a
-    blo, bc = b
-    if not bc:
-        return a
-    blo += shift
-    if not ac:
-        return blo, bc
-    lo = min(alo, blo)
-    out = [0] * (max(alo + len(ac), blo + len(bc)) - lo)
-    i = alo - lo
-    out[i:i + len(ac)] = ac
-    i = blo - lo
-    out[i:i + len(bc)] = [x + y for x, y in zip(out[i:i + len(bc)], bc)]
-    if out[0] and out[-1]:
-        return lo, out
-    start, end = 0, len(out)
-    while start < end and not out[start]:
-        start += 1
-    while end > start and not out[end - 1]:
-        end -= 1
-    return (lo + start, out[start:end]) if start < end else (0, [])
+    t^low * P(t) is a polynomial with ``digits`` coefficients, each a
+    balanced digit of ``width`` bytes; adding half a digit base to every
+    digit makes them all nonnegative, so one ``to_bytes`` exposes each as a
+    byte slice.
+    """
+    half = 1 << (8 * width - 1)
+    bias = int.from_bytes((b"\x80" + bytes(width - 1)) * digits, "big")
+    raw = (value + bias).to_bytes(width * digits, "little")
+    coeffs = [int.from_bytes(raw[i:i + width], "little") - half for i in range(0, len(raw), width)]
+    return tuple((e, c) for e, c in enumerate(coeffs, -low) if c)
 
 
 def burau3(w: BraidWord) -> LaurentMatrix:
     """Reduced Burau image of a three-strand braid word.
 
     Each generator image has a single non-trivial column, so right
-    multiplication by it is one column operation on each row (p, q).  The
-    entries stay dense while the word is read and become sorted
+    multiplication by it is one column operation on each row (p, q).  Each
+    entry is packed into one int by the Kronecker substitution t -> 2^k and
+    offset by t^low, where low counts the negative letters: no exponent
+    falls below -low, so every entry stays a polynomial and t^-1 is an
+    exact right shift.  A first pass bounds the L1 norm of every entry
+    (the update is (a, a+b) on the norms of a row for s1^+-1 and (a+b, b) for
+    s2^+-1), so k = bits(bound) + 1, rounded up to a byte, holds each
+    coefficient as a balanced digit.  The entries become sorted
     ``(exponent, coefficient)`` tuples once, at the end.
     """
     if w.strands != 3:
         raise BraidError("the reduced Burau oracle is wired for three strands only")
-    one: _Dense = (0, [1])
-    zero: _Dense = (0, [])
-    rows = [(one, zero), (zero, one)]
-    for x in w.letters:
+    letters = w.letters
+    low = 0
+    a0, b0, a1, b1 = 1, 0, 0, 1
+    for x in letters:
+        if x < 0:
+            low += 1
+        if x == 1 or x == -1:
+            b0 += a0
+            b1 += a1
+        else:
+            a0 += b0
+            a1 += b1
+    width = (max(a0, b0, a1, b1).bit_length() + 8) // 8
+    k = 8 * width
+    one = 1 << (k * low)
+    p0, q0, p1, q1 = one, 0, 0, one
+    for x in letters:
         if x == 1:  # (-t p, p + q)
-            rows = [(_neg_shift(p, 1), _add_shift(q, p, 0)) for p, q in rows]
+            p0, q0, p1, q1 = -(p0 << k), q0 + p0, -(p1 << k), q1 + p1
         elif x == -1:  # (-t^-1 p, q + t^-1 p)
-            rows = [(_neg_shift(p, -1), _add_shift(q, p, -1)) for p, q in rows]
+            p0 >>= k
+            p1 >>= k
+            p0, q0, p1, q1 = -p0, q0 + p0, -p1, q1 + p1
         elif x == 2:  # (p + t q, -t q)
-            rows = [(_add_shift(p, q, 1), _neg_shift(q, 1)) for p, q in rows]
+            q0 <<= k
+            q1 <<= k
+            p0, q0, p1, q1 = p0 + q0, -q0, p1 + q1, -q1
         else:  # (p + q, -t^-1 q)
-            rows = [(_add_shift(p, q, 0), _neg_shift(q, -1)) for p, q in rows]
-    return tuple(  # type: ignore[return-value]
-        tuple(tuple((lo + i, c) for i, c in enumerate(coeffs) if c) for lo, coeffs in row)
-        for row in rows
+            p0, q0, p1, q1 = p0 + q0, -(q0 >> k), p1 + q1, -(q1 >> k)
+    digits = len(letters) + 1
+    return (
+        (_unpack(p0, low, digits, width), _unpack(q0, low, digits, width)),
+        (_unpack(p1, low, digits, width), _unpack(q1, low, digits, width)),
     )
 
 

@@ -14,7 +14,7 @@ its matrix embedding by ``shift_matrix(-v) * target``.  No domain applies
 the replies to find a target.
 
 A braid domain is built on the domain it encodes (``braid3`` on the binary
-word game, ``braid5`` on the binary pair game): its configuration is
+word game, named ``binary-word``, ``braid5`` on the binary pair game): its configuration is
 ``BraidConfig(braid, source)``, the braid word beside the source
 configuration it encodes.  The source domain steps ``source`` and supplies
 the canonical key, the target predicate and ``target_reply`` (the encodings
@@ -96,9 +96,10 @@ def _vector_text(v: mx.IntVector) -> str:
     return " ".join(str(x) for x in v)
 
 
-def word_domain(game: wg.WeightedWordGame) -> Domain:
+def word_domain(game: wg.WeightedWordGame, name: str = "word") -> Domain:
+    """``name`` tells apart the word games of one pipeline: ``braid3`` encodes ``"binary-word"``."""
     return Domain(
-        "word", game.initial, game.defender_moves, game.attacker_moves,
+        name, game.initial, game.defender_moves, game.attacker_moves,
         game.apply, game.is_target, game.target_reply, _weighted_key, wg.WeightedMove.render,
     )
 
@@ -204,7 +205,9 @@ _REPRESENTATION_DOMAINS: dict[str, Callable[["Pipeline"], Domain]] = {
     "word": lambda p: word_domain(p.weighted_game),
     "pair": lambda p: pair_domain(p.binary_pair_game),
     "matrix": lambda p: matrix_domain(p.matrix_game),
-    "braid3": lambda p: braid_domain("braid3", p.braid3_game, word_domain(p.binary_weighted_game)),
+    "braid3": lambda p: braid_domain(
+        "braid3", p.braid3_game, word_domain(p.binary_weighted_game, "binary-word")
+    ),
     "braid5": lambda p: braid_domain("braid5", p.braid5_game, p.domain("pair")),
 }
 REPRESENTATIONS = tuple(_REPRESENTATION_DOMAINS)

@@ -190,7 +190,7 @@ def test_criterion_08_cross_representation_integration():
         braid5 = pipe.domain("braid5")
         # Each braid domain encodes a source domain: braid3 the binary word
         # game, braid5 the binary pair game.
-        binary = word_domain(pipe.binary_weighted_game)
+        binary = word_domain(pipe.binary_weighted_game, "binary-word")
         encodings = (
             (braid3, pipe.braid3_game, binary, ("word", "counter")),
             (braid5, pipe.braid5_game, pair, ("word", "counter_word")),

@@ -1,9 +1,9 @@
 from __future__ import annotations
 
+import functools
 import random
 from collections import deque
 from typing import Iterable
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -175,7 +175,11 @@ def test_burau3_is_a_homomorphism(u, v):
 
 
 # Reference Garside normalisation: the fixpoint sweep that re-scans the whole
-# factor list until no adjacent pair changes.
+# factor list until no adjacent pair changes.  It builds its own tuple factor
+# list from the letters, so it shares no code with the int-coded push loop of
+# ``garside_nf`` beyond the pair step ``_renorm``.
+
+_sweep_renorm = functools.lru_cache(maxsize=None)(br._renorm)
 
 
 def _sweep_normalise_factors(n: int, factors: list[tuple[int, ...]]) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -185,7 +189,7 @@ def _sweep_normalise_factors(n: int, factors: list[tuple[int, ...]]) -> tuple[in
     while changed:
         changed = False
         for i in range(len(factors) - 1):
-            a, b = br._renorm(factors[i], factors[i + 1])
+            a, b = _sweep_renorm(factors[i], factors[i + 1])
             if (a, b) != (factors[i], factors[i + 1]):
                 factors[i], factors[i + 1] = a, b
                 changed = True
@@ -203,8 +207,18 @@ def _sweep_normalise_factors(n: int, factors: list[tuple[int, ...]]) -> tuple[in
 
 
 def _sweep_garside_nf(w: br.BraidWord) -> br.GarsideNormalForm:
-    with mock.patch.object(br, "_normalise_factors", _sweep_normalise_factors):
-        return br.garside_nf(w)
+    """Each letter as a permutation factor, half-twist powers commuted to the front, then the sweep."""
+    n = w.strands
+    letters = br._letter_factors(n)
+    factors: list[tuple[int, ...]] = []
+    power = 0
+    for x in reversed(w.letters):
+        factor, flipped, dpow = letters[x]
+        factors.append(flipped if power % 2 else factor)
+        power += dpow
+    factors.reverse()
+    extra, body = _sweep_normalise_factors(n, factors)
+    return br.GarsideNormalForm(n, power + extra, body)
 
 
 def _reduced_lists(letters: list, max_size: int) -> st.SearchStrategy[list]:
@@ -276,6 +290,54 @@ def test_garside_nf_matches_sweep_on_long_words(w):
 @given(w=st.one_of(long_braids(st.just(3)), encoded_braids(st.just(3))))
 def test_burau3_matches_reference_on_long_words(w):
     assert br.burau3(w) == _ref_burau3(w)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(w=long_braids(st.sampled_from([2, 6, 7])))
+def test_garside_nf_matches_sweep_beyond_three_and_five_strands(w):
+    assert br.garside_nf(w) == _sweep_garside_nf(w)
+    # factors are coded on first use and pairs memoised on first use, so
+    # neither table spans the 5040 permutations of S7, let alone their pairs
+    codes = br._factor_codes(w.strands)
+    if w.strands == 7:
+        assert len(codes.perms) < 5040
+        assert len(codes.pairs) < 5040 * 5040 // 100
+
+
+@pytest.mark.parametrize(
+    "letters",
+    [
+        [1, -2] * 150,  # the norm bound is nearly tight: coefficients reach 203 bits
+        [-1] * 40,  # lowest exponent -L
+        [-1, -2] * 60,
+        [-2, -1, -1, -2, -2, -2] * 20,
+        [],
+        [1],
+        [-1],
+        [2],
+        [-2],
+    ],
+)
+def test_burau3_matches_reference_at_the_packing_edges(letters):
+    w = br.braid(3, letters)
+    assert br.burau3(w) == _ref_burau3(w)
+
+
+def test_burau3_wide_coefficients():
+    """The edge words above do reach the edges: 203-bit coefficients and exponent -L."""
+    image = br.burau3(br.braid(3, [1, -2] * 150))
+    assert max(abs(c) for row in image for entry in row for _, c in entry).bit_length() == 203
+    low = br.burau3(br.braid(3, [-1] * 40))
+    assert min(e for row in low for entry in row for e, _ in entry) == -40
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(w=long_braids(st.sampled_from([2, 3, 4, 5, 6, 7])))
+def test_perm_of_braid_matches_composed_transpositions(w):
+    p = br._identity_perm(w.strands)
+    for x in w.letters:
+        p = br._compose(p, br._gen_perm(w.strands, abs(x)))
+    assert br.perm_of_braid(w) == p
 
 
 @st.composite

@@ -2,11 +2,13 @@ from __future__ import annotations
 
 import functools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcpgames import braids as br
+from pcpgames import domains
 from pcpgames import engine
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
@@ -200,6 +202,25 @@ def test_crosscheck_agreement(pipelines):
         report = engine.crosscheck(trace, pipe.crosscheck_domains())
         assert report.agree
         assert report.render().endswith("AGREE at all rounds\n")
+
+
+def test_domain_names_reachable_from_a_pipeline_are_distinct(pipelines):
+    """Domains that share a name are one game; braid3's source is not the "word" domain."""
+    pipe = pipelines["i1"]
+    sources = []
+    real_braid_domain = domains.braid_domain
+
+    def recording_braid_domain(name, braid_game, source):
+        sources.append(source)
+        return real_braid_domain(name, braid_game, source)
+
+    with mock.patch.object(domains, "braid_domain", recording_braid_domain):
+        reachable = pipe.crosscheck_domains() + sources
+    games = {}
+    for d in reachable:
+        game = (d.initial, d.defender_moves, d.attacker_moves)
+        assert games.setdefault(d.name, game) == game, d.name
+    assert [s.name for s in sources] == ["binary-word", "pair"]
 
 
 def test_crosscheck_empty_trace(pipelines):
