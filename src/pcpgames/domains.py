@@ -6,12 +6,14 @@ keeps its move lists in the same order, so a move index means the same
 thing in each domain and traces replay across representations unchanged.
 
 Each domain also answers ``target_reply``: the least attacker move whose
-reply reaches the target.  The moves are invertible, so every domain lists
-once the configuration each reply takes to the target and answers with one
-lookup: the word and pair games key it by the inverted move words, the
-matrix game by the anchor row x0*M^-1, the robot game by ``target - v`` and
-its matrix embedding by ``shift_matrix(-v) * target``.  No domain applies
-the replies to find a target.
+reply reaches the target.  The word, pair and robot games, and the robot
+game's matrix embedding, are moves acting on a point with one target point
+t, built by :func:`orbit_domain`: a move a takes x to t exactly when x is
+a^-1 acting on t, so one table of those points -> the least such a answers
+with one lookup.  The matrix game keys the same table by the anchor row
+x0*P of its product P, since x0*P*M fixes x0 exactly when x0*P = x0*M^-1.
+No domain applies the replies to find a target, and the game types the
+domains are built from are plain data.
 
 A braid domain is built on the domain it encodes (``braid3`` on the binary
 word game, named ``binary-word``, ``braid5`` on the binary pair game): its configuration is
@@ -24,8 +26,9 @@ against.
 
 The pipeline builds the automaton, its unfolding and the word game
 eagerly, since every representation reads them and a bad instance should
-fail at once; each downstream game is built on first use and kept, so a
-word-only solve never pays for the matrix or braid encodings.
+fail at once; each downstream game and each domain is built on first use
+and kept, so a word-only solve never pays for the matrix or braid
+encodings and no reply table is built twice.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Any, Callable
+from typing import Any, Callable, Hashable, Iterable
 
 from . import automata as au
 from . import braids as br
@@ -96,30 +99,91 @@ def _vector_text(v: mx.IntVector) -> str:
     return " ".join(str(x) for x in v)
 
 
-def word_domain(game: wg.WeightedWordGame, name: str = "word") -> Domain:
-    """``name`` tells apart the word games of one pipeline: ``braid3`` encodes ``"binary-word"``."""
+def _least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
+    """Each distinct key -> the index of its first occurrence."""
+    index: dict[Hashable, int] = {}
+    for i, key in enumerate(keys):
+        index.setdefault(key, i)
+    return index
+
+
+def orbit_domain(
+    name: str, initial: Any, defender: tuple, attacker: tuple,
+    act: Callable[[Any, Any], Any], inverse: Callable[[Any], Any], target: Any,
+    render: Callable[[Any], str], label: Callable[[Any], str],
+) -> Domain:
+    """A domain whose moves act invertibly on points, with one target point.
+
+    ``act(point, move)`` is the step and ``inverse(move)`` the inverse
+    move.  The reply a reaches ``target`` from x exactly when x is
+    ``act(target, inverse(a))``, so those points key the reply table, built
+    here, once per domain.  ``render`` is the canonical key.
+    """
+    table = _least_index(act(target, inverse(a)) for a in attacker)
     return Domain(
-        name, game.initial, game.defender_moves, game.attacker_moves,
-        game.apply, game.is_target, game.target_reply, _weighted_key, wg.WeightedMove.render,
+        name, initial, defender, attacker,
+        act, partial(operator.eq, target), table.get, render, label,
     )
 
 
+def _word_step(config: wg.WordConfig, move: wg.WeightedMove) -> wg.WordConfig:
+    return wg.WordConfig(fg.concat(config.word, move.word), config.counter + move.weight)
+
+
+def _word_inverse(move: wg.WeightedMove) -> wg.WeightedMove:
+    return wg.WeightedMove(fg.invert(move.word), -move.weight)
+
+
+def word_domain(game: wg.WeightedWordGame, name: str = "word") -> Domain:
+    """``name`` tells apart the word games of one pipeline: ``braid3`` encodes ``"binary-word"``."""
+    return orbit_domain(
+        name, game.initial, game.defender_moves, game.attacker_moves,
+        _word_step, _word_inverse, wg.WordConfig(fg.EPSILON, 0), _weighted_key, wg.WeightedMove.render,
+    )
+
+
+def _pair_step(config: wg.PairConfig, move: wg.PairMove) -> wg.PairConfig:
+    return wg.PairConfig(fg.concat(config.word, move.word), fg.concat(config.counter_word, move.counter_word))
+
+
+def _pair_inverse(move: wg.PairMove) -> wg.PairMove:
+    return wg.PairMove(fg.invert(move.word), fg.invert(move.counter_word))
+
+
 def pair_domain(game: wg.PairWordGame) -> Domain:
-    return Domain(
+    return orbit_domain(
         "pair", game.initial, game.defender_moves, game.attacker_moves,
-        game.apply, game.is_target, game.target_reply, _pair_key, wg.PairMove.render,
+        _pair_step, _pair_inverse, wg.PairConfig(fg.EPSILON, fg.EPSILON), _pair_key, wg.PairMove.render,
     )
 
 
 def matrix_domain(game: mx.MatrixGame) -> Domain:
     """The configuration is the accumulated move product.
 
-    Raises ValueError unless the game is 2+2 block-diagonal; the check and
-    the reply table are made once per game (``MatrixGame.target_reply``).
+    The reply table maps ``anchor*M_a^-1`` to the least ``a``, and the
+    reply reads the anchor row of the product.  Raises ValueError unless
+    the initial matrix and every move are 2+2 block-diagonal (what
+    :func:`matrices.apply_matrix_move` multiplies) and each block inverse,
+    checked against its move, is exact.
     """
+    if not all(mx.is_block_diagonal(m) for m in (game.initial,) + game.defender + game.attacker):
+        raise ValueError("the initial matrix and every move must be 2+2 block-diagonal")
+    preimages = []
+    for a, m in enumerate(game.attacker):
+        preimage = mx.row_vec_mul(game.anchor, mx.block_inverse(m))
+        if mx.row_vec_mul(preimage, m) != game.anchor:
+            raise ValueError(f"attacker move {a} has a block of determinant other than one")
+        preimages.append(preimage)
+    table = _least_index(preimages)
+    x0, x1, x2, x3 = game.anchor
+
+    def target_reply(accumulated: mx.IntMatrix) -> int | None:
+        (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, v, w) = accumulated
+        return table.get((x0 * p + x1 * r, x0 * q + x1 * s, x2 * t + x3 * v, x2 * u + x3 * w))
+
     return Domain(
         "matrix", game.initial, game.defender, game.attacker,
-        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=game.anchor), game.target_reply,
+        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=game.anchor), target_reply,
         _matrix_text, _matrix_text,
     )
 
@@ -128,22 +192,19 @@ def _act_on_vector(config: mx.IntVector, m: mx.IntMatrix) -> mx.IntVector:
     return mx.mat_vec_mul(m, config)
 
 
-def robot_matrix_domain(game: mx.RobotGame) -> Domain:
-    """The robot game's 2n-dimensional embedding: ``shift_matrix(v)`` acts on (x, 1...1).
+def _shift_inverse(m: mx.IntMatrix) -> mx.IntMatrix:
+    """``shift_matrix(v)`` -> ``shift_matrix(-v)``: negate every off-diagonal entry."""
+    return tuple(tuple(x if i == j else -x for j, x in enumerate(row)) for i, row in enumerate(m))
 
-    ``shift_matrix(-v)`` inverts a move, so it keys the reply table.
-    """
+
+def robot_matrix_domain(game: mx.RobotGame) -> Domain:
+    """The robot game's 2n-dimensional embedding: ``shift_matrix(v)`` acts on (x, 1...1)."""
     ones = (1,) * len(game.target)
-    target = game.target + ones
-    return Domain(
+    return orbit_domain(
         "robot-matrix", game.initial + ones,
         tuple(mx.shift_matrix(v) for v in game.defender),
         tuple(mx.shift_matrix(v) for v in game.attacker),
-        _act_on_vector, partial(operator.eq, target),
-        wg.least_index(
-            mx.mat_vec_mul(mx.shift_matrix(tuple(-x for x in v)), target) for v in game.attacker
-        ).get,
-        _vector_text, _matrix_text,
+        _act_on_vector, _shift_inverse, game.target + ones, _vector_text, _matrix_text,
     )
 
 
@@ -151,12 +212,14 @@ def _translate(config: mx.IntVector, v: mx.IntVector) -> mx.IntVector:
     return tuple(c + dv for c, dv in zip(config, v))
 
 
+def _negate(v: mx.IntVector) -> mx.IntVector:
+    return tuple(-x for x in v)
+
+
 def robot_domain(game: mx.RobotGame) -> Domain:
-    return Domain(
+    return orbit_domain(
         "robot", game.initial, game.defender, game.attacker,
-        _translate, partial(operator.eq, game.target),
-        wg.least_index(tuple(t - dv for t, dv in zip(game.target, v)) for v in game.attacker).get,
-        _vector_text, _vector_text,
+        _translate, _negate, game.target, _vector_text, _vector_text,
     )
 
 
@@ -219,7 +282,8 @@ class Pipeline:
 
     The fields are built by :func:`build_pipeline`.  Each downstream game is
     a cached property: built from its predecessor on first access, then
-    reused, so repeated ``domain()`` calls never rebuild a game.
+    reused.  Each domain is kept too, so repeated ``domain()`` calls never
+    rebuild a game or a reply table.
     """
 
     instance: PcpInstance
@@ -251,10 +315,18 @@ class Pipeline:
     def braid5_game(self) -> br.BraidGame:
         return br.build_braid5_game(self.binary_pair_game)
 
+    @cached_property
+    def _domains(self) -> dict[str, Domain]:
+        return {}
+
     def domain(self, representation: str) -> Domain:
-        if representation not in _REPRESENTATION_DOMAINS:
-            raise ValueError(f"unknown representation {representation!r}")
-        return _REPRESENTATION_DOMAINS[representation](self)
+        """The domain of ``representation``, built (reply table included) on first use and kept."""
+        domains = self._domains
+        if representation not in domains:
+            if representation not in _REPRESENTATION_DOMAINS:
+                raise ValueError(f"unknown representation {representation!r}")
+            domains[representation] = _REPRESENTATION_DOMAINS[representation](self)
+        return domains[representation]
 
     def crosscheck_domains(self) -> list[Domain]:
         return [self.domain(r) for r in REPRESENTATIONS]

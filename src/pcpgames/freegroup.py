@@ -125,8 +125,14 @@ def concat(u: GroupWord, v: GroupWord) -> GroupWord:
     return _reduced(ul[:n] + vl[i:])
 
 
+# Each inverse letter is one shared tuple, so tables of inverted words hold
+# references, not a fresh pair per letter.
+_INVERSE_LETTERS: dict[Letter, Letter] = {}
+
+
 def invert(w: GroupWord) -> GroupWord:
-    return GroupWord(tuple((sym, -sign) for sym, sign in reversed(w.letters)))
+    shared = _INVERSE_LETTERS
+    return _reduced(tuple(shared.setdefault((sym, -sign), (sym, -sign)) for sym, sign in reversed(w.letters)))
 
 
 def power(w: GroupWord, n: int) -> GroupWord:

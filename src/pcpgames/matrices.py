@@ -7,9 +7,7 @@ determinant one.  A matrix game configuration is the accumulated product of
 the played matrices acting on the anchor row vector from the right, so the
 word-to-matrix correspondence is a literal homomorphism statement.  Every
 such product stays 2+2 block-diagonal, so a move multiplies the two 2x2
-blocks (8 multiplications, not the 64 of a generic 4x4 product), and the
-attacker reply that fixes the anchor is found with one lookup of the anchor
-row x0*P: x0*P*M fixes x0 exactly when x0*P = x0*M^-1.
+blocks (8 multiplications, not the 64 of a generic 4x4 product).
 
 The robot game embedding doubles the dimension: a move vector v becomes the
 shift matrix with identity diagonal blocks and diag(v) in the top right,
@@ -19,12 +17,11 @@ acting on column vectors extended by ones (``domains.robot_matrix_domain``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterator
+from typing import Iterator
 
 from . import freegroup as fg
 from .freegroup import GroupWord, RankedAlphabet
-from .wordgames import COUNTER_ALPHABET, PairWordGame, least_index
+from .wordgames import COUNTER_ALPHABET, PairWordGame
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -99,7 +96,7 @@ def fixes_anchor(m: IntMatrix, anchor: IntVector = ANCHOR_ROW) -> bool:
     return row_vec_mul(anchor, m) == anchor
 
 
-def _is_block_diagonal(m: IntMatrix) -> bool:
+def is_block_diagonal(m: IntMatrix) -> bool:
     """Whether ``m`` is a 4x4 matrix with two 2x2 diagonal blocks and zeros elsewhere."""
     return (
         len(m) == 4
@@ -183,35 +180,6 @@ class MatrixGame:
     anchor: IntVector = ANCHOR_ROW
     initial: IntMatrix = identity(4)
 
-    @cached_property
-    def target_reply(self) -> Callable[[IntMatrix], int | None]:
-        """The least attacker move whose product with a configuration fixes the anchor.
-
-        ``anchor*P*M_a`` is the anchor exactly when ``anchor*P`` is
-        ``anchor*M_a^-1``, so the returned function reads the anchor row of
-        the configuration ``P`` and looks it up in a table of
-        ``anchor*M_a^-1`` -> least ``a``.  Built once per game, on first
-        access; it raises ValueError unless the initial matrix and every move
-        are 2+2 block-diagonal (what :func:`apply_matrix_move` multiplies) and
-        each inverse, checked against its move, is exact.
-        """
-        if not all(_is_block_diagonal(m) for m in (self.initial,) + self.defender + self.attacker):
-            raise ValueError("the initial matrix and every move must be 2+2 block-diagonal")
-        preimages = []
-        for a, m in enumerate(self.attacker):
-            preimage = row_vec_mul(self.anchor, block_inverse(m))
-            if row_vec_mul(preimage, m) != self.anchor:
-                raise ValueError(f"attacker move {a} has a block of determinant other than one")
-            preimages.append(preimage)
-        table = least_index(preimages)
-        x0, x1, x2, x3 = self.anchor
-
-        def target_reply(accumulated: IntMatrix) -> int | None:
-            (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, v, w) = accumulated
-            return table.get((x0 * p + x1 * r, x0 * q + x1 * s, x2 * t + x3 * v, x2 * u + x3 * w))
-
-        return target_reply
-
 
 def build_matrix_game(g: PairWordGame) -> MatrixGame:
     """Encode a binarized pair word game move-for-move into SL(4,Z).
@@ -233,8 +201,8 @@ def apply_matrix_move(accumulated: IntMatrix, m: IntMatrix) -> IntMatrix:
     """Right multiplication, matching word concatenation order.
 
     Both matrices must be 2+2 block-diagonal (every matrix game's are;
-    ``MatrixGame.target_reply`` checks it), so only the two 2x2 blocks
-    are multiplied.  Equal to ``mat_mul(accumulated, m)``.
+    ``domains.matrix_domain`` checks it), so only the two 2x2 blocks are
+    multiplied.  Equal to ``mat_mul(accumulated, m)``.
     """
     (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = accumulated
     (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, v, w) = m

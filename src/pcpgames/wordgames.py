@@ -17,14 +17,15 @@ moves encode automaton transitions:
 Played against a defender who replays a word, the attacker can cancel the
 stored letters newest-first, so reaching the target is following a path of
 the given automaton on the reversed stored prefix.
+
+The game and configuration types are plain data: ``domains.word_domain``
+and ``domains.pair_domain`` step them and find the target replies.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Hashable, Iterable
 
 from . import freegroup as fg
 from .automata import WeightedAutomaton, AutomatonError
@@ -53,13 +54,13 @@ class PairMove:
         return f"word={fg.render(self.word)} counter={fg.render(self.counter_word)}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WordConfig:
     word: GroupWord
     counter: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PairConfig:
     word: GroupWord
     counter_word: GroupWord
@@ -72,28 +73,6 @@ class WeightedWordGame:
     attacker_moves: tuple[WeightedMove, ...]
     initial: WordConfig
 
-    def is_target(self, cfg: WordConfig) -> bool:
-        return fg.is_identity(cfg.word) and cfg.counter == 0
-
-    def apply(self, cfg: WordConfig, move: WeightedMove) -> WordConfig:
-        return WordConfig(fg.concat(cfg.word, move.word), cfg.counter + move.weight)
-
-    @cached_property
-    def _target_preimages(self) -> dict[tuple, int]:
-        """The configuration each attacker move sends to the target -> the least such move."""
-        shared: dict[fg.Letter, fg.Letter] = {}
-        return least_index((_inverse_letters(m.word, shared), -m.weight) for m in self.attacker_moves)
-
-    def target_reply(self, cfg: WordConfig) -> int | None:
-        """Least attacker move taking ``cfg`` to the target, or None; one lookup.
-
-        The table is built at the first call, so a game that is only played,
-        dumped or encoded never holds it.  Reads only ``cfg.word`` and
-        ``cfg.counter``, so any configuration carrying this game's word and
-        counter (a braid preimage) is answered.
-        """
-        return self._target_preimages.get((cfg.word.letters, cfg.counter))
-
 
 @dataclass(frozen=True)
 class PairWordGame:
@@ -101,41 +80,6 @@ class PairWordGame:
     defender_moves: tuple[PairMove, ...]
     attacker_moves: tuple[PairMove, ...]
     initial: PairConfig
-
-    def is_target(self, cfg: PairConfig) -> bool:
-        return fg.is_identity(cfg.word) and fg.is_identity(cfg.counter_word)
-
-    def apply(self, cfg: PairConfig, move: PairMove) -> PairConfig:
-        return PairConfig(
-            fg.concat(cfg.word, move.word),
-            fg.concat(cfg.counter_word, move.counter_word),
-        )
-
-    @cached_property
-    def _target_preimages(self) -> dict[tuple, int]:
-        """The configuration each attacker move sends to the target -> the least such move."""
-        shared: dict[fg.Letter, fg.Letter] = {}
-        return least_index(
-            (_inverse_letters(m.word, shared), _inverse_letters(m.counter_word, shared))
-            for m in self.attacker_moves
-        )
-
-    def target_reply(self, cfg: PairConfig) -> int | None:
-        """As :meth:`WeightedWordGame.target_reply`, reading ``word`` and ``counter_word``."""
-        return self._target_preimages.get((cfg.word.letters, cfg.counter_word.letters))
-
-
-def _inverse_letters(w: GroupWord, shared: dict[fg.Letter, fg.Letter]) -> tuple[fg.Letter, ...]:
-    """The letters of the inverse of ``w``, one tuple per distinct letter via ``shared``."""
-    return tuple(shared.setdefault((sym, -sign), (sym, -sign)) for sym, sign in reversed(w.letters))
-
-
-def least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
-    """Each distinct key -> the index of its first occurrence."""
-    index: dict[Hashable, int] = {}
-    for i, key in enumerate(keys):
-        index.setdefault(key, i)
-    return index
 
 
 def game_alphabet(aut: WeightedAutomaton) -> RankedAlphabet:

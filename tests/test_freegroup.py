@@ -29,6 +29,14 @@ def test_invert_examples():
     assert fg.invert(fg.EPSILON) == fg.EPSILON
 
 
+def test_invert_shares_one_tuple_per_inverse_letter():
+    # Reply tables hold many inverted words; equal letters must be one object.
+    u, v = fg.invert(fg.word("c", "d", "c")), fg.invert(fg.word("~d", "c"))
+    assert u.letters[0] is u.letters[2] is v.letters[0]
+    assert u.letters[1] is fg.invert(fg.word("d")).letters[0]
+    assert v.letters[1] is fg.invert(fg.word("~d")).letters[0]
+
+
 def test_render_parse_round_trip():
     assert fg.word("q0", "#", "~#") == fg.word("q0")
     v = fg.word("a", "~q1", "c")

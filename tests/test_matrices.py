@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
-from pcpgames.domains import matrix_domain, robot_domain, robot_matrix_domain
+from pcpgames.domains import REPRESENTATIONS, matrix_domain, robot_domain, robot_matrix_domain
 
 ALPHA3 = fg.RankedAlphabet(("z1", "z2", "z3"))
 
@@ -109,6 +109,7 @@ def test_matrix_game_initial_encodes_initial_word(pipelines):
 def test_matrix_play_matches_word_play(pipelines):
     rng = random.Random(3)
     pair = pipelines["eq"].binary_pair_game
+    pdom = pipelines["eq"].domain("pair")
     game = pipelines["eq"].matrix_game
     for _ in range(25):
         pcfg = pair.initial
@@ -116,11 +117,11 @@ def test_matrix_play_matches_word_play(pipelines):
         for _ in range(4):
             d = rng.randrange(len(pair.defender_moves))
             a = rng.randrange(len(pair.attacker_moves))
-            pcfg = pair.apply(pcfg, pair.defender_moves[d])
+            pcfg = pdom.step(pcfg, pair.defender_moves[d])
             acc = mx.apply_matrix_move(acc, game.defender[d])
-            pcfg = pair.apply(pcfg, pair.attacker_moves[a])
+            pcfg = pdom.step(pcfg, pair.attacker_moves[a])
             acc = mx.apply_matrix_move(acc, game.attacker[a])
-            word_target = pair.is_target(pcfg)
+            word_target = pdom.is_target(pcfg)
             assert word_target == (acc == mx.identity(4))
             assert word_target == mx.fixes_anchor(acc, game.anchor)
 
@@ -195,9 +196,11 @@ def test_matrix_domain_refuses_games_it_cannot_multiply_by_blocks(game):
         matrix_domain(game)
 
 
-def test_matrix_reply_table_built_once_per_game(pipelines):
+@pytest.mark.parametrize("representation", REPRESENTATIONS)
+def test_matrix_reply_table_built_once_per_game(pipelines, representation):
     pipe = pipelines["eq"]
-    assert pipe.domain("matrix").target_reply is pipe.domain("matrix").target_reply
+    assert pipe.domain(representation) is pipe.domain(representation)
+    assert pipe.domain(representation).target_reply is pipe.domain(representation).target_reply
 
 
 def test_shift_inverse():

@@ -9,6 +9,7 @@ from pcpgames import automata as au
 from pcpgames import freegroup as fg
 from pcpgames import wordgames as wg
 from pcpgames.automata import AutomatonError
+from pcpgames.domains import pair_domain, word_domain
 
 from conftest import accepting, paths_over
 
@@ -71,19 +72,19 @@ def test_build_rejects_five_state_automaton(i1):
 
 
 def test_apply_move_examples(games):
-    game = games["i1"]
+    step = word_domain(games["i1"]).step
     cfg = wg.WordConfig(fg.word("q0", "a"), 0)
-    moved = game.apply(cfg, wg.WeightedMove(fg.word("~a", "~q1"), -2))
+    moved = step(cfg, wg.WeightedMove(fg.word("~a", "~q1"), -2))
     assert moved == wg.WordConfig(fg.word("q0", "~q1"), -2)
-    hashed = game.apply(cfg, wg.WeightedMove(fg.word("#"), 0))
+    hashed = step(cfg, wg.WeightedMove(fg.word("#"), 0))
     assert fg.render(hashed.word) == "q0 a #" and hashed.counter == 0
 
 
 def test_is_target(games):
-    game = games["i1"]
-    assert game.is_target(wg.WordConfig(fg.EPSILON, 0))
-    assert not game.is_target(wg.WordConfig(fg.EPSILON, 5))
-    assert not game.is_target(wg.WordConfig(fg.word("q0", "~q4"), 0))
+    is_target = word_domain(games["i1"]).is_target
+    assert is_target(wg.WordConfig(fg.EPSILON, 0))
+    assert not is_target(wg.WordConfig(fg.EPSILON, 5))
+    assert not is_target(wg.WordConfig(fg.word("q0", "~q4"), 0))
 
 
 def accepting_paths(aut, max_len):
@@ -99,6 +100,7 @@ def accepting_paths(aut, max_len):
 
 def replay_path(game, aut, path):
     """The induced alternating play for a path, in the telescoping order."""
+    step = word_domain(game).step
     cfg = game.initial
     u = "".join(t.letter for t in path)
     n = len(path)
@@ -111,17 +113,17 @@ def replay_path(game, aut, path):
         raise AssertionError(f"missing attacker move {fg.render(move_word)} weight={weight}")
 
     for rnd in range(1, n + 1):
-        cfg = game.apply(cfg, wg.WeightedMove(fg.word(u[n - rnd]), 0))
+        cfg = step(cfg, wg.WeightedMove(fg.word(u[n - rnd]), 0))
         if rnd < n:
-            cfg = game.apply(cfg, game.attacker_moves[0])
+            cfg = step(cfg, game.attacker_moves[0])
         else:
             t = path[0]
-            cfg = game.apply(cfg, attacker(fg.word("~" + t.letter, "~" + t.target), t.weight))
+            cfg = step(cfg, attacker(fg.word("~" + t.letter, "~" + t.target), t.weight))
     for k in range(2, n + 1):
-        cfg = game.apply(cfg, wg.WeightedMove(fg.word(junk), 0))
+        cfg = step(cfg, wg.WeightedMove(fg.word(junk), 0))
         t = path[k - 1]
         move = fg.word("~" + junk, t.source, "~" + wg.HASH, "~" + t.letter, "~" + t.target)
-        cfg = game.apply(cfg, attacker(move, t.weight))
+        cfg = step(cfg, attacker(move, t.weight))
     return cfg
 
 
@@ -130,6 +132,7 @@ def test_telescoping_invariant(pipelines):
     for pipe in pipelines.values():
         aut = pipe.game_automaton
         game = pipe.weighted_game
+        word = pipe.domain("word")
         junk = sorted(aut.alphabet)[0]
         for path in accepting_paths(aut, 4):
             cfg = replay_path(game, aut, path)
@@ -137,10 +140,10 @@ def test_telescoping_invariant(pipelines):
             assert fg.render(cfg.word) == f"{aut.initial} ~{final_state}"
             assert cfg.counter == 0
             # the extra move then unbraids to the target
-            cfg = game.apply(cfg, wg.WeightedMove(fg.word(junk), 0))
+            cfg = word.step(cfg, wg.WeightedMove(fg.word(junk), 0))
             extra = fg.word("~" + junk, final_state, "~" + aut.initial)
-            cfg = game.apply(cfg, wg.WeightedMove(extra, 0))
-            assert game.is_target(cfg)
+            cfg = word.step(cfg, wg.WeightedMove(extra, 0))
+            assert word.is_target(cfg)
             checked += 1
     assert checked > 0
 
@@ -169,6 +172,7 @@ def test_junk_persistence(pipelines):
     factor appears, no continuation reaches the target within the horizon.
     """
     game = pipelines["eq"].weighted_game
+    word = pipelines["eq"].domain("word")
     depth = 4
 
     def leaves_junk(before: wg.WordConfig, move: wg.WeightedMove) -> bool:
@@ -178,15 +182,15 @@ def test_junk_persistence(pipelines):
         return sign < 0 and before.word.letters[-1] != (sym, 1)
 
     def explore(cfg: wg.WordConfig, rnd: int, junked: bool) -> None:
-        if game.is_target(cfg):
+        if word.is_target(cfg):
             assert not junked, "a junked play reached the target"
             return
         if rnd == depth:
             return
         for d in game.defender_moves:
-            after_d = game.apply(cfg, d)
+            after_d = word.step(cfg, d)
             for a in game.attacker_moves:
-                explore(game.apply(after_d, a), rnd + 1, junked or leaves_junk(after_d, a))
+                explore(word.step(after_d, a), rnd + 1, junked or leaves_junk(after_d, a))
 
     explore(game.initial, 0, False)
 
@@ -202,32 +206,34 @@ def test_to_pair_game_examples(pipelines):
             assert fg.render(pm.counter_word) == "~r ~r"
         if wm.weight == 0:
             assert pm.counter_word == fg.EPSILON
-    assert pair.is_target(wg.PairConfig(fg.EPSILON, fg.EPSILON))
-    assert not pair.is_target(wg.PairConfig(fg.EPSILON, fg.word("r")))
+    is_target = pair_domain(pair).is_target
+    assert is_target(wg.PairConfig(fg.EPSILON, fg.EPSILON))
+    assert not is_target(wg.PairConfig(fg.EPSILON, fg.word("r")))
 
 
 def test_pair_apply_counter_cancellation(pipelines):
-    pair = pipelines["i1"].pair_game
+    step = pair_domain(pipelines["i1"].pair_game).step
     cfg = wg.PairConfig(fg.word("q0"), fg.word("r", "r"))
     move = wg.PairMove(fg.EPSILON, fg.word("~r"))
-    assert pair.apply(cfg, move).counter_word == fg.word("r")
+    assert step(cfg, move).counter_word == fg.word("r")
 
 
 def test_pair_play_counter_equals_weight_sum(pipelines):
     rng = random.Random(5)
     weighted = pipelines["mm"].weighted_game
     pair = pipelines["mm"].pair_game
+    wdom, pdom = pipelines["mm"].domain("word"), pair_domain(pair)
     for _ in range(30):
         wcfg, pcfg = weighted.initial, pair.initial
         for _ in range(4):
             d = rng.randrange(len(weighted.defender_moves))
             a = rng.randrange(len(weighted.attacker_moves))
-            wcfg = weighted.apply(wcfg, weighted.defender_moves[d])
-            pcfg = pair.apply(pcfg, pair.defender_moves[d])
-            wcfg = weighted.apply(wcfg, weighted.attacker_moves[a])
-            pcfg = pair.apply(pcfg, pair.attacker_moves[a])
+            wcfg = wdom.step(wcfg, weighted.defender_moves[d])
+            pcfg = pdom.step(pcfg, pair.defender_moves[d])
+            wcfg = wdom.step(wcfg, weighted.attacker_moves[a])
+            pcfg = pdom.step(pcfg, pair.attacker_moves[a])
             assert wg.counter_value(pcfg.counter_word) == wcfg.counter
-            assert pair.is_target(pcfg) == weighted.is_target(wcfg)
+            assert pdom.is_target(pcfg) == wdom.is_target(wcfg)
 
 
 def test_binarize_words_and_targets(pipelines):
@@ -247,14 +253,15 @@ def test_binarize_words_and_targets(pipelines):
         assert bm.word == enc(pm.word)
         assert bm.counter_word == pm.counter_word
     assert binary.initial.word == enc(pair.initial.word)
+    pdom, bdom = pair_domain(pair), pipe.domain("pair")
     for _ in range(30):
         pcfg, bcfg = pair.initial, binary.initial
         for _ in range(4):
             d = rng.randrange(len(pair.defender_moves))
             a = rng.randrange(len(pair.attacker_moves))
-            pcfg = pair.apply(pair.apply(pcfg, pair.defender_moves[d]), pair.attacker_moves[a])
-            bcfg = binary.apply(binary.apply(bcfg, binary.defender_moves[d]), binary.attacker_moves[a])
-            assert binary.is_target(bcfg) == pair.is_target(pcfg)
+            pcfg = pdom.step(pdom.step(pcfg, pair.defender_moves[d]), pair.attacker_moves[a])
+            bcfg = bdom.step(bdom.step(bcfg, binary.defender_moves[d]), binary.attacker_moves[a])
+            assert bdom.is_target(bcfg) == pdom.is_target(pcfg)
             assert bcfg.word == enc(pcfg.word)
 
 
