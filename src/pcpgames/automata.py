@@ -19,7 +19,6 @@ accepted prefix.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -192,13 +191,6 @@ def unfold_self_loops(aut: WeightedAutomaton) -> WeightedAutomaton:
     )
 
 
-def is_complete(aut: WeightedAutomaton) -> bool:
-    pairs = {(t.source, t.letter) for t in aut.transitions}
-    return all(
-        (q, a) in pairs for q in aut.states for a in aut.alphabet
-    )
-
-
 _Frontier = frozenset[tuple[str, int]]
 
 
@@ -304,19 +296,6 @@ def export_dot(aut: WeightedAutomaton) -> str:
     return "\n".join(lines) + "\n"
 
 
-_DOT_EDGE = re.compile(r"^\s*(\w+) -> (\w+) \[label=\"(.+),(-?\d+)\"\];$")
-
-
-def parse_dot_edges(text: str) -> list[Transition]:
-    """Recover the edge multiset from DOT text produced by :func:`export_dot`."""
-    edges = []
-    for line in text.splitlines():
-        m = _DOT_EDGE.match(line)
-        if m:
-            edges.append(Transition(m.group(1), m.group(3), m.group(2), int(m.group(4))))
-    return sorted(edges)
-
-
 def export_flat(aut: WeightedAutomaton) -> str:
     """One transition per line: ``from letter to weight``, sorted for diffing."""
     header = [
@@ -327,27 +306,3 @@ def export_flat(aut: WeightedAutomaton) -> str:
     ]
     body = [f"{t.source} {t.letter} {t.target} {t.weight}" for t in aut.sorted_transitions()]
     return "\n".join(header + body) + "\n"
-
-
-def parse_flat(text: str) -> WeightedAutomaton:
-    states: tuple[str, ...] = ()
-    alphabet: tuple[str, ...] = ()
-    initial = ""
-    finals: frozenset[str] = frozenset()
-    trans = set()
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        fields = line.split()
-        if fields[0] == "states":
-            states = tuple(fields[1:])
-        elif fields[0] == "alphabet":
-            alphabet = tuple(fields[1:])
-        elif fields[0] == "initial":
-            initial = fields[1]
-        elif fields[0] == "finals":
-            finals = frozenset(fields[1:])
-        else:
-            src, letter, dst, weight = fields
-            trans.add(Transition(src, letter, dst, int(weight)))
-    return WeightedAutomaton(states, alphabet, frozenset(trans), initial, finals)

@@ -76,10 +76,6 @@ def braid(strands: int, letters: Iterable[int]) -> BraidWord:
     return BraidWord(strands, tuple(stack))
 
 
-def parse_braid(strands: int, text: str) -> BraidWord:
-    return braid(strands, (int(tok) for tok in text.split()))
-
-
 def _cancelled(strands: int, letters: tuple[int, ...]) -> BraidWord:
     """Wrap letters already known to be valid and freely cancelled, skipping the re-scan."""
     w = object.__new__(BraidWord)
@@ -350,25 +346,6 @@ def _letter_factors(n: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...],
     return table
 
 
-def factor_word(perm: tuple[int, ...]) -> tuple[int, ...]:
-    """A positive braid word (1-based indices) lifting a permutation factor."""
-    word: list[int] = []
-    current = perm
-    while current != _identity_perm(len(perm)):
-        s = min(_starting_set(current))
-        word.append(s + 1)
-        current = _compose(_gen_perm(len(perm), s + 1), current)
-    return tuple(word)
-
-
-def nf_to_braid(nf: GarsideNormalForm) -> BraidWord:
-    """Rebuild a braid word from a normal form (half-twist power, then factors)."""
-    out = braid_power(fundamental_braid(nf.strands), nf.power)
-    for factor in nf.factors:
-        out = concat(out, BraidWord(nf.strands, factor_word(factor)))
-    return out
-
-
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
     if u.strands != v.strands:
         raise BraidError("strand counts differ")
@@ -478,10 +455,6 @@ def burau3(w: BraidWord) -> LaurentMatrix:
         (_unpack(p0, low, digits, width), _unpack(q0, low, digits, width)),
         (_unpack(p1, low, digits, width), _unpack(q1, low, digits, width)),
     )
-
-
-def burau3_is_scalar(m: LaurentMatrix) -> bool:
-    return m[0][1] == LP_ZERO and m[1][0] == LP_ZERO and m[0][0] == m[1][1]
 
 
 # --- encodings into the three- and five-strand groups ---

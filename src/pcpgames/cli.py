@@ -9,12 +9,14 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import sys
 from pathlib import Path
 
 from . import automata as au
 from . import braids as br
 from . import engine
+from . import freegroup as fg
 from . import matrices as mx
 from . import pcp
 from . import wordgames as wg
@@ -104,15 +106,15 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0
 
 
-def _domains_from_args(args: argparse.Namespace) -> tuple[Domain, Domain]:
-    """The domain to solve or play, and the word domain whose move labels name its moves."""
+def _domain_from_args(args: argparse.Namespace) -> tuple[Domain, wg.WeightedWordGame]:
+    """The domain to solve or play, and the word game whose moves script letters name."""
     if args.game is not None:
         if args.representation != "word":
             raise CliError(f"--game loads a word game; --representation {args.representation} needs -i")
-        domain = word_domain(wg.parse_weighted_game(Path(args.game).read_text(encoding="utf-8")))
-        return domain, domain
+        game = wg.parse_weighted_game(Path(args.game).read_text(encoding="utf-8"))
+        return word_domain(game), game
     pipe = build_pipeline(_read_instance(args.instance))
-    return pipe.domain(args.representation), pipe.domain("word")
+    return pipe.domain(args.representation), pipe.weighted_game
 
 
 def _render_strategy(table: dict[tuple[str, int], int]) -> str:
@@ -123,15 +125,15 @@ def _render_strategy(table: dict[tuple[str, int], int]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _parse_strategy(text: str) -> dict[tuple[str, int], int]:
-    import re
+_STRATEGY_LINE = re.compile(r"^key=(.*) rounds=(\d+) move=(\d+)$")
 
+
+def _parse_strategy(text: str) -> dict[tuple[str, int], int]:
     table = {}
-    pattern = re.compile(r"^key=(.*) rounds=(\d+) move=(\d+)$")
     for line in text.splitlines():
         if not line.strip():
             continue
-        m = pattern.match(line)
+        m = _STRATEGY_LINE.match(line)
         if m is None:
             raise CliError(f"malformed strategy line {line!r}")
         table[(m.group(1), int(m.group(2)))] = int(m.group(3))
@@ -139,7 +141,7 @@ def _parse_strategy(text: str) -> dict[tuple[str, int], int]:
 
 
 def cmd_solve(args: argparse.Namespace) -> int:
-    domain, _ = _domains_from_args(args)
+    domain, _ = _domain_from_args(args)
     try:
         result = engine.attacker_wins_within(domain, args.rounds, max_nodes=args.max_nodes)
     except engine.ResourceCapExceeded as exc:
@@ -159,7 +161,7 @@ _POLICY_FORMS = {
 }
 
 
-def _policy_from_spec(spec: str, words: Domain, player: str) -> engine.Policy:
+def _policy_from_spec(spec: str, words: wg.WeightedWordGame, player: str) -> engine.Policy:
     if spec == "human":
         return engine.human_policy()
     kind, _, body = spec.partition(":")
@@ -187,7 +189,7 @@ def _policy_from_spec(spec: str, words: Domain, player: str) -> engine.Policy:
     return engine.scripted_policy(_script_indices(body, words, player))
 
 
-def _script_indices(body: str, words: Domain, player: str) -> list[int]:
+def _script_indices(body: str, words: wg.WeightedWordGame, player: str) -> list[int]:
     """Digits are move indices; letters name word-game moves, index-aligned in every domain."""
     tokens: list[str]
     if "," in body or any(ch.isspace() for ch in body.strip()):
@@ -195,7 +197,8 @@ def _script_indices(body: str, words: Domain, player: str) -> list[int]:
     else:
         tokens = list(body.strip())
     indices = []
-    count = words.move_count(player)
+    moves = words.defender_moves if player == DEFENDER else words.attacker_moves
+    count = len(moves)
     for tok in tokens:
         if tok.isdigit():
             if int(tok) >= count:
@@ -204,19 +207,15 @@ def _script_indices(body: str, words: Domain, player: str) -> list[int]:
                 )
             indices.append(int(tok))
             continue
-        found = None
-        for i in range(count):
-            if words.move_label(player, i) == f"word={tok} weight=0":
-                found = i
-                break
-        if found is None:
+        move = wg.WeightedMove(fg.word(tok), 0)
+        if move not in moves:
             raise CliError(f"script token {tok!r} names no move of player {player}")
-        indices.append(found)
+        indices.append(moves.index(move))
     return indices
 
 
 def cmd_play(args: argparse.Namespace) -> int:
-    domain, words = _domains_from_args(args)
+    domain, words = _domain_from_args(args)
     defender = _policy_from_spec(args.defender, words, DEFENDER)
     attacker = _policy_from_spec(args.attacker, words, ATTACKER)
     trace = engine.play(domain, defender, attacker, args.rounds, stop_at_target=not args.run_to_end)

@@ -12,8 +12,9 @@ t, built by :func:`orbit_domain`: a move a takes x to t exactly when x is
 a^-1 acting on t, so one table of those points -> the least such a answers
 with one lookup.  The matrix game keys the same table by the anchor row
 x0*P of its product P, since x0*P*M fixes x0 exactly when x0*P = x0*M^-1.
-No domain applies the replies to find a target, and the game types the
-domains are built from are plain data.
+Each table is built on the first reply, so plays, dumps and crosschecks,
+which ask for none, never build it.  No domain applies the replies to find
+a target, and the game types the domains are built from are plain data.
 
 A braid domain is built on the domain it encodes (``braid3`` on the binary
 word game, named ``binary-word``, ``braid5`` on the binary pair game): its configuration is
@@ -47,6 +48,26 @@ from .engine import DEFENDER
 from .pcp import PcpInstance
 
 
+class _BuiltOnFirstAccess:
+    """A cached property that stores its value with ``object.__setattr__``.
+
+    ``functools.cached_property`` stores through the instance ``__dict__``,
+    which on CPython 3.11 turns the instance's inline attribute values into
+    a dict and makes every later attribute load on it about three times
+    slower; the solver loads domain attributes at every node.
+    """
+
+    def __init__(self, build: Callable[[Any], Any]):
+        self.build = build
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = self.build(instance)
+        object.__setattr__(instance, self.build.__name__, value)
+        return value
+
+
 @dataclass(frozen=True)
 class Domain:
     """One representation of a game, as the solver and the replays see it.
@@ -56,6 +77,8 @@ class Domain:
     takes ``config`` to the target, or None.  ``is_target``,
     ``target_reply`` and ``canonical_key`` are stored callables rather than
     methods, so the solver calls them without an extra frame.
+    ``target_reply`` is made by ``build_target_reply`` on first access and
+    then kept as an instance attribute.
     """
 
     name: str
@@ -64,9 +87,13 @@ class Domain:
     attacker_moves: tuple
     step: Callable[[Any, Any], Any]
     is_target: Callable[[Any], bool]
-    target_reply: Callable[[Any], int | None]
+    build_target_reply: Callable[[], Callable[[Any], int | None]]
     canonical_key: Callable[[Any], str]
     label: Callable[[Any], str]
+
+    @_BuiltOnFirstAccess
+    def target_reply(self) -> Callable[[Any], int | None]:
+        return self.build_target_reply()
 
     def initial_config(self) -> Any:
         return self.initial
@@ -117,12 +144,15 @@ def orbit_domain(
     ``act(point, move)`` is the step and ``inverse(move)`` the inverse
     move.  The reply a reaches ``target`` from x exactly when x is
     ``act(target, inverse(a))``, so those points key the reply table, built
-    here, once per domain.  ``render`` is the canonical key.
+    on the first reply, once per domain.  ``render`` is the canonical key.
     """
-    table = _least_index(act(target, inverse(a)) for a in attacker)
+
+    def build_target_reply() -> Callable[[Any], int | None]:
+        return _least_index(act(target, inverse(a)) for a in attacker).get
+
     return Domain(
         name, initial, defender, attacker,
-        act, partial(operator.eq, target), table.get, render, label,
+        act, partial(operator.eq, target), build_target_reply, render, label,
     )
 
 
@@ -160,30 +190,36 @@ def pair_domain(game: wg.PairWordGame) -> Domain:
 def matrix_domain(game: mx.MatrixGame) -> Domain:
     """The configuration is the accumulated move product.
 
-    The reply table maps ``anchor*M_a^-1`` to the least ``a``, and the
-    reply reads the anchor row of the product.  Raises ValueError unless
-    the initial matrix and every move are 2+2 block-diagonal (what
-    :func:`matrices.apply_matrix_move` multiplies) and each block inverse,
-    checked against its move, is exact.
+    The reply table, built on the first reply, maps ``anchor*M_a^-1`` to
+    the least ``a``, and the reply reads the anchor row of the product.
+    Raises ValueError unless the initial matrix and every move are 2+2
+    block-diagonal (what :func:`matrices.apply_matrix_move` multiplies) and
+    each block inverse, checked against its move, is exact.
     """
     if not all(mx.is_block_diagonal(m) for m in (game.initial,) + game.defender + game.attacker):
         raise ValueError("the initial matrix and every move must be 2+2 block-diagonal")
-    preimages = []
-    for a, m in enumerate(game.attacker):
-        preimage = mx.row_vec_mul(game.anchor, mx.block_inverse(m))
-        if mx.row_vec_mul(preimage, m) != game.anchor:
-            raise ValueError(f"attacker move {a} has a block of determinant other than one")
-        preimages.append(preimage)
-    table = _least_index(preimages)
-    x0, x1, x2, x3 = game.anchor
+    anchor = game.anchor
 
-    def target_reply(accumulated: mx.IntMatrix) -> int | None:
-        (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, v, w) = accumulated
-        return table.get((x0 * p + x1 * r, x0 * q + x1 * s, x2 * t + x3 * v, x2 * u + x3 * w))
+    def preimage(m: mx.IntMatrix) -> mx.IntVector:
+        return mx.row_vec_mul(anchor, mx.block_inverse(m))
+
+    for a, m in enumerate(game.attacker):
+        if mx.row_vec_mul(preimage(m), m) != anchor:
+            raise ValueError(f"attacker move {a} has a block of determinant other than one")
+
+    def build_target_reply() -> Callable[[mx.IntMatrix], int | None]:
+        table = _least_index(map(preimage, game.attacker))
+        x0, x1, x2, x3 = anchor
+
+        def target_reply(accumulated: mx.IntMatrix) -> int | None:
+            (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, v, w) = accumulated
+            return table.get((x0 * p + x1 * r, x0 * q + x1 * s, x2 * t + x3 * v, x2 * u + x3 * w))
+
+        return target_reply
 
     return Domain(
         "matrix", game.initial, game.defender, game.attacker,
-        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=game.anchor), target_reply,
+        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=anchor), build_target_reply,
         _matrix_text, _matrix_text,
     )
 
@@ -245,12 +281,15 @@ def _braid_label(move: tuple[br.BraidWord, Any]) -> str:
 
 def braid_domain(name: str, braid_game: br.BraidGame, source: Domain) -> Domain:
     """Each move is a braid zipped with the source move it encodes."""
-    source_step, is_target = source.step, source.is_target
-    target_reply, canonical_key = source.target_reply, source.canonical_key
+    source_step, is_target, canonical_key = source.step, source.is_target, source.canonical_key
 
     def step(config: BraidConfig, move: tuple[br.BraidWord, Any]) -> BraidConfig:
         braid, source_move = move
         return BraidConfig(br.concat(config.braid, braid), source_step(config.source, source_move))
+
+    def build_target_reply() -> Callable[[BraidConfig], int | None]:
+        target_reply = source.target_reply
+        return lambda config: target_reply(config.source)
 
     return Domain(
         name, BraidConfig(braid_game.initial_braid, source.initial),
@@ -258,7 +297,7 @@ def braid_domain(name: str, braid_game: br.BraidGame, source: Domain) -> Domain:
         tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
         step,
         lambda config: is_target(config.source),
-        lambda config: target_reply(config.source),
+        build_target_reply,
         lambda config: canonical_key(config.source),
         _braid_label,
     )
@@ -320,7 +359,7 @@ class Pipeline:
         return {}
 
     def domain(self, representation: str) -> Domain:
-        """The domain of ``representation``, built (reply table included) on first use and kept."""
+        """The domain of ``representation``, built on first use and kept."""
         domains = self._domains
         if representation not in domains:
             if representation not in _REPRESENTATION_DOMAINS:

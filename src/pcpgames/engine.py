@@ -123,8 +123,8 @@ class _Solver:
     def solve(self, horizon: int) -> SolveResult:
         result = self.value(self.domain.initial_config(), horizon)
         if result is None:
-            return SolveResult(False, horizon, horizon, dict(self.defender_table), len(self.memo))
-        return SolveResult(True, result, horizon, dict(self.attacker_table), len(self.memo))
+            return SolveResult(False, horizon, horizon, self.defender_table, len(self.memo))
+        return SolveResult(True, result, horizon, self.attacker_table, len(self.memo))
 
 
 def attacker_wins_within(domain: GameDomain, horizon: int, max_nodes: int = 500_000) -> SolveResult:
@@ -308,23 +308,3 @@ def crosscheck(trace: Trace, domains: list[GameDomain]) -> CrosscheckReport:
         if len(set(verdicts.values())) > 1:
             return CrosscheckReport(False, (record.round, record.player), tuple(lines))
     return CrosscheckReport(True, None, tuple(lines))
-
-
-def replay_reaches_target(
-    domain: GameDomain,
-    attacker_table: dict[tuple[str, int], int],
-    defender_script: tuple[int, ...],
-) -> bool:
-    """Drive the attacker strategy against a fixed defender script."""
-    cfg = domain.initial_config()
-    horizon = len(defender_script)
-    for rnd, d in enumerate(defender_script, start=1):
-        remaining = horizon - rnd + 1
-        cfg = domain.apply(cfg, DEFENDER, d)
-        key = (domain.canonical_key(cfg), remaining)
-        if key not in attacker_table:
-            return False
-        cfg = domain.apply(cfg, ATTACKER, attacker_table[key])
-        if domain.is_target(cfg):
-            return True
-    return False

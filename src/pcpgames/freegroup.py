@@ -14,7 +14,7 @@ This embedding is injective, which downstream encodings rely on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Letter = tuple[str, int]
 
@@ -143,10 +143,6 @@ def power(w: GroupWord, n: int) -> GroupWord:
     return out
 
 
-def is_identity(w: GroupWord) -> bool:
-    return not w.letters
-
-
 def render(w: GroupWord) -> str:
     """Text form: tokens whitespace-separated, inverses prefixed with ``~``."""
     return " ".join(("~" + sym) if sign < 0 else sym for sym, sign in w.letters)
@@ -170,50 +166,3 @@ def alpha_encode(w: GroupWord, alphabet: RankedAlphabet) -> GroupWord:
         block = [(c, 1)] * i + [(d, sign)] + [(c, -1)] * i
         out.extend(block)
     return reduce(out)
-
-
-def alpha_decode(w: GroupWord, alphabet: RankedAlphabet) -> GroupWord | None:
-    """Partial inverse of :func:`alpha_encode`.
-
-    Greedily scans the reduced word, tracking the net c-depth; every d-letter
-    read at depth ``i`` contributes the rank-``i`` source letter.  In a reduced
-    image the closing ``c^-i`` of one block merges with the opening ``c^j`` of
-    the next, so the depth walk recovers the block structure directly.  The
-    candidate is re-encoded as a final check; anything that stalls the scan or
-    fails the check yields ``None`` (decode is only used on encoder outputs).
-    """
-    c, d = BINARY_SYMBOLS
-    out: list[Letter] = []
-    depth = 0
-    for sym, sign in w.letters:
-        if sym == c:
-            depth += sign
-        elif sym == d:
-            if depth < 1 or depth > len(alphabet):
-                return None
-            out.append((alphabet.symbol(depth), sign))
-        else:
-            return None
-    if depth != 0:
-        return None
-    decoded = reduce(out)
-    if alpha_encode(decoded, alphabet) != w:
-        return None
-    return decoded
-
-
-def all_reduced_words(alphabet: Sequence[str], max_len: int) -> Iterable[GroupWord]:
-    """Every freely reduced word of length <= max_len, shorter words first."""
-    frontier: list[GroupWord] = [EPSILON]
-    yield EPSILON
-    for _ in range(max_len):
-        nxt: list[GroupWord] = []
-        for w in frontier:
-            for sym in alphabet:
-                for sign in (1, -1):
-                    if w.letters and w.letters[-1] == (sym, -sign):
-                        continue
-                    grown = GroupWord(w.letters + ((sym, sign),))
-                    nxt.append(grown)
-                    yield grown
-        frontier = nxt

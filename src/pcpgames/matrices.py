@@ -17,17 +17,15 @@ acting on column vectors extended by ones (``domains.robot_matrix_domain``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from . import freegroup as fg
-from .freegroup import GroupWord, RankedAlphabet
+from .freegroup import GroupWord
 from .wordgames import COUNTER_ALPHABET, PairWordGame
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
 
 ANCHOR_ROW: IntVector = (1, 0, 1, 0)
-COLUMN_ANCHOR: IntVector = (0, 1, 0, 1)
 
 
 def identity(n: int) -> IntMatrix:
@@ -49,17 +47,6 @@ def row_vec_mul(v: IntVector, m: IntMatrix) -> IntVector:
 
 def mat_vec_mul(m: IntMatrix, v: IntVector) -> IntVector:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
-
-
-def det(m: IntMatrix) -> int:
-    n = len(m)
-    if n == 1:
-        return m[0][0]
-    total = 0
-    for j in range(n):
-        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
-        total += (-1) ** j * m[0][j] * det(minor)
-    return total
 
 
 _F_GENERATORS: dict[tuple[str, int], IntMatrix] = {
@@ -113,57 +100,6 @@ def block_inverse(m: IntMatrix) -> IntMatrix:
     """
     (a, b, _, _), (c, d, _, _), (_, _, e, f), (_, _, g, h) = m
     return ((d, -b, 0, 0), (-c, a, 0, 0), (0, 0, h, -f), (0, 0, -g, e))
-
-
-def closed_form_alpha_image(j: int) -> IntMatrix:
-    """f of the rank-j letter image: ((1+4j, -8j^2), (2, 1-4j))."""
-    return ((1 + 4 * j, -8 * j * j), (2, 1 - 4 * j))
-
-
-def _reduced_word_count(rank: int, max_len: int) -> int:
-    total, layer = 1, 1
-    for n in range(1, max_len + 1):
-        layer = layer * (2 * rank if n == 1 else 2 * rank - 1)
-        total += layer
-    return total
-
-
-def _encoded_words(
-    max_len: int, rank: int, max_words: int
-) -> Iterator[tuple[GroupWord, IntMatrix]]:
-    """Every reduced word of length <= max_len with its 4x4 block encoding."""
-    if _reduced_word_count(rank, max_len) > max_words:
-        raise ValueError(f"enumeration would exceed the cap of {max_words} words")
-    alphabet = RankedAlphabet(tuple(f"z{i}" for i in range(1, rank + 1)))
-    for w in fg.all_reduced_words(alphabet.symbols, max_len):
-        yield w, block_diag(f_encode(fg.alpha_encode(w, alphabet)), identity(2))
-
-
-def anchor_lemma_holds(max_len: int, rank: int = 3, max_words: int = 200_000) -> bool:
-    """Exhaustively check fixes-anchor implies identity on encoded words.
-
-    Enumerates every reduced word of length <= max_len over a rank-``rank``
-    alphabet, encodes it through the binary embedding and f, embeds it as the
-    upper block of a 4x4 matrix, and requires that fixing the anchor row
-    forces the identity matrix.
-    """
-    for _, m in _encoded_words(max_len, rank, max_words):
-        if fixes_anchor(m) and m != identity(4):
-            return False
-    return True
-
-
-def column_anchor_lemma_report(
-    max_len: int, rank: int = 3, max_words: int = 200_000
-) -> tuple[bool, str | None]:
-    """The main-text column-vector variant: M x0 = x0 with x0 = (0,1,0,1)^T.
-
-    Reported, not asserted: returns (holds, first counterexample word or None).
-    """
-    for w, m in _encoded_words(max_len, rank, max_words):
-        if mat_vec_mul(m, COLUMN_ANCHOR) == COLUMN_ANCHOR and m != identity(4):
-            return False, fg.render(w)
-    return True, None
 
 
 @dataclass(frozen=True)

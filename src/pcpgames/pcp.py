@@ -12,7 +12,6 @@ that the automaton and game constructions are checked against.
 from __future__ import annotations
 
 import enum
-import itertools
 from dataclasses import dataclass
 
 
@@ -211,31 +210,6 @@ def desynchronize(inst: PcpInstance, marker: str = DEFAULT_MARKER) -> PcpInstanc
         h_images=h_images,
         g_images=g_images,
     )
-
-
-def default_candidate_cap(inst: PcpInstance) -> int:
-    # alphabet_size ** 10, floored so that unary alphabets still allow short sweeps
-    return max(len(inst.domain_alphabet), 2) ** 10
-
-
-def find_finite_solutions(
-    inst: PcpInstance, max_len: int, max_candidates: int | None = None
-) -> list[str]:
-    """All nonempty w with |w| <= max_len and g(w) = h(w), in length-lex order."""
-    if max_len < 1:
-        raise PcpError("max_len must be positive")
-    cap = max_candidates if max_candidates is not None else default_candidate_cap(inst)
-    m = len(inst.domain_alphabet)
-    candidates = sum(m**k for k in range(1, max_len + 1))
-    if candidates > cap:
-        raise PcpError(f"{candidates} candidate words exceed the safety cap {cap}")
-    solutions = []
-    for k in range(1, max_len + 1):
-        for letters in itertools.product(inst.domain_alphabet, repeat=k):
-            w = "".join(letters)
-            if inst.h(w) == inst.g(w):
-                solutions.append(w)
-    return solutions
 
 
 def parse_instance(text: str) -> PcpInstance:

@@ -126,10 +126,6 @@ def counter_word(x: int) -> GroupWord:
     return fg.power(fg.word(COUNTER_SYMBOL), x)
 
 
-def counter_value(w: GroupWord) -> int:
-    return sum(sign for _, sign in w.letters)
-
-
 def to_pair_game(g: WeightedWordGame) -> PairWordGame:
     """Re-encode every weight x as the unary word r^x; targets correspond."""
     return PairWordGame(

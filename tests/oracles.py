@@ -1,0 +1,317 @@
+"""Reference definitions that only the tests use.
+
+Lemma checks, slow oracles, certificate replays and round-trip parsers
+that the code in ``pcpgames`` is tested against, grouped by the module
+they check.  The fixtures, the transition-path enumeration and the
+brute-force minimax live in ``conftest.py``.  ``test_layout.py`` keeps
+definitions that only the tests reach out of the package.
+"""
+
+from __future__ import annotations
+
+import itertools
+import re
+from typing import Iterable, Iterator, Sequence
+
+from pcpgames import freegroup as fg
+from pcpgames.automata import Transition, WeightedAutomaton
+from pcpgames.braids import (
+    LP_ZERO,
+    BraidWord,
+    GarsideNormalForm,
+    LaurentMatrix,
+    _compose,
+    _gen_perm,
+    _identity_perm,
+    _starting_set,
+    braid,
+    braid_power,
+    concat,
+    fundamental_braid,
+)
+from pcpgames.engine import ATTACKER, DEFENDER, GameDomain
+from pcpgames.freegroup import (
+    BINARY_SYMBOLS,
+    EPSILON,
+    GroupWord,
+    Letter,
+    RankedAlphabet,
+    alpha_encode,
+    reduce,
+)
+from pcpgames.matrices import IntMatrix, IntVector, block_diag, f_encode, fixes_anchor, identity, mat_vec_mul
+from pcpgames.pcp import PcpError, PcpInstance
+
+
+# --- automata ---
+
+
+def is_complete(aut: WeightedAutomaton) -> bool:
+    pairs = {(t.source, t.letter) for t in aut.transitions}
+    return all(
+        (q, a) in pairs for q in aut.states for a in aut.alphabet
+    )
+
+
+_DOT_EDGE = re.compile(r"^\s*(\w+) -> (\w+) \[label=\"(.+),(-?\d+)\"\];$")
+
+
+def parse_dot_edges(text: str) -> list[Transition]:
+    """Recover the edge multiset from DOT text produced by :func:`export_dot`."""
+    edges = []
+    for line in text.splitlines():
+        m = _DOT_EDGE.match(line)
+        if m:
+            edges.append(Transition(m.group(1), m.group(3), m.group(2), int(m.group(4))))
+    return sorted(edges)
+
+
+def parse_flat(text: str) -> WeightedAutomaton:
+    states: tuple[str, ...] = ()
+    alphabet: tuple[str, ...] = ()
+    initial = ""
+    finals: frozenset[str] = frozenset()
+    trans = set()
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        fields = line.split()
+        if fields[0] == "states":
+            states = tuple(fields[1:])
+        elif fields[0] == "alphabet":
+            alphabet = tuple(fields[1:])
+        elif fields[0] == "initial":
+            initial = fields[1]
+        elif fields[0] == "finals":
+            finals = frozenset(fields[1:])
+        else:
+            src, letter, dst, weight = fields
+            trans.add(Transition(src, letter, dst, int(weight)))
+    return WeightedAutomaton(states, alphabet, frozenset(trans), initial, finals)
+
+
+# --- braids ---
+
+
+def parse_braid(strands: int, text: str) -> BraidWord:
+    return braid(strands, (int(tok) for tok in text.split()))
+
+
+def factor_word(perm: tuple[int, ...]) -> tuple[int, ...]:
+    """A positive braid word (1-based indices) lifting a permutation factor."""
+    word: list[int] = []
+    current = perm
+    while current != _identity_perm(len(perm)):
+        s = min(_starting_set(current))
+        word.append(s + 1)
+        current = _compose(_gen_perm(len(perm), s + 1), current)
+    return tuple(word)
+
+
+def nf_to_braid(nf: GarsideNormalForm) -> BraidWord:
+    """Rebuild a braid word from a normal form (half-twist power, then factors)."""
+    out = braid_power(fundamental_braid(nf.strands), nf.power)
+    for factor in nf.factors:
+        out = concat(out, BraidWord(nf.strands, factor_word(factor)))
+    return out
+
+
+def burau3_is_scalar(m: LaurentMatrix) -> bool:
+    return m[0][1] == LP_ZERO and m[1][0] == LP_ZERO and m[0][0] == m[1][1]
+
+
+# --- engine ---
+
+
+def replay_reaches_target(
+    domain: GameDomain,
+    attacker_table: dict[tuple[str, int], int],
+    defender_script: tuple[int, ...],
+) -> bool:
+    """Drive the attacker strategy against a fixed defender script."""
+    cfg = domain.initial_config()
+    horizon = len(defender_script)
+    for rnd, d in enumerate(defender_script, start=1):
+        remaining = horizon - rnd + 1
+        cfg = domain.apply(cfg, DEFENDER, d)
+        key = (domain.canonical_key(cfg), remaining)
+        if key not in attacker_table:
+            return False
+        cfg = domain.apply(cfg, ATTACKER, attacker_table[key])
+        if domain.is_target(cfg):
+            return True
+    return False
+
+
+def survives_every_attacker_move(domain, table, cfg, remaining) -> bool:
+    """Follow the defender table against every attacker move at every step."""
+    if remaining == 0:
+        return True
+    key = (domain.canonical_key(cfg), remaining)
+    if key not in table:
+        return False
+    after_d = domain.apply(cfg, DEFENDER, table[key])
+    for a in range(domain.move_count(ATTACKER)):
+        after_a = domain.apply(after_d, ATTACKER, a)
+        if domain.is_target(after_a) or not survives_every_attacker_move(
+            domain, table, after_a, remaining - 1
+        ):
+            return False
+    return True
+
+
+# --- freegroup ---
+
+
+def is_identity(w: GroupWord) -> bool:
+    return not w.letters
+
+
+def alpha_decode(w: GroupWord, alphabet: RankedAlphabet) -> GroupWord | None:
+    """Partial inverse of :func:`alpha_encode`.
+
+    Greedily scans the reduced word, tracking the net c-depth; every d-letter
+    read at depth ``i`` contributes the rank-``i`` source letter.  In a reduced
+    image the closing ``c^-i`` of one block merges with the opening ``c^j`` of
+    the next, so the depth walk recovers the block structure directly.  The
+    candidate is re-encoded as a final check; anything that stalls the scan or
+    fails the check yields ``None`` (decode is only used on encoder outputs).
+    """
+    c, d = BINARY_SYMBOLS
+    out: list[Letter] = []
+    depth = 0
+    for sym, sign in w.letters:
+        if sym == c:
+            depth += sign
+        elif sym == d:
+            if depth < 1 or depth > len(alphabet):
+                return None
+            out.append((alphabet.symbol(depth), sign))
+        else:
+            return None
+    if depth != 0:
+        return None
+    decoded = reduce(out)
+    if alpha_encode(decoded, alphabet) != w:
+        return None
+    return decoded
+
+
+def all_reduced_words(alphabet: Sequence[str], max_len: int) -> Iterable[GroupWord]:
+    """Every freely reduced word of length <= max_len, shorter words first."""
+    frontier: list[GroupWord] = [EPSILON]
+    yield EPSILON
+    for _ in range(max_len):
+        nxt: list[GroupWord] = []
+        for w in frontier:
+            for sym in alphabet:
+                for sign in (1, -1):
+                    if w.letters and w.letters[-1] == (sym, -sign):
+                        continue
+                    grown = GroupWord(w.letters + ((sym, sign),))
+                    nxt.append(grown)
+                    yield grown
+        frontier = nxt
+
+
+# --- matrices ---
+
+
+COLUMN_ANCHOR: IntVector = (0, 1, 0, 1)
+
+
+def det(m: IntMatrix) -> int:
+    n = len(m)
+    if n == 1:
+        return m[0][0]
+    total = 0
+    for j in range(n):
+        minor = tuple(row[:j] + row[j + 1:] for row in m[1:])
+        total += (-1) ** j * m[0][j] * det(minor)
+    return total
+
+
+def closed_form_alpha_image(j: int) -> IntMatrix:
+    """f of the rank-j letter image: ((1+4j, -8j^2), (2, 1-4j))."""
+    return ((1 + 4 * j, -8 * j * j), (2, 1 - 4 * j))
+
+
+def _reduced_word_count(rank: int, max_len: int) -> int:
+    total, layer = 1, 1
+    for n in range(1, max_len + 1):
+        layer = layer * (2 * rank if n == 1 else 2 * rank - 1)
+        total += layer
+    return total
+
+
+def _encoded_words(
+    max_len: int, rank: int, max_words: int
+) -> Iterator[tuple[GroupWord, IntMatrix]]:
+    """Every reduced word of length <= max_len with its 4x4 block encoding."""
+    if _reduced_word_count(rank, max_len) > max_words:
+        raise ValueError(f"enumeration would exceed the cap of {max_words} words")
+    alphabet = RankedAlphabet(tuple(f"z{i}" for i in range(1, rank + 1)))
+    for w in all_reduced_words(alphabet.symbols, max_len):
+        yield w, block_diag(f_encode(fg.alpha_encode(w, alphabet)), identity(2))
+
+
+def anchor_lemma_holds(max_len: int, rank: int = 3, max_words: int = 200_000) -> bool:
+    """Exhaustively check fixes-anchor implies identity on encoded words.
+
+    Enumerates every reduced word of length <= max_len over a rank-``rank``
+    alphabet, encodes it through the binary embedding and f, embeds it as the
+    upper block of a 4x4 matrix, and requires that fixing the anchor row
+    forces the identity matrix.
+    """
+    for _, m in _encoded_words(max_len, rank, max_words):
+        if fixes_anchor(m) and m != identity(4):
+            return False
+    return True
+
+
+def column_anchor_lemma_report(
+    max_len: int, rank: int = 3, max_words: int = 200_000
+) -> tuple[bool, str | None]:
+    """The main-text column-vector variant: M x0 = x0 with x0 = (0,1,0,1)^T.
+
+    Reported, not asserted: returns (holds, first counterexample word or None).
+    """
+    for w, m in _encoded_words(max_len, rank, max_words):
+        if mat_vec_mul(m, COLUMN_ANCHOR) == COLUMN_ANCHOR and m != identity(4):
+            return False, fg.render(w)
+    return True, None
+
+
+# --- pcp ---
+
+
+def default_candidate_cap(inst: PcpInstance) -> int:
+    # alphabet_size ** 10, floored so that unary alphabets still allow short sweeps
+    return max(len(inst.domain_alphabet), 2) ** 10
+
+
+def find_finite_solutions(
+    inst: PcpInstance, max_len: int, max_candidates: int | None = None
+) -> list[str]:
+    """All nonempty w with |w| <= max_len and g(w) = h(w), in length-lex order."""
+    if max_len < 1:
+        raise PcpError("max_len must be positive")
+    cap = max_candidates if max_candidates is not None else default_candidate_cap(inst)
+    m = len(inst.domain_alphabet)
+    candidates = sum(m**k for k in range(1, max_len + 1))
+    if candidates > cap:
+        raise PcpError(f"{candidates} candidate words exceed the safety cap {cap}")
+    solutions = []
+    for k in range(1, max_len + 1):
+        for letters in itertools.product(inst.domain_alphabet, repeat=k):
+            w = "".join(letters)
+            if inst.h(w) == inst.g(w):
+                solutions.append(w)
+    return solutions
+
+
+# --- wordgames ---
+
+
+def counter_value(w: GroupWord) -> int:
+    return sum(sign for _, sign in w.letters)

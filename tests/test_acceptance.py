@@ -31,6 +31,15 @@ from pcpgames.domains import (
 from pcpgames.engine import ATTACKER, DEFENDER
 
 from conftest import brute_attacker_wins, load_instance, paths_over, scripts
+from oracles import (
+    all_reduced_words,
+    anchor_lemma_holds,
+    column_anchor_lemma_report,
+    det,
+    is_complete,
+    replay_reaches_target,
+    survives_every_attacker_move,
+)
 
 FIXTURE_NAMES = ("i1", "eq", "mm", "fin", "c4", "c5", "c6")
 LEMMA1_FIXTURES = ("i1", "eq", "mm")
@@ -46,7 +55,7 @@ def test_criterion_01_construction_shape():
         aut = au.build_solution_checker(load_instance(name))
         assert len(aut.states) == 5, name
         assert aut.finals == frozenset({"q4"}), name
-        assert au.is_complete(aut), name
+        assert is_complete(aut), name
     _report(1, "compiled automata have 5 states, finals {q4}, and are complete", started)
 
 
@@ -105,7 +114,7 @@ def test_criterion_05_alpha_monomorphism():
     alphabet = fg.RankedAlphabet(("z1", "z2", "z3"))
     seen: dict = {}
     count = 0
-    for w in fg.all_reduced_words(alphabet.symbols, 4):
+    for w in all_reduced_words(alphabet.symbols, 4):
         image = fg.alpha_encode(w, alphabet)
         assert image not in seen, (fg.render(w), fg.render(seen[image]))
         seen[image] = w
@@ -131,7 +140,7 @@ def test_criterion_06_matrix_encodings():
     for name in LEMMA1_FIXTURES:
         game = build_pipeline(load_instance(name)).matrix_game
         for m in game.defender + game.attacker:
-            assert mx.det(m) == 1
+            assert det(m) == 1
             move_count += 1
     alphabet = fg.RankedAlphabet(("z1", "z2", "z3"))
     rng = random.Random(7031)
@@ -140,8 +149,8 @@ def test_criterion_06_matrix_encodings():
         w = fg.reduce(rng.choice(sym_signs) for _ in range(rng.randrange(0, 7)))
         m = mx.f_encode(fg.alpha_encode(w, alphabet))
         assert m[1][1] % 4 == 1
-    assert mx.anchor_lemma_holds(5)
-    column_holds, column_cex = mx.column_anchor_lemma_report(5)
+    assert anchor_lemma_holds(5)
+    column_holds, column_cex = column_anchor_lemma_report(5)
     _report(
         6,
         f"closed forms, det 1 on {move_count} moves, mod-4 on 10^3 products, "
@@ -298,16 +307,10 @@ def test_criterion_10_solver_certificates():
             assert solved.attacker_wins == brute, (label, k)
             if solved.attacker_wins:
                 for script in scripts(domain, DEFENDER, k):
-                    assert engine.replay_reaches_target(domain, solved.strategy, script), (
+                    assert replay_reaches_target(domain, solved.strategy, script), (
                         label, k, script,
                     )
             else:
-                table = solved.strategy
-                for script in scripts(domain, ATTACKER, k):
-                    cfg = domain.initial_config()
-                    for rnd, a in enumerate(script, start=1):
-                        d = table[(domain.canonical_key(cfg), k - rnd + 1)]
-                        cfg = domain.apply(cfg, DEFENDER, d)
-                        cfg = domain.apply(cfg, ATTACKER, a)
-                        assert not domain.is_target(cfg), (label, k, script)
+                start = domain.initial_config()
+                assert survives_every_attacker_move(domain, solved.strategy, start, k), (label, k)
     _report(10, "verdicts match brute force; certificates replay", started)

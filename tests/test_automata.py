@@ -10,6 +10,7 @@ from pcpgames import pcp
 from pcpgames.automata import AutomatonError, Transition
 
 from conftest import FIXTURES, accepting, load_instance, paths_over
+from oracles import is_complete, parse_dot_edges, parse_flat
 
 
 @pytest.fixture(scope="module")
@@ -33,7 +34,7 @@ def test_construction_shape(fixture_instances):
         assert len(aut.states) == 5
         assert aut.finals == frozenset({"q4"})
         assert aut.initial == "q0"
-        assert au.is_complete(aut)
+        assert is_complete(aut)
 
 
 def test_i1_base_family_weight(aut_i1):
@@ -77,7 +78,7 @@ def test_unfold_shape(aut_i1):
     assert unfolded.finals == frozenset({"q4", "q8"})
     assert unfolded.initial == "q0"
     assert all(t.source != t.target for t in unfolded.transitions)
-    assert au.is_complete(unfolded)
+    assert is_complete(unfolded)
 
 
 def test_unfold_cross_edges(aut_i1):
@@ -286,10 +287,10 @@ def test_case_to_path_completeness(name, word, state):
 def test_dot_round_trip(aut_i1):
     dot = au.export_dot(aut_i1)
     assert 'label="a,-2"' in dot
-    assert au.parse_dot_edges(dot) == aut_i1.sorted_transitions()
+    assert parse_dot_edges(dot) == aut_i1.sorted_transitions()
 
 
 def test_flat_round_trip(aut_i1):
     flat = au.export_flat(aut_i1)
-    assert au.parse_flat(flat) == aut_i1
+    assert parse_flat(flat) == aut_i1
 

@@ -14,10 +14,11 @@ from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import wordgames as wg
 from pcpgames.domains import braid_domain, matrix_domain, pair_domain, word_domain
-from pcpgames.domains import build_pipeline, robot_domain, robot_matrix_domain
+from pcpgames.domains import REPRESENTATIONS, build_pipeline, robot_domain, robot_matrix_domain
 from pcpgames.engine import ATTACKER, DEFENDER
 
-from conftest import brute_attacker_wins, load_instance, scripts
+from conftest import GOLDEN, brute_attacker_wins, load_instance, scripts
+from oracles import replay_reaches_target, survives_every_attacker_move
 
 
 @pytest.fixture(scope="module")
@@ -90,13 +91,7 @@ def test_defender_survival_strategy_on_i1(pipelines):
     # the survival strategy emits the letter a each round (the only defender move)
     assert set(table.values()) == {0}
     # replayed against every attacker script it never hits a target
-    for script in scripts(domain, ATTACKER, 3):
-        cfg = domain.initial_config()
-        for rnd, a in enumerate(script, start=1):
-            d = table[(domain.canonical_key(cfg), 3 - rnd + 1)]
-            cfg = domain.apply(cfg, DEFENDER, d)
-            cfg = domain.apply(cfg, ATTACKER, a)
-            assert not domain.is_target(cfg)
+    assert survives_every_attacker_move(domain, table, domain.initial_config(), 3)
 
 
 def test_defender_survival_none_when_attacker_wins(toy_cancel):
@@ -112,7 +107,7 @@ def test_winning_certificate_replays_against_all_scripts(pipelines):
     result = engine.attacker_wins_within(domain, 2)
     assert result.attacker_wins
     for script in scripts(domain, DEFENDER, 2):
-        assert engine.replay_reaches_target(domain, result.strategy, script)
+        assert replay_reaches_target(domain, result.strategy, script)
 
 
 def test_resource_cap(pipelines):
@@ -340,23 +335,6 @@ class ReferenceSolver(engine._Solver):
         return worst
 
 
-def survives_every_attacker_move(domain, table, cfg, remaining) -> bool:
-    """Follow the defender table against every attacker move at every step."""
-    if remaining == 0:
-        return True
-    key = (domain.canonical_key(cfg), remaining)
-    if key not in table:
-        return False
-    after_d = domain.apply(cfg, DEFENDER, table[key])
-    for a in range(domain.move_count(ATTACKER)):
-        after_a = domain.apply(after_d, ATTACKER, a)
-        if domain.is_target(after_a) or not survives_every_attacker_move(
-            domain, table, after_a, remaining - 1
-        ):
-            return False
-    return True
-
-
 @st.composite
 def small_word_games(draw):
     """Games with 1-2 defender and 1-4 attacker moves over 1-2 symbols.
@@ -410,7 +388,7 @@ def test_solver_matches_exhaustive_reference(game, horizon):
         assert all(theirs.get(key, "missing") == value for key, value in mine.items())
     if result.attacker_wins:
         for script in scripts(domain, DEFENDER, horizon):
-            assert engine.replay_reaches_target(domain, result.strategy, script)
+            assert replay_reaches_target(domain, result.strategy, script)
     else:
         assert survives_every_attacker_move(domain, result.strategy, start, horizon)
 
@@ -533,3 +511,15 @@ def test_robot_target_reply_matches_scan_on_robot_plays():
         for start in range(-1, 5):
             cfg = (start,) if domain.name == "robot" else (start, 1)
             assert domain.target_reply(cfg) == first_target_reply(domain, cfg)
+
+
+def test_reply_tables_built_on_the_first_reply_only():
+    pipe = build_pipeline(load_instance("i1"))
+    trace = engine.parse_trace((GOLDEN / "i1_play.trace").read_text(encoding="utf-8"))
+    with mock.patch.object(domains, "_least_index", wraps=domains._least_index) as least_index:
+        assert engine.crosscheck(trace, pipe.crosscheck_domains()).agree
+        assert least_index.call_count == 0
+        for representation in REPRESENTATIONS * 2:
+            engine.attacker_wins_within(pipe.domain(representation), 2)
+    # word, pair, matrix and braid3's binary-word; braid5 replies through pair's table.
+    assert least_index.call_count == 4

@@ -9,6 +9,7 @@ from pcpgames import pcp
 from pcpgames.pcp import BadPrefixCase, PcpError, PrefixKind
 
 from conftest import load_instance
+from oracles import find_finite_solutions
 
 
 def test_parse_i1_fixture():
@@ -128,15 +129,15 @@ def test_desynchronized_images_never_equal_strings(mm, fin):
 
 
 def test_find_finite_solutions_examples(i1, fin):
-    assert pcp.find_finite_solutions(fin, 2) == ["ab"]
-    assert pcp.find_finite_solutions(i1, 5) == []
+    assert find_finite_solutions(fin, 2) == ["ab"]
+    assert find_finite_solutions(i1, 5) == []
     with pytest.raises(PcpError):
-        pcp.find_finite_solutions(i1, 0)
+        find_finite_solutions(i1, 0)
 
 
 def test_find_finite_solutions_cap(fin):
     with pytest.raises(PcpError, match="safety cap"):
-        pcp.find_finite_solutions(fin, 3, max_candidates=2)
+        find_finite_solutions(fin, 3, max_candidates=2)
 
 
 def test_parse_serialize_parse_identity(fixture_instances):
