@@ -20,12 +20,33 @@ accepted prefix.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from typing import Any, Callable
 
 from .pcp import PcpInstance
 
 STATE_NAMES_5 = ("q0", "q1", "q2", "q3", "q4")
 STATE_NAMES_9 = ("q0", "q1", "q2", "q3", "q4", "q5", "q6", "q7", "q8")
+
+
+class BuiltOnFirstAccess:
+    """A cached property that stores its value with ``object.__setattr__``.
+
+    ``functools.cached_property`` stores through the instance ``__dict__``,
+    which on CPython 3.11 turns the instance's inline attribute values into
+    a dict and makes every later attribute load on it about three times
+    slower.  The frozen dataclasses of the hot loops (the automaton read by
+    every subset step, the domain read at every solver node) use this one.
+    """
+
+    def __init__(self, build: Callable[[Any], Any]):
+        self.build = build
+
+    def __get__(self, instance: Any, owner: type | None = None) -> Any:
+        if instance is None:
+            return self
+        value = self.build(instance)
+        object.__setattr__(instance, self.build.__name__, value)
+        return value
 
 
 class AutomatonError(ValueError):
@@ -59,7 +80,7 @@ class WeightedAutomaton:
             if t.letter not in self.alphabet:
                 raise AutomatonError(f"transition {t} uses unknown letter")
 
-    @cached_property
+    @BuiltOnFirstAccess
     def _index(self) -> dict[tuple[str, str], tuple[Transition, ...]]:
         """``(source, letter)`` -> its transitions, sorted; built on first use."""
         index: dict[tuple[str, str], list[Transition]] = {}

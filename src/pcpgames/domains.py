@@ -5,22 +5,26 @@ through another image.  Every representation derived from one word game
 keeps its move lists in the same order, so a move index means the same
 thing in each domain and traces replay across representations unchanged.
 
-Each domain also answers ``target_reply``: the least attacker move whose
-reply reaches the target.  The word, pair and robot games, and the robot
+Each domain also answers ``threat_replies``: for a position and its
+canonical key, the least attacker move whose reply reaches the target
+after each defender move.  The word, pair and robot games, and the robot
 game's matrix embedding, are moves acting on a point with one target point
-t, built by :func:`orbit_domain`: a move a takes x to t exactly when x is
-a^-1 acting on t, so one table of those points -> the least such a answers
-with one lookup.  The matrix game keys the same table by the anchor row
-x0*P of its product P, since x0*P*M fixes x0 exactly when x0*P = x0*M^-1.
-Each table is built on the first reply, so plays, dumps and crosschecks,
-which ask for none, never build it.  No domain applies the replies to find
-a target, and the game types the domains are built from are plain data.
+t, built by :func:`orbit_domain`: after defender move d, a move a takes x
+to t exactly when x is d^-1 a^-1 acting on t, so one table per d of the
+keys of those points -> the least such a answers with one lookup of the
+key the solver has already rendered for its memo.  The matrix key does not
+determine the anchor row, so the matrix game keys one table by anchor rows
+instead: after D_d, M takes the product P to the target exactly when
+x0*P*D_d = x0*M^-1.  Each table is built on the first reply, so plays,
+dumps and crosschecks, which ask for none, never build it.  No domain
+applies a move to find a target, and the game types the domains are built
+from are plain data.
 
 A braid domain is built on the domain it encodes (``braid3`` on the binary
 word game, named ``binary-word``, ``braid5`` on the binary pair game): its configuration is
 ``BraidConfig(braid, source)``, the braid word beside the source
 configuration it encodes.  The source domain steps ``source`` and supplies
-the canonical key, the target predicate and ``target_reply`` (the encodings
+the canonical key, the target predicate and ``threat_replies`` (the encodings
 are injective on everything a play can reach), while the braid word stays
 available for the independent braid oracles that the test suite replays
 against.
@@ -47,25 +51,8 @@ from . import wordgames as wg
 from .engine import DEFENDER
 from .pcp import PcpInstance
 
-
-class _BuiltOnFirstAccess:
-    """A cached property that stores its value with ``object.__setattr__``.
-
-    ``functools.cached_property`` stores through the instance ``__dict__``,
-    which on CPython 3.11 turns the instance's inline attribute values into
-    a dict and makes every later attribute load on it about three times
-    slower; the solver loads domain attributes at every node.
-    """
-
-    def __init__(self, build: Callable[[Any], Any]):
-        self.build = build
-
-    def __get__(self, instance: Any, owner: type | None = None) -> Any:
-        if instance is None:
-            return self
-        value = self.build(instance)
-        object.__setattr__(instance, self.build.__name__, value)
-        return value
+ThreatReplies = Callable[[Any, str], list]
+"""(config, canonical key of config) -> the least target reply to each defender move."""
 
 
 @dataclass(frozen=True)
@@ -73,12 +60,13 @@ class Domain:
     """One representation of a game, as the solver and the replays see it.
 
     ``step(config, move)`` applies one entry of a move tuple.
-    ``target_reply(config)`` is the least attacker move index whose reply
-    takes ``config`` to the target, or None.  ``is_target``,
-    ``target_reply`` and ``canonical_key`` are stored callables rather than
-    methods, so the solver calls them without an extra frame.
-    ``target_reply`` is made by ``build_target_reply`` on first access and
-    then kept as an instance attribute.
+    ``threat_replies(config, key)`` lists, for each defender move, the least
+    attacker move index whose reply then takes ``config`` to the target, or
+    None; ``key`` is ``canonical_key(config)``.  ``is_target``,
+    ``threat_replies`` and ``canonical_key`` are stored callables rather
+    than methods, so the solver calls them without an extra frame.
+    ``threat_replies`` is made by ``build_threat_replies`` on first access
+    and then kept as an instance attribute.
     """
 
     name: str
@@ -87,13 +75,13 @@ class Domain:
     attacker_moves: tuple
     step: Callable[[Any, Any], Any]
     is_target: Callable[[Any], bool]
-    build_target_reply: Callable[[], Callable[[Any], int | None]]
+    build_threat_replies: Callable[[], ThreatReplies]
     canonical_key: Callable[[Any], str]
     label: Callable[[Any], str]
 
-    @_BuiltOnFirstAccess
-    def target_reply(self) -> Callable[[Any], int | None]:
-        return self.build_target_reply()
+    @au.BuiltOnFirstAccess
+    def threat_replies(self) -> ThreatReplies:
+        return self.build_threat_replies()
 
     def initial_config(self) -> Any:
         return self.initial
@@ -142,17 +130,23 @@ def orbit_domain(
     """A domain whose moves act invertibly on points, with one target point.
 
     ``act(point, move)`` is the step and ``inverse(move)`` the inverse
-    move.  The reply a reaches ``target`` from x exactly when x is
-    ``act(target, inverse(a))``, so those points key the reply table, built
-    on the first reply, once per domain.  ``render`` is the canonical key.
+    move.  After defender move d the reply a reaches ``target`` from x
+    exactly when x is ``act(act(target, inverse(a)), inverse(d))``, so
+    ``render`` of those points keys the threat table of d, built on the
+    first reply, once per domain.  ``render`` is the canonical key.
     """
 
-    def build_target_reply() -> Callable[[Any], int | None]:
-        return _least_index(act(target, inverse(a)) for a in attacker).get
+    def build_threat_replies() -> ThreatReplies:
+        points = [act(target, inverse(a)) for a in attacker]
+        tables = []
+        for d in defender:
+            undo = inverse(d)
+            tables.append(_least_index(render(act(x, undo)) for x in points).get)
+        return lambda config, key: [reply(key) for reply in tables]
 
     return Domain(
         name, initial, defender, attacker,
-        act, partial(operator.eq, target), build_target_reply, render, label,
+        act, partial(operator.eq, target), build_threat_replies, render, label,
     )
 
 
@@ -191,7 +185,8 @@ def matrix_domain(game: mx.MatrixGame) -> Domain:
     """The configuration is the accumulated move product.
 
     The reply table, built on the first reply, maps ``anchor*M_a^-1`` to
-    the least ``a``, and the reply reads the anchor row of the product.
+    the least ``a``; ``threat_replies`` looks up the anchor row of the
+    product times each defender move.
     Raises ValueError unless the initial matrix and every move are 2+2
     block-diagonal (what :func:`matrices.apply_matrix_move` multiplies) and
     each block inverse, checked against its move, is exact.
@@ -207,20 +202,19 @@ def matrix_domain(game: mx.MatrixGame) -> Domain:
         if mx.row_vec_mul(preimage(m), m) != anchor:
             raise ValueError(f"attacker move {a} has a block of determinant other than one")
 
-    def build_target_reply() -> Callable[[mx.IntMatrix], int | None]:
-        table = _least_index(map(preimage, game.attacker))
-        x0, x1, x2, x3 = anchor
+    def build_threat_replies() -> ThreatReplies:
+        table, defender = _least_index(map(preimage, game.attacker)), game.defender
 
-        def target_reply(accumulated: mx.IntMatrix) -> int | None:
-            (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, v, w) = accumulated
-            return table.get((x0 * p + x1 * r, x0 * q + x1 * s, x2 * t + x3 * v, x2 * u + x3 * w))
+        def threat_replies(accumulated: mx.IntMatrix, key: str) -> list:
+            row = mx.row_times_blocks(anchor, accumulated)
+            return [table.get(mx.row_times_blocks(row, m)) for m in defender]
 
-        return target_reply
+        return threat_replies
 
     return Domain(
         "matrix", game.initial, game.defender, game.attacker,
-        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=anchor), build_target_reply,
-        _matrix_text, _matrix_text,
+        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=anchor),
+        build_threat_replies, _matrix_text, _matrix_text,
     )
 
 
@@ -287,9 +281,9 @@ def braid_domain(name: str, braid_game: br.BraidGame, source: Domain) -> Domain:
         braid, source_move = move
         return BraidConfig(br.concat(config.braid, braid), source_step(config.source, source_move))
 
-    def build_target_reply() -> Callable[[BraidConfig], int | None]:
-        target_reply = source.target_reply
-        return lambda config: target_reply(config.source)
+    def build_threat_replies() -> ThreatReplies:
+        threat_replies = source.threat_replies
+        return lambda config, key: threat_replies(config.source, key)
 
     return Domain(
         name, BraidConfig(braid_game.initial_braid, source.initial),
@@ -297,7 +291,7 @@ def braid_domain(name: str, braid_game: br.BraidGame, source: Domain) -> Domain:
         tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
         step,
         lambda config: is_target(config.source),
-        build_target_reply,
+        build_threat_replies,
         lambda config: canonical_key(config.source),
         _braid_label,
     )

@@ -2,20 +2,23 @@
 
 A game domain is anything with an initial configuration, indexed move lists
 for the two players, a pure ``apply``, a target predicate, the least
-attacker reply that reaches the target, and a canonical string key for
-configurations.  Rounds alternate Defender then Attacker and
-the target is only ever evaluated after an attacker move, so round zero can
-never be trivially winning.
+attacker reply that reaches the target after each defender move, and a
+canonical string key for configurations.  Rounds alternate Defender then
+Attacker and the target is only ever evaluated after an attacker move, so
+round zero can never be trivially winning.
 
 The solver computes, for each configuration and remaining-round budget, the
 least number of rounds within which the attacker can force a target, and
 stops as soon as that value is decided:
 
-* after a defender move, the domain's ``target_reply`` names the least
-  attacker reply that reaches the target, without applying the replies;
-  only if there is none are the replies applied and searched in order, and
-  the search stops at the first reply worth two rounds, which no reply other
-  than an immediate target could beat;
+* the domain's ``threat_replies`` names, for every defender move, the least
+  attacker reply that reaches the target at once, read from the position's
+  key, already rendered for the memo, so no move is applied to find it;
+  a defender move is applied only to search its replies, when it has no
+  such reply and more than one round remains, or to key its attacker-table
+  entry; the replies are searched in order, and the search stops at the
+  first reply worth two rounds, which no reply other than an immediate
+  target could beat;
 * at the first defender move the attacker cannot answer within the budget the
   position is a survival, and the remaining defender moves are not searched.
 
@@ -31,7 +34,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Protocol
+from typing import Any, Callable, Iterable, Protocol, Sequence
 
 DEFENDER = "D"
 ATTACKER = "A"
@@ -50,11 +53,12 @@ class GameDomain(Protocol):
 
     def is_target(self, config: Any) -> bool: ...
 
-    def target_reply(self, config: Any) -> int | None:
-        """Least attacker move index whose reply reaches the target, else None.
+    def threat_replies(self, config: Any, key: str) -> Sequence[int | None]:
+        """For every defender move d, the least attacker move index a with
+        ``is_target(apply(apply(config, DEFENDER, d), ATTACKER, a))``, else None.
 
-        Equal to the first ``a`` with ``is_target(apply(config, ATTACKER, a))``;
-        the solver uses it in place of applying and testing every reply.
+        ``key`` is ``canonical_key(config)``; the solver uses this in place of
+        applying and testing every defender move and reply.
         """
         ...
 
@@ -94,17 +98,18 @@ class _Solver:
     def value(self, cfg: Any, remaining: int) -> int | None:
         """Least j <= remaining within which Attacker forces a target, else None."""
         domain = self.domain
-        key = (domain.canonical_key(cfg), remaining)
+        canonical = domain.canonical_key(cfg)
+        key = (canonical, remaining)
         if key in self.memo:
             return self.memo[key]
         if len(self.memo) >= self.max_nodes:
             raise ResourceCapExceeded(len(self.memo), self.max_nodes)
         worst = 0
-        for d in range(domain.move_count(DEFENDER)):
-            after_d = domain.apply(cfg, DEFENDER, d)
-            chosen = domain.target_reply(after_d)
-            best = None if chosen is None else 1
+        for d, threat in enumerate(domain.threat_replies(cfg, canonical)):
+            chosen = threat
+            best = None if threat is None else 1
             if best is None and remaining > 1:
+                after_d = domain.apply(cfg, DEFENDER, d)
                 for a in range(domain.move_count(ATTACKER)):
                     sub = self.value(domain.apply(after_d, ATTACKER, a), remaining - 1)
                     if sub is not None and (best is None or sub + 1 < best):
@@ -115,6 +120,8 @@ class _Solver:
                 self.defender_table[key] = d
                 self.memo[key] = None
                 return None
+            if threat is not None:
+                after_d = domain.apply(cfg, DEFENDER, d)
             self.attacker_table[(domain.canonical_key(after_d), remaining)] = chosen
             worst = max(worst, best)
         self.memo[key] = worst

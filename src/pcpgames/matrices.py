@@ -45,6 +45,13 @@ def row_vec_mul(v: IntVector, m: IntMatrix) -> IntVector:
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
+def row_times_blocks(v: IntVector, m: IntMatrix) -> IntVector:
+    """``row_vec_mul(v, m)`` for a 2+2 block-diagonal ``m``: 8 multiplications."""
+    v0, v1, v2, v3 = v
+    (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, w, x) = m
+    return (v0 * p + v1 * r, v0 * q + v1 * s, v2 * t + v3 * w, v2 * u + v3 * x)
+
+
 def mat_vec_mul(m: IntMatrix, v: IntVector) -> IntVector:
     return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 

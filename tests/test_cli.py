@@ -251,6 +251,21 @@ def test_solve_writes_strategy(tmp_path, capsys):
     assert strategy.read_text() == (GOLDEN / "toy_cancel.strategy").read_text()
 
 
+@pytest.mark.parametrize(
+    "name, rounds, verdict",
+    [("fin", 2, "DefenderSurvives(2)"), ("eq", 3, "AttackerWinsWithin(2)")],
+    ids=["fin-survival", "eq-win"],
+)
+def test_solve_strategy_matches_golden(tmp_path, capsys, name, rounds, verdict):
+    strategy = tmp_path / "s.txt"
+    code, out, _ = run(
+        capsys, "solve", "-i", fixture(f"{name}.pcp"), "--rounds", str(rounds),
+        "--strategy-out", str(strategy),
+    )
+    assert code == 0 and out.splitlines()[0] == verdict
+    assert strategy.read_bytes() == (GOLDEN / f"{name}_solve{rounds}.strategy").read_bytes()
+
+
 def test_solve_strategy_out_in_missing_directory(tmp_path, capsys):
     strategy = tmp_path / "missing" / "s"
     code, _, err = run(

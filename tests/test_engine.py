@@ -278,19 +278,21 @@ class CountingDomain:
 
 
 def test_i1_word_solve_work_pinned():
-    # Replies are applied only to recurse into them; target hits come from target_reply.
+    # Replies are applied only to recurse into them; target hits come from threat_replies,
+    # and a defender move is applied only to search its replies or to key its entry.
     domain = CountingDomain(word_domain(build_pipeline(load_instance("i1")).weighted_game))
     result = engine.attacker_wins_within(domain, 4)
     assert (result.verdict, result.explored) == ("DefenderSurvives(4)", 12_290)
-    assert domain.calls == {"apply": 24_848, "is_target": 0}
+    assert domain.calls == {"apply": 13_104, "is_target": 0}
 
 
 def test_c4_matrix_solve_work_pinned():
-    # The anchor-row lookup finds target hits: no reply is applied to test it.
+    # The anchor-row lookup finds target hits: no reply is applied to test it,
+    # and a defender move with a hit is applied only to key its entry.
     domain = CountingDomain(matrix_domain(build_pipeline(load_instance("c4")).matrix_game))
     result = engine.attacker_wins_within(domain, 2)
     assert (result.verdict, result.explored) == ("AttackerWinsWithin(2)", 15)
-    assert domain.calls == {"apply": 32, "is_target": 0}
+    assert domain.calls == {"apply": 19, "is_target": 0}
 
 
 def test_node_cap_validation(toy_cancel):
@@ -393,7 +395,7 @@ def test_solver_matches_exhaustive_reference(game, horizon):
         assert survives_every_attacker_move(domain, result.strategy, start, horizon)
 
 
-# --- target_reply against the scan it replaces ---
+# --- threat_replies against the scan it replaces ---
 
 
 def first_target_reply(domain, cfg):
@@ -404,17 +406,27 @@ def first_target_reply(domain, cfg):
     return None
 
 
+def check_target_replies_at(domain, cfg) -> int:
+    """``threat_replies`` must name the scan's target reply after each defender
+    move; returns how many defender moves have one."""
+    expected = [
+        first_target_reply(domain, domain.apply(cfg, DEFENDER, d)) for d in range(domain.move_count(DEFENDER))
+    ]
+    assert list(domain.threat_replies(cfg, domain.canonical_key(cfg))) == expected, (
+        domain.name, domain.canonical_key(cfg))
+    return sum(reply is not None for reply in expected)
+
+
 def check_target_reply_along(domains, moves) -> int:
-    """Replay ``(player, index)`` moves in every domain, checking ``target_reply``
-    at each configuration reached; returns how many had a target reply."""
+    """Replay ``(player, index)`` moves in every domain, checking the target
+    replies at the start and after every move; returns how many were found."""
     hits = 0
     for domain in domains:
         cfg = domain.initial_config()
+        hits += check_target_replies_at(domain, cfg)
         for player, index in moves:
             cfg = domain.apply(cfg, player, index)
-            expected = first_target_reply(domain, cfg)
-            assert domain.target_reply(cfg) == expected, (domain.name, domain.canonical_key(cfg))
-            hits += expected is not None
+            hits += check_target_replies_at(domain, cfg)
     return hits
 
 
@@ -456,12 +468,12 @@ def test_target_reply_matches_scan_on_fixture_plays(name):
 def test_target_reply_matches_scan_on_small_games(game, data):
     binary = wg.binarize(game)
     binary_pair = wg.to_pair_game(binary)
+    word, pair, binary_word = word_domain(game), pair_domain(binary_pair), word_domain(binary, "binary-word")
+    matrix = matrix_domain(mx.build_matrix_game(binary_pair))
     domains = [
-        word_domain(game),
-        pair_domain(binary_pair),
-        matrix_domain(mx.build_matrix_game(binary_pair)),
-        braid_domain("braid3", br.build_braid3_game(binary), word_domain(binary)),
-        braid_domain("braid5", br.build_braid5_game(binary_pair), pair_domain(binary_pair)),
+        word, pair, binary_word, matrix,
+        braid_domain("braid3", br.build_braid3_game(binary), binary_word),
+        braid_domain("braid5", br.build_braid5_game(binary_pair), pair),
     ]
     rounds = data.draw(st.lists(
         st.tuples(
@@ -471,19 +483,22 @@ def test_target_reply_matches_scan_on_small_games(game, data):
         max_size=3,
     ))
     check_target_reply_along(domains, [(p, i) for d, a in rounds for p, i in ((DEFENDER, d), (ATTACKER, a))])
-    # The configuration each reply sends to the target; replies with one word
-    # and weight (the "undo" replies) tie there, and the least index must win.
-    word, pair = domains[0], domains[1]
-    for m in game.attacker_moves:
-        cfg = wg.WordConfig(fg.invert(m.word), -m.weight)
-        assert word.target_reply(cfg) == first_target_reply(word, cfg) is not None
-    for m in binary_pair.attacker_moves:
-        cfg = wg.PairConfig(fg.invert(m.word), fg.invert(m.counter_word))
-        assert pair.target_reply(cfg) == first_target_reply(pair, cfg) is not None
-    matrix = domains[2]
-    for m in matrix.attacker_moves:
-        cfg = mx.block_inverse(m)
-        assert matrix.target_reply(cfg) == first_target_reply(matrix, cfg) is not None
+    # The positions one defender move and one reply from the target, where a
+    # table must hit; replies with one word and weight (the "undo" replies)
+    # tie there, and the least index must win.
+    positions = [
+        (word, wg.WordConfig(fg.invert(fg.concat(d.word, a.word)), -d.weight - a.weight))
+        for d in game.defender_moves for a in game.attacker_moves
+    ] + [
+        (pair, wg.PairConfig(
+            fg.invert(fg.concat(d.word, a.word)), fg.invert(fg.concat(d.counter_word, a.counter_word))))
+        for d in binary_pair.defender_moves for a in binary_pair.attacker_moves
+    ] + [
+        (matrix, mx.apply_matrix_move(mx.block_inverse(a), mx.block_inverse(d)))
+        for d in matrix.defender_moves for a in matrix.attacker_moves
+    ]
+    for domain, cfg in positions:
+        assert check_target_replies_at(domain, cfg) > 0
 
 
 def test_robot_target_reply_matches_scan_on_robot_plays():
@@ -505,12 +520,47 @@ def test_robot_target_reply_matches_scan_on_robot_plays():
         ]
         hits += check_target_reply_along([native, embedded], moves)
     assert hits > 0
+    # One defender move and one reply from the target, a table must hit.
+    for d in robot.defender:
+        for a in robot.attacker:
+            point = tuple(t - x - y for t, x, y in zip(robot.target, d, a))
+            assert check_target_replies_at(native, point) > 0
+            assert check_target_replies_at(embedded, point + (1, 1)) > 0
     # A reply whose preimage is also another's: the least index must win.
     tied = mx.RobotGame(attacker=((1,), (2,), (1,)), defender=((0,),), initial=(0,), target=(3,))
     for domain in (robot_domain(tied), robot_matrix_domain(tied)):
         for start in range(-1, 5):
-            cfg = (start,) if domain.name == "robot" else (start, 1)
-            assert domain.target_reply(cfg) == first_target_reply(domain, cfg)
+            check_target_replies_at(domain, (start,) if domain.name == "robot" else (start, 1))
+
+
+@st.composite
+def robot_games(draw):
+    """Two-dimensional robot games with 1-3 defender and 1-4 attacker vectors."""
+    vectors = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
+    return mx.RobotGame(
+        attacker=tuple(draw(st.lists(vectors, min_size=1, max_size=4))),
+        defender=tuple(draw(st.lists(vectors, min_size=1, max_size=3))),
+        initial=draw(vectors),
+        target=draw(vectors),
+    )
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(game=robot_games(), data=st.data())
+def test_target_reply_matches_scan_on_robot_games(game, data):
+    moves = data.draw(st.lists(
+        st.tuples(st.integers(0, len(game.defender) - 1), st.integers(0, len(game.attacker) - 1)),
+        max_size=4,
+    ))
+    native = robot_domain(game)
+    check_target_reply_along(
+        [native, robot_matrix_domain(game)],
+        [(p, i) for d, a in moves for p, i in ((DEFENDER, d), (ATTACKER, a))],
+    )
+    for d in game.defender:
+        for a in game.attacker:
+            point = tuple(t - x - y for t, x, y in zip(game.target, d, a))
+            assert check_target_replies_at(native, point) > 0
 
 
 def test_reply_tables_built_on_the_first_reply_only():
@@ -521,5 +571,6 @@ def test_reply_tables_built_on_the_first_reply_only():
         assert least_index.call_count == 0
         for representation in REPRESENTATIONS * 2:
             engine.attacker_wins_within(pipe.domain(representation), 2)
-    # word, pair, matrix and braid3's binary-word; braid5 replies through pair's table.
+    # A threat table for the one defender move of word, pair and braid3's binary-word,
+    # and matrix's anchor-row table; braid5 replies through pair's table.
     assert least_index.call_count == 4

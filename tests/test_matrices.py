@@ -179,7 +179,7 @@ def test_anchor_row_lookup_matches_generic_scan(anchor, replies, config):
         expected = next(
             (a for a, m in enumerate(replies) if mx.fixes_anchor(mx.mat_mul(cfg, m), anchor)), None
         )
-        assert domain.target_reply(cfg) == expected
+        assert domain.threat_replies(cfg, domain.canonical_key(cfg)) == [expected]
 
 
 def test_block_inverse_inverts_pair_images():
@@ -209,7 +209,7 @@ def test_matrix_domain_refuses_games_it_cannot_multiply_by_blocks(game):
 def test_matrix_reply_table_built_once_per_game(pipelines, representation):
     pipe = pipelines["eq"]
     assert pipe.domain(representation) is pipe.domain(representation)
-    assert pipe.domain(representation).target_reply is pipe.domain(representation).target_reply
+    assert pipe.domain(representation).threat_replies is pipe.domain(representation).threat_replies
 
 
 def test_shift_inverse():
