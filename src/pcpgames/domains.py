@@ -1,33 +1,25 @@
 """Game domains for the solver plus the per-instance pipeline.
 
-Every representation is one :class:`Domain`: the same word game seen
-through another image.  Every representation derived from one word game
-keeps its move lists in the same order, so a move index means the same
-thing in each domain and traces replay across representations unchanged.
-
-Each domain also answers ``threat_replies``: for a position and its
-canonical key, the least attacker move whose reply reaches the target
-after each defender move.  The word, pair and robot games, and the robot
-game's matrix embedding, are moves acting on a point with one target point
-t, built by :func:`orbit_domain`: after defender move d, a move a takes x
-to t exactly when x is d^-1 a^-1 acting on t, so one table per d of the
-keys of those points -> the least such a answers with one lookup of the
-key the solver has already rendered for its memo.  The matrix key does not
-determine the anchor row, so the matrix game keys one table by anchor rows
-instead: after D_d, M takes the product P to the target exactly when
-x0*P*D_d = x0*M^-1.  Each table is built on the first reply, so plays,
-dumps and crosschecks, which ask for none, never build it.  No domain
-applies a move to find a target, and the game types the domains are built
-from are plain data.
-
-A braid domain is built on the domain it encodes (``braid3`` on the binary
-word game, named ``binary-word``, ``braid5`` on the binary pair game): its configuration is
-``BraidConfig(braid, source)``, the braid word beside the source
-configuration it encodes.  The source domain steps ``source`` and supplies
-the canonical key, the target predicate and ``threat_replies`` (the encodings
-are injective on everything a play can reach), while the braid word stays
-available for the independent braid oracles that the test suite replays
-against.
+Every representation is one :class:`Domain`, the same word game seen
+through another image: moves acting invertibly on points, one target point,
+and a canonical key that is an invariant of the action.  After defender
+move d the reply a takes x to the target t exactly when x is t acted on by
+a^-1 and then d^-1, so ``threat_replies`` keeps one table per d of the keys
+of those points -> the least such a, built on the first reply (plays, dumps
+and crosschecks ask for none), and answers from the key the solver has
+already rendered for its memo; no domain applies a move to find a target.
+The word and pair points are their configurations and the robot points
+their vectors.  The matrix point is the block product P, keyed by its
+anchor row x0*P, which is all the target x0*P = x0 reads.  A braid point
+is ``BraidConfig(braid, source)``, the braid word beside the configuration
+of the domain it encodes (``braid3`` the binary word game, named
+``binary-word``, ``braid5`` the binary pair game); the source domain gives
+the key and the target predicate (the encodings are injective on
+everything a play can reach), and the braid word stays available for the
+braid oracles that the test suite replays against.  Every representation
+derived from one word game keeps its move lists in the same order, so a
+move index means the same thing in each domain and traces replay across
+representations unchanged.
 
 The pipeline builds the automaton, its unfolding and the word game
 eagerly, since every representation reads them and a bad instance should
@@ -40,7 +32,7 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 from typing import Any, Callable, Hashable, Iterable
 
 from . import automata as au
@@ -51,22 +43,18 @@ from . import wordgames as wg
 from .engine import DEFENDER
 from .pcp import PcpInstance
 
-ThreatReplies = Callable[[Any, str], list]
-"""(config, canonical key of config) -> the least target reply to each defender move."""
-
 
 @dataclass(frozen=True)
 class Domain:
-    """One representation of a game, as the solver and the replays see it.
+    """One representation of a game: moves acting invertibly on points.
 
-    ``step(config, move)`` applies one entry of a move tuple.
-    ``threat_replies(config, key)`` lists, for each defender move, the least
-    attacker move index whose reply then takes ``config`` to the target, or
-    None; ``key`` is ``canonical_key(config)``.  ``is_target``,
-    ``threat_replies`` and ``canonical_key`` are stored callables rather
-    than methods, so the solver calls them without an extra frame.
-    ``threat_replies`` is made by ``build_threat_replies`` on first access
-    and then kept as an instance attribute.
+    ``step(point, move)`` applies one entry of a move tuple and
+    ``inverse(move)`` is the move that undoes it.  ``canonical_key`` must be
+    an invariant of the action: equal keys stay equal under every move, and
+    ``is_target(x)`` holds exactly when ``canonical_key(x) ==
+    canonical_key(target)``.  ``is_target``, ``canonical_key`` and
+    ``threat_replies`` are stored callables rather than methods, so the
+    solver calls them without an extra frame.
     """
 
     name: str
@@ -74,14 +62,28 @@ class Domain:
     defender_moves: tuple
     attacker_moves: tuple
     step: Callable[[Any, Any], Any]
+    inverse: Callable[[Any], Any]
+    target: Any
     is_target: Callable[[Any], bool]
-    build_threat_replies: Callable[[], ThreatReplies]
     canonical_key: Callable[[Any], str]
     label: Callable[[Any], str]
 
     @au.BuiltOnFirstAccess
-    def threat_replies(self) -> ThreatReplies:
-        return self.build_threat_replies()
+    def threat_replies(self) -> Callable[[str], list]:
+        """key -> for each defender move, the least attacker move index whose
+        reply then takes a point with that key to the target, or None.
+
+        After defender move d the reply a reaches the target from x exactly
+        when x is ``step(step(target, inverse(a)), inverse(d))``, so the keys
+        of those points index one table per d, built on first access.
+        """
+        step, inverse, render = self.step, self.inverse, self.canonical_key
+        points = [step(self.target, inverse(a)) for a in self.attacker_moves]
+        tables = []
+        for d in self.defender_moves:
+            undo = inverse(d)
+            tables.append(_least_index(render(step(x, undo)) for x in points).get)
+        return lambda key: [reply(key) for reply in tables]
 
     def initial_config(self) -> Any:
         return self.initial
@@ -122,34 +124,6 @@ def _least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
     return index
 
 
-def orbit_domain(
-    name: str, initial: Any, defender: tuple, attacker: tuple,
-    act: Callable[[Any, Any], Any], inverse: Callable[[Any], Any], target: Any,
-    render: Callable[[Any], str], label: Callable[[Any], str],
-) -> Domain:
-    """A domain whose moves act invertibly on points, with one target point.
-
-    ``act(point, move)`` is the step and ``inverse(move)`` the inverse
-    move.  After defender move d the reply a reaches ``target`` from x
-    exactly when x is ``act(act(target, inverse(a)), inverse(d))``, so
-    ``render`` of those points keys the threat table of d, built on the
-    first reply, once per domain.  ``render`` is the canonical key.
-    """
-
-    def build_threat_replies() -> ThreatReplies:
-        points = [act(target, inverse(a)) for a in attacker]
-        tables = []
-        for d in defender:
-            undo = inverse(d)
-            tables.append(_least_index(render(act(x, undo)) for x in points).get)
-        return lambda config, key: [reply(key) for reply in tables]
-
-    return Domain(
-        name, initial, defender, attacker,
-        act, partial(operator.eq, target), build_threat_replies, render, label,
-    )
-
-
 def _word_step(config: wg.WordConfig, move: wg.WeightedMove) -> wg.WordConfig:
     return wg.WordConfig(fg.concat(config.word, move.word), config.counter + move.weight)
 
@@ -160,9 +134,10 @@ def _word_inverse(move: wg.WeightedMove) -> wg.WeightedMove:
 
 def word_domain(game: wg.WeightedWordGame, name: str = "word") -> Domain:
     """``name`` tells apart the word games of one pipeline: ``braid3`` encodes ``"binary-word"``."""
-    return orbit_domain(
+    target = wg.WordConfig(fg.EPSILON, 0)
+    return Domain(
         name, game.initial, game.defender_moves, game.attacker_moves,
-        _word_step, _word_inverse, wg.WordConfig(fg.EPSILON, 0), _weighted_key, wg.WeightedMove.render,
+        _word_step, _word_inverse, target, target.__eq__, _weighted_key, wg.WeightedMove.render,
     )
 
 
@@ -175,46 +150,35 @@ def _pair_inverse(move: wg.PairMove) -> wg.PairMove:
 
 
 def pair_domain(game: wg.PairWordGame) -> Domain:
-    return orbit_domain(
+    target = wg.PairConfig(fg.EPSILON, fg.EPSILON)
+    return Domain(
         "pair", game.initial, game.defender_moves, game.attacker_moves,
-        _pair_step, _pair_inverse, wg.PairConfig(fg.EPSILON, fg.EPSILON), _pair_key, wg.PairMove.render,
+        _pair_step, _pair_inverse, target, target.__eq__, _pair_key, wg.PairMove.render,
     )
 
 
 def matrix_domain(game: mx.MatrixGame) -> Domain:
-    """The configuration is the accumulated move product.
+    """The point is the accumulated move product P, keyed by its anchor row x0*P.
 
-    The reply table, built on the first reply, maps ``anchor*M_a^-1`` to
-    the least ``a``; ``threat_replies`` looks up the anchor row of the
-    product times each defender move.
     Raises ValueError unless the initial matrix and every move are 2+2
     block-diagonal (what :func:`matrices.apply_matrix_move` multiplies) and
-    each block inverse, checked against its move, is exact.
+    each move's block inverse, which the reply tables apply, is exact.
     """
     if not all(mx.is_block_diagonal(m) for m in (game.initial,) + game.defender + game.attacker):
         raise ValueError("the initial matrix and every move must be 2+2 block-diagonal")
-    anchor = game.anchor
+    anchor, identity = game.anchor, mx.identity(4)
+    for player, moves in (("defender", game.defender), ("attacker", game.attacker)):
+        for i, m in enumerate(moves):
+            if mx.apply_matrix_move(m, mx.block_inverse(m)) != identity:
+                raise ValueError(f"{player} move {i} has a block of determinant other than one")
 
-    def preimage(m: mx.IntMatrix) -> mx.IntVector:
-        return mx.row_vec_mul(anchor, mx.block_inverse(m))
-
-    for a, m in enumerate(game.attacker):
-        if mx.row_vec_mul(preimage(m), m) != anchor:
-            raise ValueError(f"attacker move {a} has a block of determinant other than one")
-
-    def build_threat_replies() -> ThreatReplies:
-        table, defender = _least_index(map(preimage, game.attacker)), game.defender
-
-        def threat_replies(accumulated: mx.IntMatrix, key: str) -> list:
-            row = mx.row_times_blocks(anchor, accumulated)
-            return [table.get(mx.row_times_blocks(row, m)) for m in defender]
-
-        return threat_replies
+    def anchor_row(product: mx.IntMatrix) -> str:
+        return _vector_text(mx.row_times_blocks(anchor, product))
 
     return Domain(
         "matrix", game.initial, game.defender, game.attacker,
-        mx.apply_matrix_move, partial(mx.fixes_anchor, anchor=anchor),
-        build_threat_replies, _matrix_text, _matrix_text,
+        mx.apply_matrix_move, mx.block_inverse, identity,
+        partial(mx.fixes_anchor, anchor=anchor), anchor_row, _matrix_text,
     )
 
 
@@ -230,11 +194,12 @@ def _shift_inverse(m: mx.IntMatrix) -> mx.IntMatrix:
 def robot_matrix_domain(game: mx.RobotGame) -> Domain:
     """The robot game's 2n-dimensional embedding: ``shift_matrix(v)`` acts on (x, 1...1)."""
     ones = (1,) * len(game.target)
-    return orbit_domain(
+    target = game.target + ones
+    return Domain(
         "robot-matrix", game.initial + ones,
         tuple(mx.shift_matrix(v) for v in game.defender),
         tuple(mx.shift_matrix(v) for v in game.attacker),
-        _act_on_vector, _shift_inverse, game.target + ones, _vector_text, _matrix_text,
+        _act_on_vector, _shift_inverse, target, target.__eq__, _vector_text, _matrix_text,
     )
 
 
@@ -247,9 +212,9 @@ def _negate(v: mx.IntVector) -> mx.IntVector:
 
 
 def robot_domain(game: mx.RobotGame) -> Domain:
-    return orbit_domain(
+    return Domain(
         "robot", game.initial, game.defender, game.attacker,
-        _translate, _negate, game.target, _vector_text, _vector_text,
+        _translate, _negate, game.target, game.target.__eq__, _vector_text, _vector_text,
     )
 
 
@@ -275,23 +240,23 @@ def _braid_label(move: tuple[br.BraidWord, Any]) -> str:
 
 def braid_domain(name: str, braid_game: br.BraidGame, source: Domain) -> Domain:
     """Each move is a braid zipped with the source move it encodes."""
-    source_step, is_target, canonical_key = source.step, source.is_target, source.canonical_key
+    source_step, source_inverse = source.step, source.inverse
+    is_target, canonical_key = source.is_target, source.canonical_key
 
     def step(config: BraidConfig, move: tuple[br.BraidWord, Any]) -> BraidConfig:
         braid, source_move = move
         return BraidConfig(br.concat(config.braid, braid), source_step(config.source, source_move))
 
-    def build_threat_replies() -> ThreatReplies:
-        threat_replies = source.threat_replies
-        return lambda config, key: threat_replies(config.source, key)
+    def inverse(move: tuple[br.BraidWord, Any]) -> tuple[br.BraidWord, Any]:
+        braid, source_move = move
+        return br.invert(braid), source_inverse(source_move)
 
     return Domain(
         name, BraidConfig(braid_game.initial_braid, source.initial),
         tuple(zip(braid_game.defender_braids, source.defender_moves)),
         tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
-        step,
+        step, inverse, BraidConfig(br.BraidWord(braid_game.strands, ()), source.target),
         lambda config: is_target(config.source),
-        build_threat_replies,
         lambda config: canonical_key(config.source),
         _braid_label,
     )
@@ -314,9 +279,9 @@ class Pipeline:
     """Every representation of one instance, move lists index-aligned throughout.
 
     The fields are built by :func:`build_pipeline`.  Each downstream game is
-    a cached property: built from its predecessor on first access, then
-    reused.  Each domain is kept too, so repeated ``domain()`` calls never
-    rebuild a game or a reply table.
+    built from its predecessor on first access, then reused.  Each domain is
+    kept too, so repeated ``domain()`` calls never rebuild a game or a reply
+    table.
     """
 
     instance: PcpInstance
@@ -324,31 +289,31 @@ class Pipeline:
     game_automaton: au.WeightedAutomaton  # the unfolded forward automaton
     weighted_game: wg.WeightedWordGame
 
-    @cached_property
+    @au.BuiltOnFirstAccess
     def pair_game(self) -> wg.PairWordGame:
         return wg.to_pair_game(self.weighted_game)
 
-    @cached_property
+    @au.BuiltOnFirstAccess
     def binary_weighted_game(self) -> wg.WeightedWordGame:
         return wg.binarize(self.weighted_game)
 
-    @cached_property
+    @au.BuiltOnFirstAccess
     def binary_pair_game(self) -> wg.PairWordGame:
         return wg.to_pair_game(self.binary_weighted_game)
 
-    @cached_property
+    @au.BuiltOnFirstAccess
     def matrix_game(self) -> mx.MatrixGame:
         return mx.build_matrix_game(self.binary_pair_game)
 
-    @cached_property
+    @au.BuiltOnFirstAccess
     def braid3_game(self) -> br.BraidGame:
         return br.build_braid3_game(self.binary_weighted_game)
 
-    @cached_property
+    @au.BuiltOnFirstAccess
     def braid5_game(self) -> br.BraidGame:
         return br.build_braid5_game(self.binary_pair_game)
 
-    @cached_property
+    @au.BuiltOnFirstAccess
     def _domains(self) -> dict[str, Domain]:
         return {}
 

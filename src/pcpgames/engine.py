@@ -1,19 +1,21 @@
 """Bounded-horizon solver for alternating Attacker-Defender reachability games.
 
 A game domain is anything with an initial configuration, indexed move lists
-for the two players, a pure ``apply``, a target predicate, the least
-attacker reply that reaches the target after each defender move, and a
-canonical string key for configurations.  Rounds alternate Defender then
-Attacker and the target is only ever evaluated after an attacker move, so
-round zero can never be trivially winning.
+for the two players, a pure ``apply``, a target predicate, a canonical
+string key for configurations, and ``threat_replies(key)``: from a key
+alone, the least attacker reply that reaches the target after each
+defender move.  Rounds alternate Defender then Attacker and the target is
+only ever evaluated after an attacker move, so round zero can never be
+trivially winning.
 
 The solver computes, for each configuration and remaining-round budget, the
 least number of rounds within which the attacker can force a target, and
 stops as soon as that value is decided:
 
-* the domain's ``threat_replies`` names, for every defender move, the least
-  attacker reply that reaches the target at once, read from the position's
-  key, already rendered for the memo, so no move is applied to find it;
+* the domain's ``threat_replies(key)`` names, for every defender move, the
+  least attacker reply that reaches the target at once, read from the
+  position's key alone, already rendered for the memo, so no move is
+  applied to find it;
   a defender move is applied only to search its replies, when it has no
   such reply and more than one round remains, or to key its attacker-table
   entry; the replies are searched in order, and the search stops at the
@@ -53,12 +55,13 @@ class GameDomain(Protocol):
 
     def is_target(self, config: Any) -> bool: ...
 
-    def threat_replies(self, config: Any, key: str) -> Sequence[int | None]:
+    def threat_replies(self, key: str) -> Sequence[int | None]:
         """For every defender move d, the least attacker move index a with
         ``is_target(apply(apply(config, DEFENDER, d), ATTACKER, a))``, else None.
 
-        ``key`` is ``canonical_key(config)``; the solver uses this in place of
-        applying and testing every defender move and reply.
+        ``key`` is ``canonical_key(config)``, which decides the answer; the
+        solver uses this in place of applying and testing every defender move
+        and reply.
         """
         ...
 
@@ -105,7 +108,7 @@ class _Solver:
         if len(self.memo) >= self.max_nodes:
             raise ResourceCapExceeded(len(self.memo), self.max_nodes)
         worst = 0
-        for d, threat in enumerate(domain.threat_replies(cfg, canonical)):
+        for d, threat in enumerate(domain.threat_replies(canonical)):
             chosen = threat
             best = None if threat is None else 1
             if best is None and remaining > 1:

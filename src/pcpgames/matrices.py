@@ -41,12 +41,8 @@ def mat_mul(a: IntMatrix, b: IntMatrix) -> IntMatrix:
     )
 
 
-def row_vec_mul(v: IntVector, m: IntMatrix) -> IntVector:
-    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
-
-
 def row_times_blocks(v: IntVector, m: IntMatrix) -> IntVector:
-    """``row_vec_mul(v, m)`` for a 2+2 block-diagonal ``m``: 8 multiplications."""
+    """The row vector ``v`` times a 2+2 block-diagonal ``m``: 8 multiplications."""
     v0, v1, v2, v3 = v
     (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, w, x) = m
     return (v0 * p + v1 * r, v0 * q + v1 * s, v2 * t + v3 * w, v2 * u + v3 * x)
@@ -87,7 +83,8 @@ def pair_encode(word: GroupWord, counter_word: GroupWord) -> IntMatrix:
 
 
 def fixes_anchor(m: IntMatrix, anchor: IntVector = ANCHOR_ROW) -> bool:
-    return row_vec_mul(anchor, m) == anchor
+    """Whether the 2+2 block-diagonal ``m`` fixes the row ``anchor``."""
+    return row_times_blocks(anchor, m) == anchor
 
 
 def is_block_diagonal(m: IntMatrix) -> bool:

@@ -180,7 +180,7 @@ def dump_pair_game(g: PairWordGame) -> str:
 
 
 def parse_weighted_game(text: str) -> WeightedWordGame:
-    """Inverse of :func:`dump_weighted_game`."""
+    """Inverse of :func:`dump_weighted_game`; the target must be the empty word with weight 0."""
     alphabet: RankedAlphabet | None = None
     initial = WordConfig(fg.EPSILON, 0)
     defender: list[WeightedMove] = []
@@ -195,7 +195,10 @@ def parse_weighted_game(text: str) -> WeightedWordGame:
             word, weight = _split_move(line[len("initial "):])
             initial = WordConfig(word, weight)
         elif line.startswith("target "):
-            continue
+            target = line[len("target "):]
+            word, weight = _split_move(target)
+            if word.letters or weight:
+                raise ValueError(f"game dump target {target!r} is not the empty word with weight 0")
         elif line.startswith("player="):
             player, rest = line.split(None, 1)
             word, weight = _split_move(rest)

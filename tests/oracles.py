@@ -29,6 +29,7 @@ from pcpgames.braids import (
     concat,
     fundamental_braid,
 )
+from pcpgames.domains import Domain
 from pcpgames.engine import ATTACKER, DEFENDER, GameDomain
 from pcpgames.freegroup import (
     BINARY_SYMBOLS,
@@ -39,7 +40,16 @@ from pcpgames.freegroup import (
     alpha_encode,
     reduce,
 )
-from pcpgames.matrices import IntMatrix, IntVector, block_diag, f_encode, fixes_anchor, identity, mat_vec_mul
+from pcpgames.matrices import (
+    IntMatrix,
+    IntVector,
+    block_diag,
+    f_encode,
+    fixes_anchor,
+    identity,
+    mat_vec_mul,
+    row_times_blocks,
+)
 from pcpgames.pcp import PcpError, PcpInstance
 
 
@@ -118,6 +128,36 @@ def nf_to_braid(nf: GarsideNormalForm) -> BraidWord:
 
 def burau3_is_scalar(m: LaurentMatrix) -> bool:
     return m[0][1] == LP_ZERO and m[1][0] == LP_ZERO and m[0][0] == m[1][1]
+
+
+# --- domains ---
+
+
+def key_decides_target_along(
+    domain: Domain, moves: Iterable[tuple[str, int]], anchor: IntVector | None = None
+) -> None:
+    """Replay ``(player, index)`` moves from the start of a ``domains.Domain``
+    and require at every position that ``is_target`` holds exactly when the
+    key is the target's, and that ``inverse`` undoes every move played.
+
+    With ``anchor`` (a matrix domain) the key after each move must also be
+    the text of the anchor row before it times the move's blocks.
+    """
+    target_key = domain.canonical_key(domain.target)
+    cfg = domain.initial_config()
+    positions = [cfg]
+    for player, index in moves:
+        move = (domain.defender_moves if player == DEFENDER else domain.attacker_moves)[index]
+        after = domain.step(cfg, move)
+        assert domain.step(after, domain.inverse(move)) == cfg, (domain.name, move)
+        if anchor is not None:
+            row = row_times_blocks(row_times_blocks(anchor, cfg), move)
+            assert domain.canonical_key(after) == " ".join(map(str, row)), (cfg, move)
+        positions.append(after)
+        cfg = after
+    for x in positions:
+        key = domain.canonical_key(x)
+        assert domain.is_target(x) == (key == target_key), (domain.name, key)
 
 
 # --- engine ---
@@ -218,6 +258,10 @@ def all_reduced_words(alphabet: Sequence[str], max_len: int) -> Iterable[GroupWo
 
 
 COLUMN_ANCHOR: IntVector = (0, 1, 0, 1)
+
+
+def row_vec_mul(v: IntVector, m: IntMatrix) -> IntVector:
+    return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
 def det(m: IntMatrix) -> int:

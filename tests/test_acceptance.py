@@ -227,8 +227,8 @@ def test_criterion_08_cross_representation_integration():
                         assert cfg.source == source_cfg
                         assert dom.canonical_key(cfg) == source.canonical_key(source_cfg)
                         assert dom.is_target(cfg) == source.is_target(source_cfg)
-                        assert dom.threat_replies(cfg, dom.canonical_key(cfg)) == source.threat_replies(
-                            source_cfg, source.canonical_key(source_cfg))
+                        assert dom.threat_replies(dom.canonical_key(cfg)) == source.threat_replies(
+                            source.canonical_key(source_cfg))
                         # Beside ``braid``, the names the benchmark's play certificate reads.
                         for attr in names:
                             assert getattr(cfg, attr) == getattr(source_cfg, attr)

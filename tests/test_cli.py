@@ -229,8 +229,19 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr():
             "player=D word=a weight=x\nplayer=A word=~a weight=0", "solve",
             "malformed move field 'word=a weight=x'",
         ),
+        (
+            "target word=a weight=5\nplayer=D word=a weight=0\nplayer=A word=~a weight=0", "solve",
+            "game dump target 'word=a weight=5' is not the empty word with weight 0",
+        ),
+        (
+            "target garbage\nplayer=D word=a weight=0\nplayer=A word=~a weight=0", "solve",
+            "malformed move field 'garbage'",
+        ),
     ],
-    ids=["no-defender-move", "no-attacker-move", "weight-not-an-integer"],
+    ids=[
+        "no-defender-move", "no-attacker-move", "weight-not-an-integer", "target-not-empty",
+        "target-malformed",
+    ],
 )
 def test_malformed_game_dump_is_an_error(tmp_path, capsys, moves, command, message):
     game = tmp_path / "bad.game"
@@ -252,18 +263,23 @@ def test_solve_writes_strategy(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, rounds, verdict",
-    [("fin", 2, "DefenderSurvives(2)"), ("eq", 3, "AttackerWinsWithin(2)")],
-    ids=["fin-survival", "eq-win"],
+    "name, representation, rounds, verdict, golden",
+    [
+        ("fin", "word", 2, "DefenderSurvives(2)", "fin_solve2"),
+        ("eq", "word", 3, "AttackerWinsWithin(2)", "eq_solve3"),
+        # Matrix keys are anchor rows x0*P.
+        ("c4", "matrix", 2, "AttackerWinsWithin(2)", "c4_matrix_solve2"),
+    ],
+    ids=["fin-survival", "eq-win", "c4-matrix-win"],
 )
-def test_solve_strategy_matches_golden(tmp_path, capsys, name, rounds, verdict):
+def test_solve_strategy_matches_golden(tmp_path, capsys, name, representation, rounds, verdict, golden):
     strategy = tmp_path / "s.txt"
     code, out, _ = run(
         capsys, "solve", "-i", fixture(f"{name}.pcp"), "--rounds", str(rounds),
-        "--strategy-out", str(strategy),
+        "--representation", representation, "--strategy-out", str(strategy),
     )
     assert code == 0 and out.splitlines()[0] == verdict
-    assert strategy.read_bytes() == (GOLDEN / f"{name}_solve{rounds}.strategy").read_bytes()
+    assert strategy.read_bytes() == (GOLDEN / f"{golden}.strategy").read_bytes()
 
 
 def test_solve_strategy_out_in_missing_directory(tmp_path, capsys):

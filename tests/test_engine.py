@@ -18,7 +18,7 @@ from pcpgames.domains import REPRESENTATIONS, build_pipeline, robot_domain, robo
 from pcpgames.engine import ATTACKER, DEFENDER
 
 from conftest import GOLDEN, brute_attacker_wins, load_instance, scripts
-from oracles import replay_reaches_target, survives_every_attacker_move
+from oracles import key_decides_target_along, replay_reaches_target, survives_every_attacker_move
 
 
 @pytest.fixture(scope="module")
@@ -412,7 +412,7 @@ def check_target_replies_at(domain, cfg) -> int:
     expected = [
         first_target_reply(domain, domain.apply(cfg, DEFENDER, d)) for d in range(domain.move_count(DEFENDER))
     ]
-    assert list(domain.threat_replies(cfg, domain.canonical_key(cfg))) == expected, (
+    assert list(domain.threat_replies(domain.canonical_key(cfg))) == expected, (
         domain.name, domain.canonical_key(cfg))
     return sum(reply is not None for reply in expected)
 
@@ -463,18 +463,23 @@ def test_target_reply_matches_scan_on_fixture_plays(name):
         assert hits > 0
 
 
-@settings(max_examples=300, derandomize=True, deadline=None)
-@given(game=small_word_games(), data=st.data())
-def test_target_reply_matches_scan_on_small_games(game, data):
+def small_game_domains(game: wg.WeightedWordGame) -> list:
+    """word, pair, binary-word, matrix, braid3 and braid5, built as the pipeline builds them."""
     binary = wg.binarize(game)
     binary_pair = wg.to_pair_game(binary)
     word, pair, binary_word = word_domain(game), pair_domain(binary_pair), word_domain(binary, "binary-word")
-    matrix = matrix_domain(mx.build_matrix_game(binary_pair))
-    domains = [
-        word, pair, binary_word, matrix,
+    return [
+        word, pair, binary_word, matrix_domain(mx.build_matrix_game(binary_pair)),
         braid_domain("braid3", br.build_braid3_game(binary), binary_word),
         braid_domain("braid5", br.build_braid5_game(binary_pair), pair),
     ]
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(game=small_word_games(), data=st.data())
+def test_target_reply_matches_scan_on_small_games(game, data):
+    domains = small_game_domains(game)
+    word, pair, matrix = domains[0], domains[1], domains[3]
     rounds = data.draw(st.lists(
         st.tuples(
             st.integers(0, len(game.defender_moves) - 1),
@@ -492,7 +497,7 @@ def test_target_reply_matches_scan_on_small_games(game, data):
     ] + [
         (pair, wg.PairConfig(
             fg.invert(fg.concat(d.word, a.word)), fg.invert(fg.concat(d.counter_word, a.counter_word))))
-        for d in binary_pair.defender_moves for a in binary_pair.attacker_moves
+        for d in pair.defender_moves for a in pair.attacker_moves
     ] + [
         (matrix, mx.apply_matrix_move(mx.block_inverse(a), mx.block_inverse(d)))
         for d in matrix.defender_moves for a in matrix.attacker_moves
@@ -563,6 +568,77 @@ def test_target_reply_matches_scan_on_robot_games(game, data):
             assert check_target_replies_at(native, point) > 0
 
 
+# --- the key decides the target ---
+
+
+def random_rounds(data, domain, max_rounds: int) -> list[tuple[str, int]]:
+    """Up to ``max_rounds`` rounds of drawn move indices, as ``(player, index)`` moves."""
+    rounds = data.draw(st.lists(
+        st.tuples(
+            st.integers(0, domain.move_count(DEFENDER) - 1), st.integers(0, domain.move_count(ATTACKER) - 1)
+        ),
+        max_size=max_rounds,
+    ))
+    return [(p, i) for d, a in rounds for p, i in ((DEFENDER, d), (ATTACKER, a))]
+
+
+@functools.cache
+def fixture_domains(name: str) -> tuple:
+    """The five pipeline domains of a fixture and braid3's source, binary-word."""
+    pipe = build_pipeline(load_instance(name))
+    return (*pipe.crosscheck_domains(), word_domain(pipe.binary_weighted_game, "binary-word"))
+
+
+@functools.cache
+def two_round_attacker_table(name: str) -> dict:
+    """The word solve's winning table at horizon 2, or {} where the defender survives."""
+    solved = engine.attacker_wins_within(fixture_domains(name)[0], 2)
+    return solved.strategy if solved.attacker_wins else {}
+
+
+def anchor_of(domain):
+    return mx.ANCHOR_ROW if domain.name == "matrix" else None
+
+
+@pytest.mark.parametrize("name", ["eq", "mm", "c4", "i1", "fin", "c5", "c6"])
+@settings(max_examples=30, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_key_decides_target_on_fixture_plays(name, data):
+    # Drawn plays of up to four rounds, in which the attacker follows the two-round
+    # winning table where it has a move, so plays of two rounds can reach the target.
+    domains, table = fixture_domains(name), two_round_attacker_table(name)
+    word, moves = domains[0], []
+    cfg, rounds = word.initial_config(), data.draw(st.integers(1, 4))
+    for remaining in range(rounds, 0, -1):
+        d = data.draw(st.integers(0, word.move_count(DEFENDER) - 1))
+        cfg = word.apply(cfg, DEFENDER, d)
+        a = table.get((word.canonical_key(cfg), remaining))
+        if a is None:
+            a = data.draw(st.integers(0, word.move_count(ATTACKER) - 1))
+        cfg = word.apply(cfg, ATTACKER, a)
+        moves += [(DEFENDER, d), (ATTACKER, a)]
+    for domain in domains:
+        key_decides_target_along(domain, moves, anchor_of(domain))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(game=small_word_games(), data=st.data())
+def test_key_decides_target_on_small_games(game, data):
+    domains = small_game_domains(game)
+    moves = random_rounds(data, domains[0], 3)
+    for domain in domains:
+        key_decides_target_along(domain, moves, anchor_of(domain))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(game=robot_games(), data=st.data())
+def test_key_decides_target_on_robot_games(game, data):
+    native = robot_domain(game)
+    moves = random_rounds(data, native, 4)
+    for domain in (native, robot_matrix_domain(game)):
+        key_decides_target_along(domain, moves)
+
+
 def test_reply_tables_built_on_the_first_reply_only():
     pipe = build_pipeline(load_instance("i1"))
     trace = engine.parse_trace((GOLDEN / "i1_play.trace").read_text(encoding="utf-8"))
@@ -571,6 +647,6 @@ def test_reply_tables_built_on_the_first_reply_only():
         assert least_index.call_count == 0
         for representation in REPRESENTATIONS * 2:
             engine.attacker_wins_within(pipe.domain(representation), 2)
-    # A threat table for the one defender move of word, pair and braid3's binary-word,
-    # and matrix's anchor-row table; braid5 replies through pair's table.
-    assert least_index.call_count == 4
+    # One threat table for the one defender move of each representation; braid3 and
+    # braid5 build their own, and braid3's source domain binary-word is never solved.
+    assert least_index.call_count == 5

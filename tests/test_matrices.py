@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames.domains import REPRESENTATIONS, matrix_domain, robot_domain, robot_matrix_domain
+from pcpgames.engine import ATTACKER, DEFENDER
 
 from oracles import (
     all_reduced_words,
@@ -16,6 +17,8 @@ from oracles import (
     column_anchor_lemma_report,
     det,
     is_identity,
+    key_decides_target_along,
+    row_vec_mul,
 )
 
 ALPHA3 = fg.RankedAlphabet(("z1", "z2", "z3"))
@@ -153,22 +156,22 @@ counter_words = st.lists(st.sampled_from([("r", 1), ("r", -1)]), max_size=4).map
 pair_images = st.builds(pair_image, binary_words, counter_words, st.booleans())
 
 
+anchors = st.tuples(*[st.integers(-2, 2)] * 4).filter(any)
+
+
 @settings(max_examples=200, derandomize=True)
-@given(start=pair_images, moves=st.lists(pair_images, max_size=8))
-def test_block_product_matches_generic_product(start, moves):
+@given(start=pair_images, moves=st.lists(pair_images, max_size=8), row=anchors)
+def test_block_product_matches_generic_product(start, moves, row):
     # Pair images and their inverses, as the matrix game plays them.
     block = generic = start
     for m in moves:
         block, generic = mx.apply_matrix_move(block, m), mx.mat_mul(generic, m)
         assert block == generic
+        assert mx.row_times_blocks(row, block) == row_vec_mul(row, generic)
 
 
 @settings(max_examples=200, derandomize=True)
-@given(
-    anchor=st.tuples(*[st.integers(-2, 2)] * 4).filter(any),
-    replies=st.lists(pair_images, min_size=1, max_size=4),
-    config=pair_images,
-)
+@given(anchor=anchors, replies=st.lists(pair_images, min_size=1, max_size=4), config=pair_images)
 def test_anchor_row_lookup_matches_generic_scan(anchor, replies, config):
     # Any anchor, not only ANCHOR_ROW; each reply's own preimage is a hit, and
     # repeated replies tie there, so the least index must win.
@@ -179,7 +182,28 @@ def test_anchor_row_lookup_matches_generic_scan(anchor, replies, config):
         expected = next(
             (a for a, m in enumerate(replies) if mx.fixes_anchor(mx.mat_mul(cfg, m), anchor)), None
         )
-        assert domain.threat_replies(cfg, domain.canonical_key(cfg)) == [expected]
+        assert domain.threat_replies(domain.canonical_key(cfg)) == [expected]
+
+
+@settings(max_examples=200, derandomize=True)
+@given(
+    anchor=anchors,
+    defender=st.lists(pair_images, min_size=1, max_size=3),
+    attacker=st.lists(pair_images, min_size=1, max_size=3),
+    config=pair_images,
+    one_round_out=st.booleans(),
+    data=st.data(),
+)
+def test_key_decides_target_on_block_diagonal_games(anchor, defender, attacker, config, one_round_out, data):
+    # Half the games start one round (defender move 0, attacker move 0) from the target.
+    if one_round_out:
+        config = mx.apply_matrix_move(mx.block_inverse(attacker[0]), mx.block_inverse(defender[0]))
+    domain = matrix_domain(mx.MatrixGame(tuple(defender), tuple(attacker), anchor, config))
+    rounds = data.draw(st.lists(
+        st.tuples(st.integers(0, len(defender) - 1), st.integers(0, len(attacker) - 1)), max_size=4
+    ))
+    moves = [(p, i) for d, a in rounds for p, i in ((DEFENDER, d), (ATTACKER, a))]
+    key_decides_target_along(domain, moves, anchor)
 
 
 def test_block_inverse_inverts_pair_images():
@@ -197,8 +221,14 @@ def test_block_inverse_inverts_pair_images():
         mx.MatrixGame(
             defender=(mx.identity(4),), attacker=(mx.block_diag(((2, 0), (0, 1)), mx.identity(2)),)
         ),
+        mx.MatrixGame(
+            defender=(mx.block_diag(mx.identity(2), ((1, 1), (0, 2))),), attacker=(mx.identity(4),)
+        ),
     ],
-    ids=["move-not-block-diagonal", "initial-not-block-diagonal", "determinant-two"],
+    ids=[
+        "move-not-block-diagonal", "initial-not-block-diagonal", "determinant-two",
+        "defender-determinant-two",
+    ],
 )
 def test_matrix_domain_refuses_games_it_cannot_multiply_by_blocks(game):
     with pytest.raises(ValueError):
