@@ -117,10 +117,10 @@ def _domain_from_args(args: argparse.Namespace) -> tuple[Domain, wg.WeightedWord
     return pipe.domain(args.representation), pipe.weighted_game
 
 
-def _render_strategy(table: dict[tuple[str, int], int]) -> str:
+def _render_strategy(domain: Domain, table: dict) -> str:
     lines = [
         f"key={key} rounds={rounds} move={move}"
-        for (key, rounds), move in sorted(table.items())
+        for (key, rounds), move in engine.strategy_text(domain, table).items()
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -149,7 +149,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     print(result.verdict)
     print(f"explored={result.explored} horizon={result.horizon}")
     if args.strategy_out is not None:
-        Path(args.strategy_out).write_text(_render_strategy(result.strategy), encoding="utf-8")
+        Path(args.strategy_out).write_text(_render_strategy(domain, result.strategy), encoding="utf-8")
         print(f"strategy written to {args.strategy_out}")
     return 0
 

@@ -2,21 +2,26 @@
 
 Every representation is one :class:`Domain`, the same word game seen
 through another image: moves acting invertibly on points, one target point,
-and a canonical key that is an invariant of the action.  After defender
-move d the reply a takes x to the target t exactly when x is t acted on by
-a^-1 and then d^-1, so ``threat_replies`` keeps one table per d of the keys
-of those points -> the least such a, built on the first reply (plays, dumps
-and crosschecks ask for none), and answers from the key the solver has
-already rendered for its memo; no domain applies a move to find a target.
-The word and pair points are their configurations and the robot points
-their vectors.  The matrix point is the block product P, keyed by its
-anchor row x0*P, which is all the target x0*P = x0 reads.  A braid point
-is ``BraidConfig(braid, source)``, the braid word beside the configuration
-of the domain it encodes (``braid3`` the binary word game, named
-``binary-word``, ``braid5`` the binary pair game); the source domain gives
-the key and the target predicate (the encodings are injective on
-everything a play can reach), and the braid word stays available for the
-braid oracles that the test suite replays against.  Every representation
+and a canonical key that is an invariant of the action.  A key is a
+hashable point, never text: the flat tuple of a word's letters and its
+counter, the pair of letter tuples of a pair configuration, the anchor row
+of a matrix product, a robot vector itself.  ``key_text`` renders a key
+only where it is written or compared as text (traces, strategy files, the
+human prompt, crosschecks).  After defender move d the reply a takes x to
+the target t exactly when x is t acted on by a^-1 and then d^-1, so
+``threat_replies`` keeps one table per d of the keys of those points -> the
+least such a, built on the first reply (plays, dumps and crosschecks ask
+for none), and answers from the key the solver already holds for its memo;
+no domain applies a move to find a target.  The word and pair points are
+their configurations and the robot points their vectors.  The matrix point
+is the block product P, keyed by its anchor row x0*P, which is all the
+target x0*P = x0 reads.  A braid point is ``BraidConfig(braid, source)``,
+the braid word beside the configuration of the domain it encodes
+(``braid3`` the binary word game, named ``binary-word``, ``braid5`` the
+binary pair game); the source domain gives the key, its text and the target
+predicate (the encodings are injective on everything a play can reach),
+and the braid word stays available for the braid oracles that the test
+suite replays against.  Every representation
 derived from one word game keeps its move lists in the same order, so a
 move index means the same thing in each domain and traces replay across
 representations unchanged.
@@ -49,12 +54,14 @@ class Domain:
     """One representation of a game: moves acting invertibly on points.
 
     ``step(point, move)`` applies one entry of a move tuple and
-    ``inverse(move)`` is the move that undoes it.  ``canonical_key`` must be
-    an invariant of the action: equal keys stay equal under every move, and
-    ``is_target(x)`` holds exactly when ``canonical_key(x) ==
-    canonical_key(target)``.  ``is_target``, ``canonical_key`` and
-    ``threat_replies`` are stored callables rather than methods, so the
-    solver calls them without an extra frame.
+    ``inverse(move)`` is the move that undoes it.  ``canonical_key`` returns
+    a hashable key that must be an invariant of the action: equal keys stay
+    equal under every move, and ``is_target(x)`` holds exactly when
+    ``canonical_key(x) == canonical_key(target)``.  ``key_text`` renders a
+    key as text, injectively, and is called only at the edges.
+    ``is_target``, ``canonical_key`` and ``threat_replies`` are stored
+    callables rather than methods, so the solver calls them without an
+    extra frame.
     """
 
     name: str
@@ -65,11 +72,12 @@ class Domain:
     inverse: Callable[[Any], Any]
     target: Any
     is_target: Callable[[Any], bool]
-    canonical_key: Callable[[Any], str]
+    canonical_key: Callable[[Any], Hashable]
+    key_text: Callable[[Hashable], str]
     label: Callable[[Any], str]
 
     @au.BuiltOnFirstAccess
-    def threat_replies(self) -> Callable[[str], list]:
+    def threat_replies(self) -> Callable[[Hashable], list]:
         """key -> for each defender move, the least attacker move index whose
         reply then takes a point with that key to the target, or None.
 
@@ -77,12 +85,12 @@ class Domain:
         when x is ``step(step(target, inverse(a)), inverse(d))``, so the keys
         of those points index one table per d, built on first access.
         """
-        step, inverse, render = self.step, self.inverse, self.canonical_key
+        step, inverse, key = self.step, self.inverse, self.canonical_key
         points = [step(self.target, inverse(a)) for a in self.attacker_moves]
         tables = []
         for d in self.defender_moves:
             undo = inverse(d)
-            tables.append(_least_index(render(step(x, undo)) for x in points).get)
+            tables.append(_least_index(key(step(x, undo)) for x in points).get)
         return lambda key: [reply(key) for reply in tables]
 
     def initial_config(self) -> Any:
@@ -100,12 +108,26 @@ class Domain:
         return self.step(config, moves[index])
 
 
-def _weighted_key(config) -> str:
-    return f"{fg.render(config.word) or 'ε'};{config.counter}"
+def _letters_text(letters: tuple[fg.Letter, ...]) -> str:
+    return fg.render(letters) or "ε"
 
 
-def _pair_key(config) -> str:
-    return f"{fg.render(config.word) or 'ε'};{fg.render(config.counter_word) or 'ε'}"
+def _weighted_key(config: wg.WordConfig) -> tuple:
+    """The letters and the counter in one flat tuple: a nested ``(letters, counter)``
+    would keep every configuration's letter tuple alive in the memo."""
+    return config.word.letters + (config.counter,)
+
+
+def _weighted_key_text(key: tuple) -> str:
+    return f"{_letters_text(key[:-1])};{key[-1]}"
+
+
+def _pair_key(config: wg.PairConfig) -> tuple:
+    return config.word.letters, config.counter_word.letters
+
+
+def _pair_key_text(key: tuple) -> str:
+    return f"{_letters_text(key[0])};{_letters_text(key[1])}"
 
 
 def _matrix_text(m: mx.IntMatrix) -> str:
@@ -114,6 +136,11 @@ def _matrix_text(m: mx.IntMatrix) -> str:
 
 def _vector_text(v: mx.IntVector) -> str:
     return " ".join(str(x) for x in v)
+
+
+def _vector_key(v: mx.IntVector) -> mx.IntVector:
+    """A robot point is a vector, so it is its own key."""
+    return v
 
 
 def _least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
@@ -137,7 +164,8 @@ def word_domain(game: wg.WeightedWordGame, name: str = "word") -> Domain:
     target = wg.WordConfig(fg.EPSILON, 0)
     return Domain(
         name, game.initial, game.defender_moves, game.attacker_moves,
-        _word_step, _word_inverse, target, target.__eq__, _weighted_key, wg.WeightedMove.render,
+        _word_step, _word_inverse, target, target.__eq__, _weighted_key, _weighted_key_text,
+        wg.WeightedMove.render,
     )
 
 
@@ -153,7 +181,7 @@ def pair_domain(game: wg.PairWordGame) -> Domain:
     target = wg.PairConfig(fg.EPSILON, fg.EPSILON)
     return Domain(
         "pair", game.initial, game.defender_moves, game.attacker_moves,
-        _pair_step, _pair_inverse, target, target.__eq__, _pair_key, wg.PairMove.render,
+        _pair_step, _pair_inverse, target, target.__eq__, _pair_key, _pair_key_text, wg.PairMove.render,
     )
 
 
@@ -172,13 +200,11 @@ def matrix_domain(game: mx.MatrixGame) -> Domain:
             if mx.apply_matrix_move(m, mx.block_inverse(m)) != identity:
                 raise ValueError(f"{player} move {i} has a block of determinant other than one")
 
-    def anchor_row(product: mx.IntMatrix) -> str:
-        return _vector_text(mx.row_times_blocks(anchor, product))
-
     return Domain(
         "matrix", game.initial, game.defender, game.attacker,
         mx.apply_matrix_move, mx.block_inverse, identity,
-        partial(mx.fixes_anchor, anchor=anchor), anchor_row, _matrix_text,
+        partial(mx.fixes_anchor, anchor=anchor), partial(mx.row_times_blocks, anchor),
+        _vector_text, _matrix_text,
     )
 
 
@@ -199,7 +225,7 @@ def robot_matrix_domain(game: mx.RobotGame) -> Domain:
         "robot-matrix", game.initial + ones,
         tuple(mx.shift_matrix(v) for v in game.defender),
         tuple(mx.shift_matrix(v) for v in game.attacker),
-        _act_on_vector, _shift_inverse, target, target.__eq__, _vector_text, _matrix_text,
+        _act_on_vector, _shift_inverse, target, target.__eq__, _vector_key, _vector_text, _matrix_text,
     )
 
 
@@ -214,7 +240,7 @@ def _negate(v: mx.IntVector) -> mx.IntVector:
 def robot_domain(game: mx.RobotGame) -> Domain:
     return Domain(
         "robot", game.initial, game.defender, game.attacker,
-        _translate, _negate, game.target, game.target.__eq__, _vector_text, _vector_text,
+        _translate, _negate, game.target, game.target.__eq__, _vector_key, _vector_text, _vector_text,
     )
 
 
@@ -258,6 +284,7 @@ def braid_domain(name: str, braid_game: br.BraidGame, source: Domain) -> Domain:
         step, inverse, BraidConfig(br.BraidWord(braid_game.strands, ()), source.target),
         lambda config: is_target(config.source),
         lambda config: canonical_key(config.source),
+        source.key_text,
         _braid_label,
     )
 

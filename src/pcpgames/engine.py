@@ -1,12 +1,15 @@
 """Bounded-horizon solver for alternating Attacker-Defender reachability games.
 
 A game domain is anything with an initial configuration, indexed move lists
-for the two players, a pure ``apply``, a target predicate, a canonical
-string key for configurations, and ``threat_replies(key)``: from a key
+for the two players, a pure ``apply``, a target predicate, a hashable
+canonical key for configurations, ``threat_replies(key)``: from a key
 alone, the least attacker reply that reaches the target after each
-defender move.  Rounds alternate Defender then Attacker and the target is
-only ever evaluated after an attacker move, so round zero can never be
-trivially winning.
+defender move, and ``key_text(key)``, the key as text.  The solver keys
+its memo and its strategy tables by the keys themselves; text is rendered
+only at the edges, where traces, strategy files, prompts and crosschecks
+write or compare it.  Rounds alternate Defender then Attacker and the
+target is only ever evaluated after an attacker move, so round zero can
+never be trivially winning.
 
 The solver computes, for each configuration and remaining-round budget, the
 least number of rounds within which the attacker can force a target, and
@@ -14,7 +17,7 @@ stops as soon as that value is decided:
 
 * the domain's ``threat_replies(key)`` names, for every defender move, the
   least attacker reply that reaches the target at once, read from the
-  position's key alone, already rendered for the memo, so no move is
+  position's key alone, already computed for the memo, so no move is
   applied to find it;
   a defender move is applied only to search its replies, when it has no
   such reply and more than one round remains, or to key its attacker-table
@@ -36,13 +39,20 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Protocol, Sequence
+from typing import Any, Callable, Hashable, Iterable, Protocol, Sequence
 
 DEFENDER = "D"
 ATTACKER = "A"
 
 
 class GameDomain(Protocol):
+    """What the solver, the policies and the crosscheck need of a game.
+
+    ``canonical_key`` returns a hashable key, and the solver keys its memo,
+    its strategy tables and ``threat_replies`` by it; ``key_text`` turns a
+    key into the text that traces and strategy files hold.
+    """
+
     name: str
 
     def initial_config(self) -> Any: ...
@@ -55,7 +65,7 @@ class GameDomain(Protocol):
 
     def is_target(self, config: Any) -> bool: ...
 
-    def threat_replies(self, key: str) -> Sequence[int | None]:
+    def threat_replies(self, key: Hashable) -> Sequence[int | None]:
         """For every defender move d, the least attacker move index a with
         ``is_target(apply(apply(config, DEFENDER, d), ATTACKER, a))``, else None.
 
@@ -65,7 +75,12 @@ class GameDomain(Protocol):
         """
         ...
 
-    def canonical_key(self, config: Any) -> str: ...
+    def canonical_key(self, config: Any) -> Hashable: ...
+
+    def key_text(self, key: Hashable) -> str:
+        """The key as text, distinct for distinct keys; only traces, strategy
+        files, prompts and crosschecks render keys."""
+        ...
 
 
 class ResourceCapExceeded(RuntimeError):
@@ -80,7 +95,7 @@ class SolveResult:
     attacker_wins: bool
     rounds: int  # least winning horizon, or the survived horizon
     horizon: int
-    strategy: dict[tuple[str, int], int]  # attacker table if wins, else defender table
+    strategy: dict[tuple[Hashable, int], int]  # attacker table if wins, else defender table
     explored: int
 
     @property
@@ -94,9 +109,9 @@ class _Solver:
     def __init__(self, domain: GameDomain, max_nodes: int):
         self.domain = domain
         self.max_nodes = max_nodes
-        self.memo: dict[tuple[str, int], int | None] = {}
-        self.attacker_table: dict[tuple[str, int], int] = {}
-        self.defender_table: dict[tuple[str, int], int] = {}
+        self.memo: dict[tuple[Hashable, int], int | None] = {}
+        self.attacker_table: dict[tuple[Hashable, int], int] = {}
+        self.defender_table: dict[tuple[Hashable, int], int] = {}
 
     def value(self, cfg: Any, remaining: int) -> int | None:
         """Least j <= remaining within which Attacker forces a target, else None."""
@@ -210,9 +225,20 @@ def random_policy(seed: int) -> Policy:
     return policy
 
 
+def strategy_text(domain: GameDomain, table: dict[tuple[Hashable, int], int]) -> dict[tuple[str, int], int]:
+    """A solve's strategy table keyed by key text, in (text, rounds) order.
+
+    This is the form strategy files are written in and parsed back to.
+    """
+    key_text = domain.key_text
+    return dict(sorted(((key_text(key), rounds), move) for (key, rounds), move in table.items()))
+
+
 def strategy_policy(table: dict[tuple[str, int], int]) -> Policy:
+    """Play a text-keyed table: a parsed strategy file or :func:`strategy_text`."""
+
     def policy(domain: GameDomain, cfg: Any, player: str, rnd: int, remaining: int) -> int:
-        key = (domain.canonical_key(cfg), remaining)
+        key = (domain.key_text(domain.canonical_key(cfg)), remaining)
         if key not in table:
             raise ValueError(
                 f"strategy has no move for key {key!r}: "
@@ -234,7 +260,7 @@ def human_policy(
 ) -> Policy:
     def policy(domain: GameDomain, cfg: Any, player: str, rnd: int, remaining: int) -> int:
         ask = input_fn if input_fn is not None else input
-        echo(f"round {rnd}, player {player}, config {domain.canonical_key(cfg)}")
+        echo(f"round {rnd}, player {player}, config {domain.key_text(domain.canonical_key(cfg))}")
         for i in range(domain.move_count(player)):
             echo(f"  [{i}] {domain.move_label(player, i)}")
         while True:
@@ -262,10 +288,10 @@ def play(
         remaining = rounds - rnd + 1
         d = defender(domain, cfg, DEFENDER, rnd, remaining)
         cfg = domain.apply(cfg, DEFENDER, d)
-        records.append(TraceRecord(rnd, DEFENDER, d, domain.canonical_key(cfg)))
+        records.append(TraceRecord(rnd, DEFENDER, d, domain.key_text(domain.canonical_key(cfg))))
         a = attacker(domain, cfg, ATTACKER, rnd, remaining)
         cfg = domain.apply(cfg, ATTACKER, a)
-        records.append(TraceRecord(rnd, ATTACKER, a, domain.canonical_key(cfg)))
+        records.append(TraceRecord(rnd, ATTACKER, a, domain.key_text(domain.canonical_key(cfg))))
         if stop_at_target and domain.is_target(cfg):
             break
     return Trace(tuple(records))
@@ -291,7 +317,7 @@ def crosscheck(trace: Trace, domains: list[GameDomain]) -> CrosscheckReport:
     All domains must be derived from the same source game so that the move
     lists are index-aligned; the report asserts target-predicate agreement
     after every recorded move.  A trace belongs to these games only if, after
-    every move, some domain's canonical key equals the recorded ``config``;
+    every move, some domain's key text equals the recorded ``config``;
     otherwise a ``ValueError`` names the first round and player that differ.
     An empty trace certifies nothing and is a ``ValueError`` too.
     """
@@ -308,7 +334,7 @@ def crosscheck(trace: Trace, domains: list[GameDomain]) -> CrosscheckReport:
                 )
             configs[d.name] = d.apply(configs[d.name], record.player, record.move)
             verdicts[d.name] = d.is_target(configs[d.name])
-        if not any(d.canonical_key(configs[d.name]) == record.config for d in domains):
+        if not any(d.key_text(d.canonical_key(configs[d.name])) == record.config for d in domains):
             raise ValueError(
                 f"trace config {record.config!r} at round {record.round} (player {record.player}) "
                 "matches no representation of this game"

@@ -143,9 +143,11 @@ def power(w: GroupWord, n: int) -> GroupWord:
     return out
 
 
-def render(w: GroupWord) -> str:
-    """Text form: tokens whitespace-separated, inverses prefixed with ``~``."""
-    return " ".join(("~" + sym) if sign < 0 else sym for sym, sign in w.letters)
+def render(w: GroupWord | tuple[Letter, ...]) -> str:
+    """Text form of a word or of its letters: tokens whitespace-separated,
+    inverses prefixed with ``~``."""
+    letters = w.letters if isinstance(w, GroupWord) else w
+    return " ".join(("~" + sym) if sign < 0 else sym for sym, sign in letters)
 
 
 def parse(text: str) -> GroupWord:

@@ -180,25 +180,35 @@ def dump_pair_game(g: PairWordGame) -> str:
 
 
 def parse_weighted_game(text: str) -> WeightedWordGame:
-    """Inverse of :func:`dump_weighted_game`; the target must be the empty word with weight 0."""
+    """Inverse of :func:`dump_weighted_game`; the target must be the empty word with weight 0.
+
+    The ``alphabet``, ``initial`` and ``target`` lines may each appear once.
+    With an ``alphabet`` line every letter of the moves and of the initial
+    word must be in it; without one the alphabet is the letters used, in
+    order of first use.
+    """
     alphabet: RankedAlphabet | None = None
     initial = WordConfig(fg.EPSILON, 0)
+    headers: set[str] = set()
     defender: list[WeightedMove] = []
     attacker: list[WeightedMove] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.startswith("alphabet "):
-            alphabet = RankedAlphabet(tuple(line.split()[1:]))
-        elif line.startswith("initial "):
-            word, weight = _split_move(line[len("initial "):])
-            initial = WordConfig(word, weight)
-        elif line.startswith("target "):
-            target = line[len("target "):]
-            word, weight = _split_move(target)
-            if word.letters or weight:
-                raise ValueError(f"game dump target {target!r} is not the empty word with weight 0")
+        if line.startswith(("alphabet ", "initial ", "target ")):
+            keyword, rest = line.split(" ", 1)
+            if keyword in headers:
+                raise ValueError(f"the game dump has a second {keyword} line {line!r}")
+            headers.add(keyword)
+            if keyword == "alphabet":
+                alphabet = RankedAlphabet(tuple(rest.split()))
+            elif keyword == "initial":
+                initial = WordConfig(*_split_move(rest))
+            else:
+                word, weight = _split_move(rest)
+                if word.letters or weight:
+                    raise ValueError(f"game dump target {rest!r} is not the empty word with weight 0")
         elif line.startswith("player="):
             player, rest = line.split(None, 1)
             word, weight = _split_move(rest)
@@ -213,13 +223,14 @@ def parse_weighted_game(text: str) -> WeightedWordGame:
             raise ValueError(f"unrecognized game dump line {line!r}")
     if not defender or not attacker:
         raise ValueError(f"the game dump has no player={'A' if defender else 'D'} move")
+    lines = [("player=D", m) for m in defender] + [("player=A", m) for m in attacker]
+    lines.append(("initial", WeightedMove(initial.word, initial.counter)))
     if alphabet is None:
-        symbols: list[str] = []
-        for m in list(defender) + list(attacker) + [WeightedMove(initial.word, 0)]:
-            for sym, _ in m.word.letters:
-                if sym not in symbols:
-                    symbols.append(sym)
-        alphabet = RankedAlphabet(tuple(symbols))
+        alphabet = RankedAlphabet(tuple(dict.fromkeys(sym for _, m in lines for sym, _ in m.word.letters)))
+    for head, m in lines:
+        for sym, _ in m.word.letters:
+            if sym not in alphabet:
+                raise ValueError(f"symbol {sym!r} in line '{head} {m.render()}' is not in the alphabet line")
     return WeightedWordGame(alphabet, tuple(defender), tuple(attacker), initial)
 
 

@@ -133,6 +133,32 @@ def burau3_is_scalar(m: LaurentMatrix) -> bool:
 # --- domains ---
 
 
+def _word_text(w: GroupWord) -> str:
+    tokens = []
+    for sym, sign in w.letters:
+        tokens.append(sym if sign == 1 else "~" + sym)
+    return " ".join(tokens) if tokens else "ε"
+
+
+def word_config_text(config) -> str:
+    """A word configuration as trace and strategy files write it: ``letters;counter``."""
+    return _word_text(config.word) + ";" + str(config.counter)
+
+
+def pair_config_text(config) -> str:
+    """A pair configuration as trace and strategy files write it: ``letters;counter letters``."""
+    return _word_text(config.word) + ";" + _word_text(config.counter_word)
+
+
+def key_text_separates(domain: Domain, positions: Sequence) -> None:
+    """Any two positions have equal keys exactly when their key texts are equal."""
+    keys = [domain.canonical_key(x) for x in positions]
+    texts = [domain.key_text(key) for key in keys]
+    for i, (key, text) in enumerate(zip(keys, texts)):
+        for other_key, other_text in zip(keys[i:], texts[i:]):
+            assert (key == other_key) == (text == other_text), (domain.name, text, other_text)
+
+
 def key_decides_target_along(
     domain: Domain, moves: Iterable[tuple[str, int]], anchor: IntVector | None = None
 ) -> None:
@@ -141,7 +167,7 @@ def key_decides_target_along(
     key is the target's, and that ``inverse`` undoes every move played.
 
     With ``anchor`` (a matrix domain) the key after each move must also be
-    the text of the anchor row before it times the move's blocks.
+    the anchor row before it times the move's blocks.
     """
     target_key = domain.canonical_key(domain.target)
     cfg = domain.initial_config()
@@ -152,7 +178,7 @@ def key_decides_target_along(
         assert domain.step(after, domain.inverse(move)) == cfg, (domain.name, move)
         if anchor is not None:
             row = row_times_blocks(row_times_blocks(anchor, cfg), move)
-            assert domain.canonical_key(after) == " ".join(map(str, row)), (cfg, move)
+            assert domain.canonical_key(after) == row, (cfg, move)
         positions.append(after)
         cfg = after
     for x in positions:

@@ -237,10 +237,28 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr():
             "target garbage\nplayer=D word=a weight=0\nplayer=A word=~a weight=0", "solve",
             "malformed move field 'garbage'",
         ),
+        (
+            "player=D word=b weight=0\nplayer=A word=~b weight=0", "solve",
+            "symbol 'b' in line 'player=D word=b weight=0' is not in the alphabet line",
+        ),
+        (
+            "initial word=a weight=0\nplayer=D word=a weight=0\nplayer=A word=~a weight=0", "solve",
+            "the game dump has a second initial line 'initial word=a weight=0'",
+        ),
+        (
+            "alphabet a b\nplayer=D word=a weight=0\nplayer=A word=~a weight=0", "solve",
+            "the game dump has a second alphabet line 'alphabet a b'",
+        ),
+        (
+            "target word= weight=0\ntarget word= weight=0\nplayer=D word=a weight=0\n"
+            "player=A word=~a weight=0", "solve",
+            "the game dump has a second target line 'target word= weight=0'",
+        ),
     ],
     ids=[
         "no-defender-move", "no-attacker-move", "weight-not-an-integer", "target-not-empty",
-        "target-malformed",
+        "target-malformed", "letter-outside-alphabet", "second-initial", "second-alphabet",
+        "second-target",
     ],
 )
 def test_malformed_game_dump_is_an_error(tmp_path, capsys, moves, command, message):
@@ -269,8 +287,15 @@ def test_solve_writes_strategy(tmp_path, capsys):
         ("eq", "word", 3, "AttackerWinsWithin(2)", "eq_solve3"),
         # Matrix keys are anchor rows x0*P.
         ("c4", "matrix", 2, "AttackerWinsWithin(2)", "c4_matrix_solve2"),
+        # Pair keys render both words; braid keys are their source's.
+        ("fin", "pair", 2, "DefenderSurvives(2)", "fin_pair_solve2"),
+        ("eq", "braid3", 3, "AttackerWinsWithin(2)", "eq_braid3_solve3"),
+        ("i1", "braid5", 2, "DefenderSurvives(2)", "i1_braid5_solve2"),
     ],
-    ids=["fin-survival", "eq-win", "c4-matrix-win"],
+    ids=[
+        "fin-survival", "eq-win", "c4-matrix-win", "fin-pair-survival", "eq-braid3-win",
+        "i1-braid5-survival",
+    ],
 )
 def test_solve_strategy_matches_golden(tmp_path, capsys, name, representation, rounds, verdict, golden):
     strategy = tmp_path / "s.txt"

@@ -18,7 +18,14 @@ from pcpgames.domains import REPRESENTATIONS, build_pipeline, robot_domain, robo
 from pcpgames.engine import ATTACKER, DEFENDER
 
 from conftest import GOLDEN, brute_attacker_wins, load_instance, scripts
-from oracles import key_decides_target_along, replay_reaches_target, survives_every_attacker_move
+from oracles import (
+    key_decides_target_along,
+    key_text_separates,
+    pair_config_text,
+    replay_reaches_target,
+    survives_every_attacker_move,
+    word_config_text,
+)
 
 
 @pytest.fixture(scope="module")
@@ -97,9 +104,11 @@ def test_defender_survival_strategy_on_i1(pipelines):
 def test_defender_survival_none_when_attacker_wins(toy_cancel):
     # No defender survival table: the strategy is the attacker's, keyed by the
     # position after the defender's move.
-    result = engine.attacker_wins_within(word_domain(toy_cancel), 1)
+    domain = word_domain(toy_cancel)
+    result = engine.attacker_wins_within(domain, 1)
     assert result.attacker_wins
-    assert result.strategy == {("a;0", 1): 0}
+    assert result.strategy == {((("a", 1), 0), 1): 0}
+    assert engine.strategy_text(domain, result.strategy) == {("a;0", 1): 0}
 
 
 def test_winning_certificate_replays_against_all_scripts(pipelines):
@@ -227,9 +236,8 @@ def test_crosscheck_detects_fault_injection(pipelines):
     pipe = pipelines["eq"]
     domain = pipe.domain("word")
     result = engine.attacker_wins_within(domain, 2)
-    trace = engine.play(
-        domain, engine.scripted_policy([0, 0]), engine.strategy_policy(result.strategy), 2
-    )
+    attacker = engine.strategy_policy(engine.strategy_text(domain, result.strategy))
+    trace = engine.play(domain, engine.scripted_policy([0, 0]), attacker, 2)
     good = pipe.matrix_game
     corrupted_game = mx.MatrixGame(
         defender=(mx.identity(4),) * len(good.defender),
@@ -637,6 +645,49 @@ def test_key_decides_target_on_robot_games(game, data):
     moves = random_rounds(data, native, 4)
     for domain in (native, robot_matrix_domain(game)):
         key_decides_target_along(domain, moves)
+
+
+def positions_along(domain, moves) -> list:
+    cfg = domain.initial_config()
+    positions = [cfg]
+    for player, index in moves:
+        cfg = domain.apply(cfg, player, index)
+        positions.append(cfg)
+    return positions
+
+
+# The key text of a word or pair point, or of the one a braid point encodes.
+ORACLE_TEXTS = {
+    "word": word_config_text,
+    "binary-word": word_config_text,
+    "pair": pair_config_text,
+    "braid3": lambda cfg: word_config_text(cfg.source),
+    "braid5": lambda cfg: pair_config_text(cfg.source),
+}
+
+
+@pytest.mark.parametrize("name", ["eq", "mm", "c4", "i1", "fin", "c5", "c6"])
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_key_text_separates_keys_on_fixture_plays(name, data):
+    # Several plays from one start share their first positions, so equal keys occur.
+    domains = fixture_domains(name)
+    plays = [random_rounds(data, domains[0], 3) for _ in range(data.draw(st.integers(2, 3)))]
+    for domain in domains:
+        positions = [x for moves in plays for x in positions_along(domain, moves)]
+        key_text_separates(domain, positions)
+        if domain.name in ORACLE_TEXTS:
+            for x in positions:
+                assert domain.key_text(domain.canonical_key(x)) == ORACLE_TEXTS[domain.name](x)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(game=robot_games(), data=st.data())
+def test_key_text_separates_keys_on_robot_games(game, data):
+    native = robot_domain(game)
+    plays = [random_rounds(data, native, 4) for _ in range(data.draw(st.integers(2, 3)))]
+    for domain in (native, robot_matrix_domain(game)):
+        key_text_separates(domain, [x for moves in plays for x in positions_along(domain, moves)])
 
 
 def test_reply_tables_built_on_the_first_reply_only():

@@ -276,6 +276,18 @@ def test_dump_parse_round_trip(pipelines):
     assert parsed.alphabet == game.alphabet
 
 
+def test_parse_refuses_an_initial_letter_outside_the_alphabet():
+    text = "alphabet a\ninitial word=b weight=0\nplayer=D word=a weight=0\nplayer=A word=~a weight=0\n"
+    message = "symbol 'b' in line 'initial word=b weight=0' is not in the alphabet line"
+    with pytest.raises(ValueError, match=message):
+        wg.parse_weighted_game(text)
+
+
+def test_parse_without_alphabet_ranks_letters_by_first_use():
+    text = "initial word=c weight=0\nplayer=D word=b weight=0\nplayer=A word=~a ~b weight=0\n"
+    assert wg.parse_weighted_game(text).alphabet.symbols == ("b", "a", "c")
+
+
 def test_dump_pair_game_renders(pipelines):
     text = wg.dump_pair_game(pipelines["i1"].pair_game)
     assert "counter=" in text and "player=D" in text
