@@ -10,6 +10,14 @@ For each result the output records, per side, the number of runs, whether
 every run was correct, and the attempted and failed operation totals; for
 each metric it records the unit, each side's median and each side's runs
 in the order the directories were given.
+
+It also records the two numbers a claimed gain is judged by.  Runs pair by
+order: the i-th parent directory with the i-th change directory, so give
+the directories in the order the pairs ran.  ``change_lower_pairs`` counts
+the pairs whose change run is lower (``null`` when the two sides have
+different run counts), and ``parent_iqr`` is the parent's interquartile
+range, q3 - q1 of ``statistics.quantiles(runs, n=4)`` (``null`` under two
+runs), which the shift of the medians is compared against.
 """
 
 from __future__ import annotations
@@ -45,6 +53,13 @@ def _side(runs: list[dict]) -> dict:
     }
 
 
+def _iqr(runs: list[float]) -> float | None:
+    if len(runs) < 2:
+        return None
+    q1, _, q3 = statistics.quantiles(runs, n=4)
+    return q3 - q1
+
+
 def _metric(name: str, parent: list[dict], change: list[dict]) -> dict:
     p, c = ([r["metrics"][name]["value"] for r in runs if name in r["metrics"]] for runs in (parent, change))
     unit = next(r["metrics"][name]["unit"] for r in parent + change if name in r["metrics"])
@@ -54,6 +69,8 @@ def _metric(name: str, parent: list[dict], change: list[dict]) -> dict:
         "change": statistics.median(c) if c else None,
         "parent_runs": p,
         "change_runs": c,
+        "parent_iqr": _iqr(p),
+        "change_lower_pairs": sum(x < y for x, y in zip(c, p)) if len(p) == len(c) else None,
     }
 
 

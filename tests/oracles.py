@@ -17,6 +17,7 @@ from pcpgames import freegroup as fg
 from pcpgames.automata import Transition, WeightedAutomaton
 from pcpgames.braids import (
     LP_ZERO,
+    BraidError,
     BraidWord,
     GarsideNormalForm,
     LaurentMatrix,
@@ -28,6 +29,7 @@ from pcpgames.braids import (
     braid_power,
     concat,
     fundamental_braid,
+    garside_nf,
 )
 from pcpgames.domains import Domain
 from pcpgames.engine import ATTACKER, DEFENDER, GameDomain
@@ -124,6 +126,13 @@ def nf_to_braid(nf: GarsideNormalForm) -> BraidWord:
     for factor in nf.factors:
         out = concat(out, BraidWord(nf.strands, factor_word(factor)))
     return out
+
+
+def braids_equal_by_forms(u: BraidWord, v: BraidWord) -> bool:
+    """Equality as two normal forms compared; the form is canonical, so equal braids have one form."""
+    if u.strands != v.strands:
+        raise BraidError("strand counts differ")
+    return garside_nf(u) == garside_nf(v)
 
 
 def burau3_is_scalar(m: LaurentMatrix) -> bool:

@@ -11,9 +11,11 @@ from hypothesis import given, settings, strategies as st
 from pcpgames import braids as br
 from pcpgames import freegroup as fg
 from pcpgames.braids import BraidError
+from pcpgames.domains import build_pipeline
 
 from oracles import (
     all_reduced_words,
+    braids_equal_by_forms,
     burau3_is_scalar,
     factor_word,
     is_identity,
@@ -230,8 +232,8 @@ def _sweep_garside_nf(w: br.BraidWord) -> br.GarsideNormalForm:
     return br.GarsideNormalForm(n, power + extra, body)
 
 
-def _reduced_lists(letters: list, max_size: int) -> st.SearchStrategy[list]:
-    """Freely reduced lists up to max_size long, half of them longer than max_size / 2.
+def _reduced_lists(letters: list, max_size: int, min_size: int = 0) -> st.SearchStrategy[list]:
+    """Freely reduced lists min_size to max_size long, half of them longer than max_size / 2.
 
     ``letters`` lists each letter next to its inverse.  Each letter is drawn
     among those that do not cancel its predecessor, so the length drawn is
@@ -246,13 +248,13 @@ def _reduced_lists(letters: list, max_size: int) -> st.SearchStrategy[list]:
             chosen.append(k)
         return [letters[k] for k in chosen]
 
-    sizes = st.one_of(st.integers(0, max_size), st.integers(max_size // 2, max_size))
+    sizes = st.one_of(st.integers(min_size, max_size), st.integers(max(min_size, max_size // 2), max_size))
     picks = st.integers(0, len(letters) - 2)
     return sizes.flatmap(lambda k: st.lists(picks, min_size=k, max_size=k)).map(build)
 
 
-def _letters(strands: int, max_size: int) -> st.SearchStrategy[list[int]]:
-    return _reduced_lists([s * g for g in range(1, strands) for s in (1, -1)], max_size)
+def _letters(strands: int, max_size: int, min_size: int = 0) -> st.SearchStrategy[list[int]]:
+    return _reduced_lists([s * g for g in range(1, strands) for s in (1, -1)], max_size, min_size)
 
 
 @st.composite
@@ -340,6 +342,51 @@ def test_burau3_wide_coefficients():
     assert min(e for row in low for entry in row for e, _ in entry) == -40
 
 
+def _norm_bound_bits(letters: list[int]) -> int:
+    """Bit length of the L1 norm bound that sizes ``burau3``'s digits: (a, a+b) for s1, (a+b, b) for s2."""
+    a0, b0, a1, b1 = 1, 0, 0, 1
+    for x in letters:
+        if abs(x) == 1:
+            b0, b1 = b0 + a0, b1 + a1
+        else:
+            a0, a1 = a0 + b0, a1 + b1
+    return max(a0, b0, a1, b1).bit_length()
+
+
+def _word_with_bound_bits(cycle: list[int], bits: int) -> list[int]:
+    """The shortest prefix of ``cycle`` repeated whose norm bound has ``bits`` bits.
+
+    A letter at most doubles the bound, so the bit length grows by at most
+    one per letter and every length is reached exactly.
+    """
+    letters: list[int] = []
+    while _norm_bound_bits(letters) < bits:
+        letters.append(cycle[len(letters) % len(cycle)])
+    assert _norm_bound_bits(letters) == bits
+    return letters
+
+
+# The digit width is bits // 8 + 1 bytes, rounded up to 1, 2, 4 or 8 up to
+# 8 and kept above; each bit length sits just under or over a class edge.
+_WIDTH_CLASSES = [(1, 1), (7, 1), (8, 2), (15, 2), (16, 4), (31, 4), (32, 8), (63, 8), (64, 9)]
+
+
+@pytest.mark.parametrize("cycle", [[1, -2], [1, 2], [-1, -2], [2, 2, -1]], ids=str)
+@pytest.mark.parametrize(("bits", "width"), _WIDTH_CLASSES, ids=[f"{b}bits-{w}bytes" for b, w in _WIDTH_CLASSES])
+def test_burau3_matches_reference_in_every_digit_width_class(monkeypatch, cycle, bits, width):
+    widths = []
+    unpack = br._unpack
+
+    def recording(value, low, digits, digit_width):
+        widths.append(digit_width)
+        return unpack(value, low, digits, digit_width)
+
+    monkeypatch.setattr(br, "_unpack", recording)
+    w = br.braid(3, _word_with_bound_bits(cycle, bits))
+    assert br.burau3(w) == _ref_burau3(w)
+    assert widths == [width] * 4
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(w=long_braids(st.sampled_from([2, 3, 4, 5, 6, 7])))
 def test_perm_of_braid_matches_composed_transpositions(w):
@@ -366,6 +413,14 @@ def test_concat_matches_full_cancellation(pair):
     product = br.concat(u, v)
     assert product == br.braid(u.strands, u.letters + v.letters)
     assert br.BraidWord(product.strands, product.letters) == product
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(w=st.sampled_from([2, 3, 4, 5, 6]).flatmap(lambda n: _letters(n, 60).map(lambda xs: br.braid(n, xs))))
+def test_invert_reverses_and_negates(w):
+    inverse = br.invert(w)
+    assert inverse == br.BraidWord(w.strands, tuple(-x for x in reversed(w.letters)))
+    assert br.invert(inverse) == w
 
 
 # Brute-force rewriting search: a third, independent triviality opinion on
@@ -450,6 +505,144 @@ def test_canonicity_against_rewriting_search():
         u = br.braid(3, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(0, 5))])
         v = br.braid(3, [rng.choice([1, -1, 2, -2]) for _ in range(rng.randrange(0, 5))])
         assert br.braids_equal(u, v) == trivial_by_search(br.concat(u, br.invert(v)))
+
+
+# braids_equal decides through one normal form, of u.v^-1; the oracle
+# compares the normal forms of u and of v.
+
+
+def _rewritten(w: br.BraidWord, rng: random.Random, steps: int) -> br.BraidWord:
+    """w after ``steps`` random moves of the rewriting search, each keeping the braid."""
+    word = w.letters
+    for _ in range(steps):
+        neighbours = list(_rewriting_neighbours(word))
+        if neighbours:
+            word = rng.choice(neighbours)
+    return br.braid(w.strands, word)
+
+
+def _with_inserted(w: br.BraidWord, rng: random.Random, *pieces: br.BraidWord) -> br.BraidWord:
+    """w with each piece inserted at its own random position."""
+    letters = list(w.letters)
+    for piece in pieces:
+        i = rng.randrange(len(letters) + 1)
+        letters[i:i] = piece.letters
+    return br.braid(w.strands, letters)
+
+
+def _long_word(draw, strands: int) -> br.BraidWord:
+    return br.braid(strands, draw(_letters(strands, 250, 150)))
+
+
+def _seeded_words(draw) -> tuple[br.BraidWord, random.Random]:
+    """A 150- to 250-letter word in B3, B4 or B5, and a seeded generator for its rewrites."""
+    return _long_word(draw, draw(st.sampled_from([3, 4, 5]))), random.Random(draw(st.integers(0, 2**32)))
+
+
+@st.composite
+def equal_pairs(draw) -> tuple[br.BraidWord, br.BraidWord]:
+    """u and u rewritten by braid relations, or u with D^2 and D^-2 inserted apart."""
+    u, rng = _seeded_words(draw)
+    if draw(st.booleans()):
+        return u, _rewritten(u, rng, 40)
+    twist = br.braid_power(br.fundamental_braid(u.strands), 2)
+    return u, _with_inserted(u, rng, twist, br.invert(twist))
+
+
+@st.composite
+def unequal_pairs_sharing_invariants(draw) -> tuple[br.BraidWord, br.BraidWord]:
+    """u and u with a commutator of two adjacent pure generators inserted.
+
+    s_i^2 and s_(i+1)^2 generate a free group, so the commutator is not the
+    trivial braid, yet it adds nothing to the exponent sum or the permutation.
+    """
+    u, rng = _seeded_words(draw)
+    i = draw(st.integers(1, u.strands - 2))
+    commutator = br.braid(u.strands, [i, i, i + 1, i + 1, -i, -i, -i - 1, -i - 1])
+    return u, _rewritten(_with_inserted(u, rng, commutator), rng, 10)
+
+
+@st.composite
+def random_pairs(draw) -> tuple[br.BraidWord, br.BraidWord]:
+    u, _ = _seeded_words(draw)
+    return u, _long_word(draw, u.strands)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pair=equal_pairs())
+def test_braids_equal_matches_two_forms_on_equal_pairs(pair):
+    u, v = pair
+    assert br.braids_equal(u, v) and braids_equal_by_forms(u, v)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pair=unequal_pairs_sharing_invariants())
+def test_braids_equal_matches_two_forms_past_the_invariant_filter(pair):
+    u, v = pair
+    assert br.exponent_sum(u) == br.exponent_sum(v) and br.perm_of_braid(u) == br.perm_of_braid(v)
+    assert not br.braids_equal(u, v) and not braids_equal_by_forms(u, v)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pair=random_pairs())
+def test_braids_equal_matches_two_forms_on_random_pairs(pair):
+    u, v = pair
+    assert br.braids_equal(u, v) == braids_equal_by_forms(u, v)
+    assert br.braids_equal(u, u) and br.braids_equal(v, v)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(pair=equal_pairs())
+def test_garside_nf_matches_sweep_on_equal_pair_quotients(pair):
+    """u.v^-1 of an equal pair forms half twists all along the push; the sweep walks each to the front."""
+    w = br.concat(pair[0], br.invert(pair[1]))
+    assert br.garside_nf(w) == _sweep_garside_nf(w)
+
+
+@pytest.mark.parametrize("name", ["eq", "i1"])
+def test_play_braids_equal_their_encodings(fixture_instances, name):
+    """Every braid a seeded play reaches equals the encoding of its word preimage.
+
+    The pipeline is built here: the session's pipelines keep the domains
+    they build, which a test of how they are built must see unbuilt.
+    """
+    pipe = build_pipeline(fixture_instances[name])
+    encodings = {
+        "braid3": lambda cfg: br.b3_encode(cfg.word, cfg.counter),
+        "braid5": lambda cfg: br.b5_encode(cfg.word, cfg.counter_word),
+    }
+    rng = random.Random(7)
+    for representation, encode in encodings.items():
+        domain = pipe.domain(representation)
+        for _ in range(3):
+            cfg = domain.initial_config()
+            for player in "DADA":
+                cfg = domain.apply(cfg, player, rng.randrange(domain.move_count(player)))
+                encoded = encode(cfg)
+                assert br.braids_equal(cfg.braid, encoded) and braids_equal_by_forms(cfg.braid, encoded)
+
+
+def test_braids_equal_normalises_one_word_past_the_invariants(monkeypatch):
+    normalised = []
+    normalise = br._normalise_factors
+
+    def counting(codes, factors):
+        normalised.append(len(factors))
+        return normalise(codes, factors)
+
+    monkeypatch.setattr(br, "_normalise_factors", counting)
+    cases = [
+        (br.braid(3, [1, 2, 1]), br.braid(3, [2, 1, 2]), True, 1),
+        (br.braid(3, [1, 1, 2, 2, -1, -1, -2, -2]), br.braid(3, []), False, 1),  # invariants agree
+        (br.braid(5, [1, 3, 2]), br.braid(5, [1, 3, 2]), True, 1),
+        (br.braid(3, [1]), br.braid(3, [1, 1, 1]), False, 0),  # exponent sums differ
+        (br.braid(3, [1]), br.braid(3, [2]), False, 0),  # permutations differ
+        (br.braid(4, [1, -2]), br.braid(4, [2, -1]), False, 0),  # exponent sum 0, permutations differ
+    ]
+    for u, v, equal, forms in cases:
+        normalised.clear()
+        assert br.braids_equal(u, v) == equal
+        assert len(normalised) == forms, (u, v)
 
 
 def test_search_handles_known_trivials():

@@ -66,8 +66,24 @@ def test_bench_fold_script(tmp_path):
     assert entry["metrics"]["run_s"] == {
         "unit": "s", "parent": 3.2, "change": 0.7,
         "parent_runs": [3.0, 3.4, 3.2], "change_runs": [0.7, 0.6, 0.8],
+        "parent_iqr": 3.4 - 3.0, "change_lower_pairs": 3,
     }
     assert entry["metrics"]["peak_rss_mb"]["unit"] == "MB"
+
+
+def test_bench_fold_script_leaves_unpaired_gate_numbers_null(tmp_path):
+    for k, run_s in enumerate((1.0, 2.0)):
+        _result(tmp_path / "parent" / str(k), True, 1, 0, run_s=(run_s, "s"))
+    _result(tmp_path / "change" / "0", True, 1, 0, run_s=(0.5, "s"))
+    done = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench_fold.py"),
+         "--parent", str(tmp_path / "parent" / "0"), str(tmp_path / "parent" / "1"),
+         "--change", str(tmp_path / "change" / "0")],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    run_s = json.loads(done.stdout)["results"]["certify-plays-trace0"]["metrics"]["run_s"]
+    assert run_s["parent_iqr"] == 1.5 and run_s["change_lower_pairs"] is None
 
 
 def test_bench_fold_script_rejects_unmatched_results(tmp_path):
