@@ -1,4 +1,4 @@
-"""Braid words, Garside normal form, the reduced Burau oracle, and braid games.
+"""Braid words, Garside normal form, the Burau oracles, and braid games.
 
 Braid words are sequences of signed Artin generator indices with free
 cancellation applied eagerly; the public constructors validate a word, and
@@ -8,14 +8,21 @@ permutation braids: a power of the half twist followed by a left-weighted
 sequence of permutation factors, built by incremental left-weighting in one
 pass over the word; the factors are coded as ints, so the pass compares ints
 and looks left-weighted pairs up in one memo, and a half twist that forms is
-counted rather than walked to the front.  The form is canonical, so
-u = v is decided as the triviality of u.v^-1: one normal form, after the
-exponent sum and the strand permutation have agreed.  The reduced Burau
-representation of the three-strand group (faithful there) serves as an
-independent triviality oracle; each Laurent entry is packed into one Python
-int by the Kronecker substitution t -> 2^k, so a letter costs a few shifts
-and adds, and the packed digits are read back as two's-complement signed
-digits by one ``memoryview`` cast.
+counted rather than walked to the front.  From four strands on, a stack pass
+first cancels each inverse pair that far commutation (s_i s_j = s_j s_i for
+|i - j| >= 2) brings together.  The form is canonical, so u = v is decided
+as the triviality of u.v^-1: one normal form, after the exponent sum and
+the strand permutation have agreed.
+
+Two Burau oracles refute or decide before that.  The unreduced Burau image
+evaluated over the prime field GF(2^61 - 1) is a homomorphism for every
+strand count, so a fixed row it moves certifies nontriviality exactly; a
+row it fixes proves nothing and the word goes on to an exact oracle.  The
+reduced Burau representation of the three-strand group (faithful there) is
+that exact oracle for three strands; each Laurent entry is packed into one
+Python int by the Kronecker substitution t -> 2^k, so a letter costs a few
+shifts and adds, and the packed digits are read back as two's-complement
+signed digits by one ``memoryview`` cast.
 
 The game encodings map binary-alphabet words into fourth powers of the
 first two generators (three-strand case, with the squared half twist as a
@@ -339,19 +346,24 @@ def _normalise_factors(codes: _FactorCodes, factors: list[int]) -> tuple[int, li
 def garside_nf(w: BraidWord) -> GarsideNormalForm:
     """Left Garside normal form of a braid word.
 
-    Negative letters are rewritten as a negative half-twist power times the
-    left complement of the generator; the powers are commuted to the front
-    through the flip automorphism, and the remaining positive factor
-    sequence is made left-weighted one factor at a time, each pushed left
-    only as far as the pairs it changes.  The factors travel as int codes
-    and become permutation tuples only in the returned normal form.
+    From four strands on, the word first goes through ``_far_cancelled``,
+    which uses only braid relations, so the form is the same; it empties
+    u.v^-1 when u and v differ only by far commutations, such as a
+    five-strand encoding and a word with its counter letters s4 s4 moved
+    among the s1 and s2 letters.  Negative letters are rewritten as a
+    negative half-twist power times the left complement of the generator;
+    the powers are commuted to the front through the flip automorphism, and
+    the remaining positive factor sequence is made left-weighted one factor
+    at a time, each pushed left only as far as the pairs it changes.  The
+    factors travel as int codes and become permutation tuples only in the
+    returned normal form.
     """
     n = w.strands
     codes = _factor_codes(n)
     letters = codes.letters
     factors: list[int] = []
     power = 0
-    for x in reversed(w.letters):
+    for x in reversed(_far_cancelled(w.letters) if n > 3 else w.letters):
         factor, flipped, dpow = letters[x]
         factors.append(flipped if power % 2 else factor)
         power += dpow
@@ -359,6 +371,34 @@ def garside_nf(w: BraidWord) -> GarsideNormalForm:
     extra, body = _normalise_factors(codes, factors)
     perms = codes.perms
     return GarsideNormalForm(n, power + extra, tuple(perms[c] for c in body))
+
+
+def _far_cancelled(letters: tuple[int, ...]) -> tuple[int, ...]:
+    """The word with each x^-1 cancelled against an x that commutes past the letters between them.
+
+    One stack pass: a letter looks back through the stack while the letters
+    there commute with it (index distance two or more, s_i s_j = s_j s_i);
+    if it finds its inverse it deletes it, otherwise it is pushed.  Only
+    braid relations are used, so the braid is unchanged.  A letter that stops
+    a later letter's look back does not commute with it, so nothing deletes
+    it afterwards: no cancellable pair is left behind, and a second pass
+    changes nothing.  Three strands have no far pairs, so the word comes back
+    as it was.
+    """
+    stack: list[int] = []
+    for x in letters:
+        g, inverse = abs(x), -x
+        for j in range(len(stack) - 1, -1, -1):
+            y = stack[j]
+            if y == inverse:
+                del stack[j]
+                break
+            if -2 < abs(y) - g < 2:
+                stack.append(x)
+                break
+        else:
+            stack.append(x)
+    return tuple(stack)
 
 
 @functools.lru_cache(maxsize=None)
@@ -383,12 +423,17 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
     form, of u.v^-1, decides: the normal form is canonical, so the pair is
     equal exactly when that form is trivial.  The one form is cheaper than
     the forms of u and of v when the two words share letters at the seam,
-    which cancel before any normalisation, and most of all when they are
-    the same word.  It is dearer, about 1.2x in B3 and B5 on unequal pairs
-    that share both invariants, and 1.1x to 1.6x on equal pairs of different
-    120- to 440-letter words.  The pairs this function sees are the proofs
-    that a play's braid equals its word preimage's encoding, equal by
-    construction and most of them the same word, and the tests.
+    which cancel before any normalisation, most of all when they are the
+    same word, and in five strands when they differ only by far
+    commutations, which ``garside_nf`` cancels before Garside (the equal
+    pairs of different 2-round play words: 12x to 15x cheaper).  It is dearer
+    in three strands, 1.1x to 1.3x on unequal pairs that share both
+    invariants and 1.4x to 1.7x on equal pairs of different 80- to
+    450-letter play words.  The pairs this function sees are the proofs that
+    a play's braid equals its word preimage's encoding, equal by
+    construction and most of them the same word, and the tests.  The Burau
+    certificate of ``is_trivial_fast`` only refutes, so on these pairs it
+    would only add cost.
     """
     if u.strands != v.strands:
         raise BraidError("strand counts differ")
@@ -406,9 +451,12 @@ def is_trivial_fast(w: BraidWord) -> bool:
     """Triviality with cheap certificates of nontriviality tried first.
 
     The exponent sum, the strand permutation, and the pairwise linking
-    numbers are braid invariants; only words on which all of them vanish
-    reach the expensive oracle (reduced Burau for three strands, which is
-    faithful there; normal form otherwise).
+    numbers are braid invariants; a word on which all of them vanish is
+    refuted if its Burau image over a prime field moves a fixed row
+    (``_burau_moves``), which is exact for every strand count.  Only words
+    that pass all four reach an exact oracle: reduced Burau for three
+    strands, which is faithful there, and the normal form otherwise (Burau
+    is not known to be faithful on four strands, and is not from five on).
     """
     if not w.letters:
         return True
@@ -418,9 +466,50 @@ def is_trivial_fast(w: BraidWord) -> bool:
         return False
     if linking_numbers(w):
         return False
+    if _burau_moves(w):
+        return False
     if w.strands == 3:
         return burau3(w) == _BURAU_IDENTITY
     return is_trivial(w)
+
+
+# --- the unreduced Burau image over a prime field: a certificate of nontriviality ---
+
+_PRIME = (1 << 61) - 1
+_T = 37  # a primitive root mod _PRIME
+_T_INV = pow(_T, -1, _PRIME)
+_ONE_MINUS_T = (1 - _T) % _PRIME
+_ONE_MINUS_T_INV = (1 - _T_INV) % _PRIME
+
+
+def _burau_moves(w: BraidWord) -> bool:
+    """Whether the unreduced Burau image of w, at t = 37 over GF(2^61 - 1), moves the row (1, 2, .., n).
+
+    s_i maps entries (v_i, v_(i+1)) of a row v to ((1-t) v_i + v_(i+1), t v_i)
+    and s_i^-1 maps them to (t^-1 v_(i+1), v_i + (1-t^-1) v_(i+1)).  Evaluating t
+    is a ring homomorphism from the Laurent polynomials, so the image of the
+    trivial braid is the identity: a row that moves certifies that w is not
+    trivial, exactly.  A row that stays proves nothing: the representation is
+    not faithful from five strands on, and an image other than the identity
+    may still fix this row, or agree with the identity at t modulo p.  Every
+    generator fixes the line (1, t, .., t^(n-1)), so the row must lie off it
+    in every run of consecutive positions, which a word on fewer strands
+    acts on; (1, 2, .., n) does, as 37 is no ratio (j+1)/j.  And t has
+    order p - 1, far from the roots of unity of small order, where the image
+    factors through a much smaller group.
+    """
+    start = list(range(1, w.strands + 1))
+    v = start[:]
+    for x in w.letters:
+        if x > 0:  # positions x-1 and x, counted from 0
+            a = v[x - 1]
+            v[x - 1] = (_ONE_MINUS_T * a + v[x]) % _PRIME
+            v[x] = _T * a % _PRIME
+        else:
+            b = v[-x]
+            v[-x] = (v[-x - 1] + _ONE_MINUS_T_INV * b) % _PRIME
+            v[-x - 1] = _T_INV * b % _PRIME
+    return v != start
 
 
 # --- reduced Burau representation of the three-strand group ---
@@ -468,15 +557,18 @@ def burau3(w: BraidWord) -> LaurentMatrix:
 
     Each generator image has a single non-trivial column, so right
     multiplication by it is one column operation on each row (p, q).  Each
-    entry is packed into one int by the Kronecker substitution t -> 2^k and
-    offset by t^low, where low counts the negative letters: no exponent
-    falls below -low, so every entry stays a polynomial and t^-1 is an
-    exact right shift.  A first pass bounds the L1 norm of every entry
-    (the update is (a, a+b) on the norms of a row for s1^+-1 and (a+b, b) for
-    s2^+-1), so k = bits(bound) + 1, rounded up to a byte, holds each
-    coefficient as a balanced digit; up to 8 bytes, k is rounded further,
-    to 1, 2, 4 or 8 bytes, the widths ``_unpack`` reads in one cast.  The
-    entries become sorted ``(exponent, coefficient)`` tuples once, at the end.
+    entry is packed into one int by the Kronecker substitution t -> 2^k.
+    A negative letter's image carries t^-1, so its column operation is
+    multiplied through by t instead: the rows start at the identity and end
+    at t^low times the image, where low counts the negative letters, which
+    keeps every entry a polynomial and every step a shift and adds on ints
+    no longer than the letters read so far.  A first pass bounds the L1
+    norm of every entry (the update is (a, a+b) on the norms of a row for
+    s1^+-1 and (a+b, b) for s2^+-1), so k = bits(bound) + 1, rounded up to
+    a byte, holds each coefficient as a balanced digit; up to 8 bytes, k is
+    rounded further, to 1, 2, 4 or 8 bytes, the widths ``_unpack`` reads in
+    one cast.  The entries become sorted ``(exponent, coefficient)`` tuples
+    once, at the end.
     """
     if w.strands != 3:
         raise BraidError("the reduced Burau oracle is wired for three strands only")
@@ -495,21 +587,18 @@ def burau3(w: BraidWord) -> LaurentMatrix:
     width = (max(a0, b0, a1, b1).bit_length() + 8) // 8
     width = next((size for size in _DIGIT_WIDTHS if size >= width), width)
     k = 8 * width
-    one = 1 << (k * low)
-    p0, q0, p1, q1 = one, 0, 0, one
+    p0, q0, p1, q1 = 1, 0, 0, 1
     for x in letters:
         if x == 1:  # (-t p, p + q)
             p0, q0, p1, q1 = -(p0 << k), q0 + p0, -(p1 << k), q1 + p1
-        elif x == -1:  # (-t^-1 p, q + t^-1 p)
-            p0 >>= k
-            p1 >>= k
-            p0, q0, p1, q1 = -p0, q0 + p0, -p1, q1 + p1
+        elif x == -1:  # t (-t^-1 p, q + t^-1 p)
+            p0, q0, p1, q1 = -p0, (q0 << k) + p0, -p1, (q1 << k) + p1
         elif x == 2:  # (p + t q, -t q)
             q0 <<= k
             q1 <<= k
             p0, q0, p1, q1 = p0 + q0, -q0, p1 + q1, -q1
-        else:  # (p + q, -t^-1 q)
-            p0, q0, p1, q1 = p0 + q0, -(q0 >> k), p1 + q1, -(q1 >> k)
+        else:  # t (p + q, -t^-1 q)
+            p0, q0, p1, q1 = (p0 + q0) << k, -q0, (p1 + q1) << k, -q1
     digits = len(letters) + 1
     return (
         (_unpack(p0, low, digits, width), _unpack(q0, low, digits, width)),

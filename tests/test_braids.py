@@ -645,6 +645,90 @@ def test_braids_equal_normalises_one_word_past_the_invariants(monkeypatch):
         assert len(normalised) == forms, (u, v)
 
 
+# The prime-field Burau certificate refutes; it must never fire on a trivial
+# word, and whenever it fires the sweep oracle must find the word nontrivial.
+
+
+@st.composite
+def twisted_conjugate_quotients(draw) -> br.BraidWord:
+    """D.w.D^-1.tau(w)^-1 in B3 to B7: trivial, since conjugating by D flips each s_i to s_(n-i)."""
+    n = draw(st.integers(3, 7))
+    w = br.braid(n, draw(_letters(n, 60)))
+    delta = br.fundamental_braid(n)
+    flipped = br.braid(n, [(n - abs(x)) * (1 if x > 0 else -1) for x in w.letters])
+    return br.concat(br.concat(br.concat(delta, w), br.invert(delta)), br.invert(flipped))
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(w=st.one_of(equal_pairs().map(lambda pair: br.concat(pair[0], br.invert(pair[1]))),
+                   twisted_conjugate_quotients()))
+def test_burau_certificate_never_fires_on_a_trivial_word(w):
+    assert not br._burau_moves(w)
+    assert br.is_trivial_fast(w)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(w=st.one_of(long_braids(), encoded_braids()))
+def test_burau_certificate_fires_only_on_nontrivial_words(w):
+    if br._burau_moves(w):
+        assert not _sweep_garside_nf(w).is_trivial()
+
+
+@pytest.mark.parametrize("strands", [3, 5])
+def test_is_trivial_fast_refutes_a_commutator_without_an_exact_oracle(monkeypatch, strands):
+    """s1^2 and s2^2 generate a free group, so their commutator is nontrivial,
+    yet its exponent sum, permutation and linking numbers all vanish."""
+    exact = []
+    burau3, normalise = br.burau3, br._normalise_factors
+
+    def counting_burau3(w):
+        exact.append("burau3")
+        return burau3(w)
+
+    def counting_normalise(codes, factors):
+        exact.append("garside")
+        return normalise(codes, factors)
+
+    monkeypatch.setattr(br, "burau3", counting_burau3)
+    monkeypatch.setattr(br, "_normalise_factors", counting_normalise)
+    w = br.braid(strands, [1, 1, 2, 2, -1, -1, -2, -2])
+    assert not br.linking_numbers(w)
+    assert not br.is_trivial_fast(w)
+    assert exact == []
+    assert not br.is_trivial(w) and exact == ["garside"]
+
+
+# Far commutation: the pass ahead of Garside cancels x^-1 against x across
+# letters that commute with both, so it must keep the normal form.
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(w=st.one_of(long_braids(), encoded_braids(),
+                   equal_pairs().map(lambda pair: br.concat(pair[0], br.invert(pair[1])))))
+def test_far_cancellation_keeps_the_normal_form(w):
+    cancelled = br.BraidWord(w.strands, br._far_cancelled(w.letters))  # validates: in range, freely cancelled
+    assert _sweep_garside_nf(cancelled) == _sweep_garside_nf(w)
+    assert br._far_cancelled(cancelled.letters) == cancelled.letters
+    assert len(cancelled) <= len(w)
+    if w.strands == 3:
+        assert cancelled == w
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(word=_group_words, count=st.integers(1, 4), seed=st.integers(0, 2**32))
+def test_b5_pair_with_moved_counter_letters_cancels_to_the_empty_word(word, count, seed):
+    """The counter's s4 s4 commutes with the word's s1 and s2 letters, so moving it gives the same braid."""
+    u = br.b5_encode(word, fg.GroupWord(((fg.COUNTER_SYMBOL, 1),) * count))
+    rng = random.Random(seed)
+    letters = [x for x in u.letters if x != 4]
+    for _ in range(count):
+        i = rng.randrange(len(letters) + 1)
+        letters[i:i] = [4, 4]
+    v = br.braid(5, letters)
+    assert br._far_cancelled(br.concat(u, br.invert(v)).letters) == ()
+    assert br.braids_equal(u, v)
+
+
 def test_search_handles_known_trivials():
     assert trivial_by_search(br.braid(3, [1, 2, 1, -2, -1, -2]))
     assert trivial_by_search(br.braid(3, [2, 1, 2, 2, 1, 2, -1, -2, -1, -1, -2, -1]))
@@ -666,7 +750,7 @@ def test_is_trivial_fast_matches_garside_fuzz():
         gens = [s * g for g in range(1, strands) for s in (1, -1)]
         for _ in range(200):
             w = br.braid(strands, [rng.choice(gens) for _ in range(rng.randrange(0, 14))])
-            assert br.is_trivial_fast(w) == br.is_trivial(w)
+            assert br.is_trivial_fast(w) == _sweep_garside_nf(w).is_trivial()
 
 
 def test_b3_encode_lengths():

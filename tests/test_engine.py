@@ -208,9 +208,13 @@ def test_crosscheck_agreement(pipelines):
         assert report.render().endswith("AGREE at all rounds\n")
 
 
-def test_domain_names_reachable_from_a_pipeline_are_distinct(pipelines):
-    """Domains that share a name are one game; braid3's source is not the "word" domain."""
-    pipe = pipelines["i1"]
+def test_domain_names_reachable_from_a_pipeline_are_distinct(i1):
+    """Domains that share a name are one game; braid3's source is not the "word" domain.
+
+    The pipeline is built here: the session's pipelines keep the domains
+    they build, so an earlier test may have built the braid domains already.
+    """
+    pipe = build_pipeline(i1)
     sources = []
     real_braid_domain = domains.braid_domain
 
