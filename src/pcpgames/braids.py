@@ -20,9 +20,13 @@ strand count, so a fixed row it moves certifies nontriviality exactly; a
 row it fixes proves nothing and the word goes on to an exact oracle.  The
 reduced Burau representation of the three-strand group (faithful there) is
 that exact oracle for three strands; each Laurent entry is packed into one
-Python int by the Kronecker substitution t -> 2^k, so a letter costs a few
-shifts and adds, and the packed digits are read back as two's-complement
-signed digits by one ``memoryview`` cast.
+Python int by the Kronecker substitution t -> 2^k, so a run of m equal
+letters costs O(log m) shifts and adds, and the packed digits are read back
+as two's-complement signed digits by one ``memoryview`` cast.  The letter
+kernels (Burau, the exponent sum, the strand permutation and the linking
+numbers) walk a word as maximal runs of one signed generator: the
+encodings write each letter of a word as a fourth power of a generator, so
+the words they build are mostly long runs.
 
 The game encodings map binary-alphabet words into fourth powers of the
 first two generators (three-strand case, with the squared half twist as a
@@ -36,7 +40,7 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
-from itertools import compress, count
+from itertools import compress, count, groupby
 from typing import Iterable, Sequence
 
 from . import freegroup as fg
@@ -56,11 +60,7 @@ class BraidWord:
     letters: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.strands < 2:
-            raise BraidError("braid groups need at least two strands")
-        for x in self.letters:
-            if x == 0 or abs(x) > self.strands - 1:
-                raise BraidError(f"generator index {x} out of range for {self.strands} strands")
+        _check_generators(self.strands, self.letters)
         for a, b in zip(self.letters, self.letters[1:]):
             if a == -b:
                 raise BraidError("braid word is not freely cancelled")
@@ -79,14 +79,28 @@ class BraidWord:
 
 
 def braid(strands: int, letters: Iterable[int]) -> BraidWord:
-    """Build a braid word, cancelling adjacent inverse generator pairs."""
+    """Build a braid word, cancelling adjacent inverse generator pairs.
+
+    The stack leaves no adjacent inverse pair, so only the strand count and
+    the generator range of the letters kept are checked.
+    """
     stack: list[int] = []
     for x in letters:
         if stack and stack[-1] == -x:
             stack.pop()
         else:
             stack.append(x)
-    return BraidWord(strands, tuple(stack))
+    _check_generators(strands, stack)
+    return _cancelled(strands, tuple(stack))
+
+
+def _check_generators(strands: int, letters: Sequence[int]) -> None:
+    if strands < 2:
+        raise BraidError("braid groups need at least two strands")
+    top = strands - 1
+    if letters and (min(letters) < -top or max(letters) > top or 0 in letters):
+        x = next(x for x in letters if x == 0 or abs(x) > top)
+        raise BraidError(f"generator index {x} out of range for {strands} strands")
 
 
 def _cancelled(strands: int, letters: tuple[int, ...]) -> BraidWord:
@@ -115,8 +129,12 @@ def invert(w: BraidWord) -> BraidWord:
 
 
 def braid_power(w: BraidWord, n: int) -> BraidWord:
+    """w^n; when the last letter of the base does not cancel its first, no seam cancels."""
     base = w if n >= 0 else invert(w)
-    out = BraidWord(w.strands, ())
+    letters = base.letters
+    if not letters or letters[-1] != -letters[0]:
+        return _cancelled(w.strands, letters * abs(n))
+    out = _cancelled(w.strands, ())
     for _ in range(abs(n)):
         out = concat(out, base)
     return out
@@ -132,7 +150,13 @@ def fundamental_braid(n: int) -> BraidWord:
 
 def exponent_sum(w: BraidWord) -> int:
     """Signed letter count; a braid group homomorphism onto the integers."""
-    return sum(1 if x > 0 else -1 for x in w.letters)
+    letters = w.letters
+    return len(letters) - 2 * len([x for x in letters if x < 0])
+
+
+def _runs(letters: tuple[int, ...]) -> list[tuple[int, int]]:
+    """The maximal runs (x, m) of one signed generator: the word is the product of the x^m."""
+    return [(x, len(list(g))) for x, g in groupby(letters)]
 
 
 # --- permutation helpers (tuples map strand start position to end position) ---
@@ -189,9 +213,10 @@ def _left_complement(p: tuple[int, ...]) -> tuple[int, ...]:
 def perm_of_braid(w: BraidWord) -> tuple[int, ...]:
     """Image of the braid in the symmetric group (a triviality filter)."""
     strand_at = list(range(w.strands))  # position -> strand that started there
-    for x in w.letters:
-        i = abs(x)
-        strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
+    for x, m in _runs(w.letters):
+        if m & 1:  # an even run swaps the two strands back
+            i = abs(x)
+            strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
     return _inverse_perm(strand_at)
 
 
@@ -203,12 +228,14 @@ def linking_numbers(w: BraidWord) -> dict[tuple[int, int], int]:
     """
     positions = list(range(w.strands))  # position -> strand id
     counts: dict[tuple[int, int], int] = {}
-    for x in w.letters:
+    for x, m in _runs(w.letters):
+        # every crossing of a run is between the same two strands
         i = abs(x) - 1
         s, t = positions[i], positions[i + 1]
-        pair = (min(s, t), max(s, t))
-        counts[pair] = counts.get(pair, 0) + (1 if x > 0 else -1)
-        positions[i], positions[i + 1] = positions[i + 1], positions[i]
+        pair = (s, t) if s < t else (t, s)
+        counts[pair] = counts.get(pair, 0) + (m if x > 0 else -m)
+        if m & 1:
+            positions[i], positions[i + 1] = t, s
     return {pair: value for pair, value in counts.items() if value}
 
 
@@ -482,33 +509,67 @@ _ONE_MINUS_T = (1 - _T) % _PRIME
 _ONE_MINUS_T_INV = (1 - _T_INV) % _PRIME
 
 
+# s_i and s_i^-1 on the entries (a, b) of a row at positions i - 1 and i, as
+# the block (m00, m01, m10, m11) that maps them to (a m00 + b m10, a m01 + b m11)
+_BLOCKS = {1: (_ONE_MINUS_T, _T, 1, 0), -1: (0, 1, _T_INV, _ONE_MINUS_T_INV)}
+
+
+def _block_mul(x: tuple[int, int, int, int], y: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (
+        (x00 * y00 + x01 * y10) % _PRIME,
+        (x00 * y01 + x01 * y11) % _PRIME,
+        (x10 * y00 + x11 * y10) % _PRIME,
+        (x10 * y01 + x11 * y11) % _PRIME,
+    )
+
+
+@functools.lru_cache(maxsize=256)
+def _block_power(sign: int, m: int) -> tuple[int, int, int, int]:
+    """The block of s_i^(sign m) modulo the prime, m >= 1, by repeated squaring.
+
+    Kept for the 256 signed run lengths used last: the play words repeat a
+    few dozen lengths, the multiples of 4 of the rank embedding.
+    """
+    power = block = _BLOCKS[sign]
+    for bit in bin(m)[3:]:
+        power = _block_mul(power, power)
+        if bit == "1":
+            power = _block_mul(power, block)
+    return power
+
+
 def _burau_moves(w: BraidWord) -> bool:
     """Whether the unreduced Burau image of w, at t = 37 over GF(2^61 - 1), moves the row (1, 2, .., n).
 
     s_i maps entries (v_i, v_(i+1)) of a row v to ((1-t) v_i + v_(i+1), t v_i)
-    and s_i^-1 maps them to (t^-1 v_(i+1), v_i + (1-t^-1) v_(i+1)).  Evaluating t
+    and s_i^-1 maps them to (t^-1 v_(i+1), v_i + (1-t^-1) v_(i+1)).  A run
+    s_i^+-m acts on the same two entries through the m-th power of that 2x2
+    block, computed by squaring and kept for the signed run lengths used
+    last, so a run costs one block product on the row.  Evaluating t
     is a ring homomorphism from the Laurent polynomials, so the image of the
     trivial braid is the identity: a row that moves certifies that w is not
     trivial, exactly.  A row that stays proves nothing: the representation is
     not faithful from five strands on, and an image other than the identity
     may still fix this row, or agree with the identity at t modulo p.  Every
     generator fixes the line (1, t, .., t^(n-1)), so the row must lie off it
-    in every run of consecutive positions, which a word on fewer strands
+    in every span of consecutive positions, which a word on fewer strands
     acts on; (1, 2, .., n) does, as 37 is no ratio (j+1)/j.  And t has
     order p - 1, far from the roots of unity of small order, where the image
     factors through a much smaller group.
     """
     start = list(range(1, w.strands + 1))
     v = start[:]
-    for x in w.letters:
-        if x > 0:  # positions x-1 and x, counted from 0
-            a = v[x - 1]
-            v[x - 1] = (_ONE_MINUS_T * a + v[x]) % _PRIME
-            v[x] = _T * a % _PRIME
+    for x, m in _runs(w.letters):
+        if x > 0:
+            m00, m01, m10, m11 = _block_power(1, m)
         else:
-            b = v[-x]
-            v[-x] = (v[-x - 1] + _ONE_MINUS_T_INV * b) % _PRIME
-            v[-x - 1] = _T_INV * b % _PRIME
+            m00, m01, m10, m11 = _block_power(-1, m)
+            x = -x
+        a, b = v[x - 1], v[x]  # positions x-1 and x, counted from 0
+        v[x - 1] = (a * m00 + b * m10) % _PRIME
+        v[x] = (a * m01 + b * m11) % _PRIME
     return v != start
 
 
@@ -552,54 +613,93 @@ def _unpack(value: int, low: int, digits: int, width: int) -> Laurent:
     return tuple(compress(zip(count(-low), coeffs), coeffs))
 
 
+def _times_s(v: int, m: int, k: int) -> int:
+    """v * S_m at t = 2^k, where S_m = 1 - t + t^2 - .. + (-t)^(m-1), in O(log m) shifts and adds.
+
+    m's bits are read from the top, from S_1 = 1: S_2c = S_c (1 + (-t)^c)
+    doubles c and S_(c+1) = 1 - t S_c adds one.
+    """
+    r, c = v, 1
+    for bit in bin(m)[3:]:
+        r = r - (r << c * k) if c & 1 else r + (r << c * k)
+        c <<= 1
+        if bit == "1":
+            r = v - (r << k)
+            c += 1
+    return r
+
+
 def burau3(w: BraidWord) -> LaurentMatrix:
     """Reduced Burau image of a three-strand braid word.
 
     Each generator image has a single non-trivial column, so right
-    multiplication by it is one column operation on each row (p, q).  Each
-    entry is packed into one int by the Kronecker substitution t -> 2^k.
+    multiplication by it is one column operation on each row (p, q), and a
+    run of m equal letters has a closed form in S_m = sum over j < m of
+    (-t)^j: s1^m maps (p, q) to ((-t)^m p, q + p S_m) and s2^m maps it to
+    (p + t q S_m, (-t)^m q).  Each entry is packed into one int by the
+    Kronecker substitution t -> 2^k, where (-t)^m is a shift and a sign and
+    a product by S_m takes O(log m) shifts and adds (``_times_s``).
     A negative letter's image carries t^-1, so its column operation is
-    multiplied through by t instead: the rows start at the identity and end
-    at t^low times the image, where low counts the negative letters, which
-    keeps every entry a polynomial and every step a shift and adds on ints
-    no longer than the letters read so far.  A first pass bounds the L1
-    norm of every entry (the update is (a, a+b) on the norms of a row for
-    s1^+-1 and (a+b, b) for s2^+-1), so k = bits(bound) + 1, rounded up to
-    a byte, holds each coefficient as a balanced digit; up to 8 bytes, k is
-    rounded further, to 1, 2, 4 or 8 bytes, the widths ``_unpack`` reads in
-    one cast.  The entries become sorted ``(exponent, coefficient)`` tuples
-    once, at the end.
+    multiplied through by t instead: s1^-m maps (p, q) to ((-1)^m p,
+    t^m q + (-1)^(m-1) p S_m), s2^-m to (t^m p + (-1)^(m-1) t q S_m,
+    (-1)^m q).  The rows start at the identity and end at t^low times the
+    image, where low counts the negative letters, which keeps every entry a
+    polynomial and every step shifts and adds on ints no longer than the
+    letters read so far allow.  A first pass bounds the L1 norm of every
+    entry (a run of m updates the norms (a, b) of a row to (a, b + m a) for
+    s1^+-1 and to (a + m b, b) for s2^+-1), so k = bits(bound) + 1, rounded
+    up to a byte, holds each coefficient as a balanced digit; up to 8 bytes,
+    k is rounded further, to 1, 2, 4 or 8 bytes, the widths ``_unpack``
+    reads in one cast.  The entries become sorted ``(exponent,
+    coefficient)`` tuples once, at the end.
     """
     if w.strands != 3:
         raise BraidError("the reduced Burau oracle is wired for three strands only")
-    letters = w.letters
+    runs = _runs(w.letters)
     low = 0
     a0, b0, a1, b1 = 1, 0, 0, 1
-    for x in letters:
+    for x, m in runs:
         if x < 0:
-            low += 1
+            low += m
         if x == 1 or x == -1:
-            b0 += a0
-            b1 += a1
+            b0 += m * a0
+            b1 += m * a1
         else:
-            a0 += b0
-            a1 += b1
+            a0 += m * b0
+            a1 += m * b1
     width = (max(a0, b0, a1, b1).bit_length() + 8) // 8
     width = next((size for size in _DIGIT_WIDTHS if size >= width), width)
     k = 8 * width
     p0, q0, p1, q1 = 1, 0, 0, 1
-    for x in letters:
-        if x == 1:  # (-t p, p + q)
-            p0, q0, p1, q1 = -(p0 << k), q0 + p0, -(p1 << k), q1 + p1
-        elif x == -1:  # t (-t^-1 p, q + t^-1 p)
-            p0, q0, p1, q1 = -p0, (q0 << k) + p0, -p1, (q1 << k) + p1
-        elif x == 2:  # (p + t q, -t q)
-            q0 <<= k
-            q1 <<= k
-            p0, q0, p1, q1 = p0 + q0, -q0, p1 + q1, -q1
-        else:  # t (p + q, -t^-1 q)
-            p0, q0, p1, q1 = (p0 + q0) << k, -q0, (p1 + q1) << k, -q1
-    digits = len(letters) + 1
+    for x, m in runs:
+        shift = m * k
+        if x == 1:  # ((-t)^m p, q + p S_m)
+            q0 += _times_s(p0, m, k)
+            q1 += _times_s(p1, m, k)
+            p0 <<= shift
+            p1 <<= shift
+            if m & 1:
+                p0, p1 = -p0, -p1
+        elif x == -1:  # ((-1)^m p, t^m q + (-1)^(m-1) p S_m)
+            s0, s1 = _times_s(p0, m, k), _times_s(p1, m, k)
+            if m & 1:
+                p0, q0, p1, q1 = -p0, (q0 << shift) + s0, -p1, (q1 << shift) + s1
+            else:
+                q0, q1 = (q0 << shift) - s0, (q1 << shift) - s1
+        elif x == 2:  # (p + t q S_m, (-t)^m q)
+            p0 += _times_s(q0, m, k) << k
+            p1 += _times_s(q1, m, k) << k
+            q0 <<= shift
+            q1 <<= shift
+            if m & 1:
+                q0, q1 = -q0, -q1
+        else:  # (t^m p + (-1)^(m-1) t q S_m, (-1)^m q)
+            s0, s1 = _times_s(q0, m, k) << k, _times_s(q1, m, k) << k
+            if m & 1:
+                p0, q0, p1, q1 = (p0 << shift) + s0, -q0, (p1 << shift) + s1, -q1
+            else:
+                p0, p1 = (p0 << shift) - s0, (p1 << shift) - s1
+    digits = len(w.letters) + 1
     return (
         (_unpack(p0, low, digits, width), _unpack(q0, low, digits, width)),
         (_unpack(p1, low, digits, width), _unpack(q1, low, digits, width)),

@@ -200,7 +200,7 @@ def _script_indices(body: str, words: wg.WeightedWordGame, player: str) -> list[
     moves = words.defender_moves if player == DEFENDER else words.attacker_moves
     count = len(moves)
     for tok in tokens:
-        if tok.isdigit():
+        if tok.isdecimal():
             if int(tok) >= count:
                 raise CliError(
                     f"script index {tok} is out of range: player {player} has moves 0..{count - 1}"

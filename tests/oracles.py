@@ -17,19 +17,29 @@ from pcpgames import freegroup as fg
 from pcpgames.automata import Transition, WeightedAutomaton
 from pcpgames.braids import (
     LP_ZERO,
+    _DIGIT_WIDTHS,
+    _ONE_MINUS_T,
+    _ONE_MINUS_T_INV,
+    _PRIME,
+    _T,
+    _T_INV,
     BraidError,
     BraidWord,
     GarsideNormalForm,
     LaurentMatrix,
+    _cancelled,
     _compose,
     _gen_perm,
     _identity_perm,
+    _inverse_perm,
     _starting_set,
+    _unpack,
     braid,
     braid_power,
     concat,
     fundamental_braid,
     garside_nf,
+    invert,
 )
 from pcpgames.domains import Domain
 from pcpgames.engine import ATTACKER, DEFENDER, GameDomain
@@ -137,6 +147,117 @@ def braids_equal_by_forms(u: BraidWord, v: BraidWord) -> bool:
 
 def burau3_is_scalar(m: LaurentMatrix) -> bool:
     return m[0][1] == LP_ZERO and m[1][0] == LP_ZERO and m[0][0] == m[1][1]
+
+
+# The braid kernels one letter at a time: the kernels in ``braids``, which
+# walk maximal runs of one generator, must agree with them on every word.
+
+
+def exponent_sum_by_letters(w: BraidWord) -> int:
+    return sum(1 if x > 0 else -1 for x in w.letters)
+
+
+def perm_of_braid_by_letters(w: BraidWord) -> tuple[int, ...]:
+    strand_at = list(range(w.strands))  # position -> strand that started there
+    for x in w.letters:
+        i = abs(x)
+        strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
+    return _inverse_perm(strand_at)
+
+
+def linking_numbers_by_letters(w: BraidWord) -> dict[tuple[int, int], int]:
+    positions = list(range(w.strands))  # position -> strand id
+    counts: dict[tuple[int, int], int] = {}
+    for x in w.letters:
+        i = abs(x) - 1
+        s, t = positions[i], positions[i + 1]
+        pair = (min(s, t), max(s, t))
+        counts[pair] = counts.get(pair, 0) + (1 if x > 0 else -1)
+        positions[i], positions[i + 1] = positions[i + 1], positions[i]
+    return {pair: value for pair, value in counts.items() if value}
+
+
+def burau_moves_by_letters(w: BraidWord) -> bool:
+    """The row (1, 2, .., n) through the prime-field Burau image, one 2x2 step per letter."""
+    start = list(range(1, w.strands + 1))
+    v = start[:]
+    for x in w.letters:
+        if x > 0:  # positions x-1 and x, counted from 0
+            a = v[x - 1]
+            v[x - 1] = (_ONE_MINUS_T * a + v[x]) % _PRIME
+            v[x] = _T * a % _PRIME
+        else:
+            b = v[-x]
+            v[-x] = (v[-x - 1] + _ONE_MINUS_T_INV * b) % _PRIME
+            v[-x - 1] = _T_INV * b % _PRIME
+    return v != start
+
+
+def burau3_by_letters(w: BraidWord) -> LaurentMatrix:
+    """Reduced Burau image of a B3 word: one column operation per letter on the packed rows.
+
+    The digit width comes from the same L1 norm bound, updated one letter at
+    a time, and the entries are read back by the same ``_unpack``.
+    """
+    if w.strands != 3:
+        raise BraidError("the reduced Burau oracle is wired for three strands only")
+    letters = w.letters
+    low = 0
+    a0, b0, a1, b1 = 1, 0, 0, 1
+    for x in letters:
+        if x < 0:
+            low += 1
+        if x == 1 or x == -1:
+            b0 += a0
+            b1 += a1
+        else:
+            a0 += b0
+            a1 += b1
+    width = (max(a0, b0, a1, b1).bit_length() + 8) // 8
+    width = next((size for size in _DIGIT_WIDTHS if size >= width), width)
+    k = 8 * width
+    p0, q0, p1, q1 = 1, 0, 0, 1
+    for x in letters:
+        if x == 1:  # (-t p, p + q)
+            p0, q0, p1, q1 = -(p0 << k), q0 + p0, -(p1 << k), q1 + p1
+        elif x == -1:  # t (-t^-1 p, q + t^-1 p)
+            p0, q0, p1, q1 = -p0, (q0 << k) + p0, -p1, (q1 << k) + p1
+        elif x == 2:  # (p + t q, -t q)
+            q0 <<= k
+            q1 <<= k
+            p0, q0, p1, q1 = p0 + q0, -q0, p1 + q1, -q1
+        else:  # t (p + q, -t^-1 q)
+            p0, q0, p1, q1 = (p0 + q0) << k, -q0, (p1 + q1) << k, -q1
+    digits = len(letters) + 1
+    return (
+        (_unpack(p0, low, digits, width), _unpack(q0, low, digits, width)),
+        (_unpack(p1, low, digits, width), _unpack(q1, low, digits, width)),
+    )
+
+
+def braid_by_checked_word(strands: int, letters: Iterable[int]) -> BraidWord:
+    """``braid`` checked letter by letter: the stack, then the strand count and each letter kept in turn."""
+    stack: list[int] = []
+    for x in letters:
+        if stack and stack[-1] == -x:
+            stack.pop()
+        else:
+            stack.append(x)
+    if strands < 2:
+        raise BraidError("braid groups need at least two strands")
+    for x in stack:
+        if x == 0 or abs(x) > strands - 1:
+            raise BraidError(f"generator index {x} out of range for {strands} strands")
+    return _cancelled(strands, tuple(stack))
+
+
+def braid_power_by_concat(w: BraidWord, n: int) -> BraidWord:
+    """w^n as |n| products, each cancelling at its seam."""
+    base = w if n >= 0 else invert(w)
+    out = BraidWord(w.strands, ())
+    for _ in range(abs(n)):
+        out = concat(out, base)
+    return out
 
 
 # --- domains ---

@@ -4,6 +4,7 @@ import functools
 import random
 from collections import deque
 from typing import Iterable
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +16,19 @@ from pcpgames.domains import build_pipeline
 
 from oracles import (
     all_reduced_words,
+    braid_by_checked_word,
+    braid_power_by_concat,
     braids_equal_by_forms,
+    burau3_by_letters,
     burau3_is_scalar,
+    burau_moves_by_letters,
+    exponent_sum_by_letters,
     factor_word,
     is_identity,
+    linking_numbers_by_letters,
     nf_to_braid,
     parse_braid,
+    perm_of_braid_by_letters,
 )
 
 
@@ -32,6 +40,15 @@ def test_braid_word_free_cancellation():
         br.BraidWord(3, (1, -1))
     with pytest.raises(BraidError):
         br.braid(3, [3])
+    for strands, letters, message in [
+        (3, [1, 0, 2], "generator index 0 out of range for 3 strands"),
+        (3, [-3, 1], "generator index -3 out of range for 3 strands"),
+        (1, [], "braid groups need at least two strands"),
+    ]:
+        for build in (br.braid, br.BraidWord):
+            with pytest.raises(BraidError, match=message):
+                build(strands, tuple(letters))
+    assert br.braid(3, [3, -3]) == br.BraidWord(3, ())  # only the letters kept are checked
 
 
 def test_parse_render_round_trip():
@@ -387,6 +404,81 @@ def test_burau3_matches_reference_in_every_digit_width_class(monkeypatch, cycle,
     assert widths == [width] * 4
 
 
+# The kernels walk maximal runs of one signed generator; the oracles walk
+# the same words one letter at a time.
+
+
+@st.composite
+def run_heavy_braids(draw, strands: st.SearchStrategy[int] = st.integers(2, 7)) -> br.BraidWord:
+    """Up to 12 runs of 1 to 64 letters of one signed generator, no run cancelling the one before."""
+    n = draw(strands)
+    gens = [s * g for g in range(1, n) for s in (1, -1)]
+    letters: list[int] = []
+    for _ in range(draw(st.integers(0, 12))):
+        x = draw(st.sampled_from([g for g in gens if not letters or g != -letters[-1]]))
+        letters += [x] * draw(st.integers(1, 64))
+    return br.BraidWord(n, tuple(letters))
+
+
+def _assert_kernels_match_letter_oracles(w: br.BraidWord) -> None:
+    assert br.exponent_sum(w) == exponent_sum_by_letters(w)
+    assert br.perm_of_braid(w) == perm_of_braid_by_letters(w)
+    # the same pairs in the same order of first crossing
+    assert list(br.linking_numbers(w).items()) == list(linking_numbers_by_letters(w).items())
+    assert br._burau_moves(w) == burau_moves_by_letters(w)
+    if w.strands == 3:
+        assert br.burau3(w) == burau3_by_letters(w)
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(w=run_heavy_braids())
+def test_run_kernels_match_letter_oracles_on_run_heavy_words(w):
+    _assert_kernels_match_letter_oracles(w)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(w=run_heavy_braids(st.just(3)))
+def test_burau3_matches_letter_oracle_on_run_heavy_words(w):
+    assert br.burau3(w) == burau3_by_letters(w)
+    assert br.is_trivial_fast(w) == (burau3_by_letters(w) == br._BURAU_IDENTITY)
+
+
+def _digit_width(letters: list[int]) -> int:
+    """The width ``burau3`` packs a word's digits in, from the norm bound taken one letter at a time."""
+    width = _norm_bound_bits(letters) // 8 + 1
+    return next((size for size in (1, 2, 4, 8) if size >= width), width)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(w=run_heavy_braids(st.just(3)))
+def test_burau3_digit_width_on_run_heavy_words(w):
+    """The norm bound taken a run at a time is the bound taken a letter at a time, so the width is too."""
+    widths = []
+    unpack = br._unpack
+
+    def recording(value, low, digits, digit_width):
+        widths.append(digit_width)
+        return unpack(value, low, digits, digit_width)
+
+    with mock.patch.object(br, "_unpack", recording):
+        br.burau3(w)
+    assert widths == [_digit_width(list(w.letters))] * 4
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(w=st.one_of(long_braids(st.sampled_from([2, 3, 4, 5, 6, 7])), encoded_braids()))
+def test_run_kernels_match_letter_oracles_on_long_and_encoded_words(w):
+    _assert_kernels_match_letter_oracles(w)
+
+
+@pytest.mark.parametrize("x", [1, -1, 2, -2])
+def test_run_kernels_match_letter_oracles_on_every_run_length(x):
+    """x^m for every m up to 100 reaches every bit pattern of the doubling in ``_times_s``."""
+    for m in range(101):
+        _assert_kernels_match_letter_oracles(br.braid(3, [x] * m))
+        _assert_kernels_match_letter_oracles(br.braid(5, [x, 4] + [x] * m))
+
+
 @settings(max_examples=100, derandomize=True, deadline=None)
 @given(w=long_braids(st.sampled_from([2, 3, 4, 5, 6, 7])))
 def test_perm_of_braid_matches_composed_transpositions(w):
@@ -413,6 +505,50 @@ def test_concat_matches_full_cancellation(pair):
     product = br.concat(u, v)
     assert product == br.braid(u.strands, u.letters + v.letters)
     assert br.BraidWord(product.strands, product.letters) == product
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(strands=st.integers(1, 6), letters=st.lists(st.integers(-5, 5), max_size=30))
+def test_braid_matches_the_checked_construction(strands, letters):
+    """The same word or the same error message, on letters in and out of range; the word passes the full check."""
+
+    def outcome(build):
+        try:
+            return build(strands, letters)
+        except BraidError as exc:
+            return str(exc)
+
+    built = outcome(br.braid)
+    assert built == outcome(braid_by_checked_word)
+    if isinstance(built, br.BraidWord):
+        assert br.BraidWord(built.strands, built.letters) == built
+
+
+@st.composite
+def power_bases(draw) -> br.BraidWord:
+    """Short words, conjugates u.v.u^-1 (whose last letter cancels the first), and half twists."""
+    n = draw(st.integers(2, 5))
+    shape = draw(st.sampled_from(["plain", "conjugate", "twist"]))
+    if shape == "twist":
+        return br.braid_power(br.fundamental_braid(n), draw(st.integers(1, 2)))
+    w = br.braid(n, draw(_letters(n, 12)))
+    if shape == "conjugate":
+        v = br.braid(n, draw(_letters(n, 3)))
+        return br.concat(br.concat(w, v), br.invert(w))
+    return w
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(w=power_bases(), n=st.integers(-6, 6))
+def test_braid_power_matches_repeated_concat(w, n):
+    power = br.braid_power(w, n)
+    assert power == braid_power_by_concat(w, n)
+    assert br.BraidWord(power.strands, power.letters) == power
+
+
+def test_delta_squared_power_repeats_its_letters():
+    assert br.DELTA3_SQUARED.letters == (2, 1, 2) * 2
+    assert br.braid_power(br.DELTA3_SQUARED, -3).letters == (-2, -1, -2) * 6
 
 
 @settings(max_examples=200, derandomize=True, deadline=None)

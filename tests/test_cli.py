@@ -389,6 +389,16 @@ def test_play_bad_script_token(capsys):
     assert "names no move" in err
 
 
+def test_play_script_token_that_is_a_digit_but_not_decimal(capsys):
+    # '²' is a digit to str.isdigit, but int() refuses it: it is a token that names no move
+    code, _, err = run(
+        capsys, "play", "-i", fixture("i1.pcp"),
+        "--defender", "script:²", "--attacker", "script:0", "--rounds", "1",
+    )
+    assert code == 1
+    assert err == "error: script token '²' names no move of player D\n"
+
+
 def test_play_script_index_out_of_range(capsys):
     code, _, err = run(
         capsys, "play", "--game", fixture("toy_cancel.game"),
