@@ -129,15 +129,19 @@ def invert(w: BraidWord) -> BraidWord:
 
 
 def braid_power(w: BraidWord, n: int) -> BraidWord:
-    """w^n; when the last letter of the base does not cancel its first, no seam cancels."""
-    base = w if n >= 0 else invert(w)
-    letters = base.letters
-    if not letters or letters[-1] != -letters[0]:
-        return _cancelled(w.strands, letters * abs(n))
-    out = _cancelled(w.strands, ())
-    for _ in range(abs(n)):
-        out = concat(out, base)
-    return out
+    """w^n as u.c^n.u^-1, where w = u.c.u^-1 and c's last letter does not cancel its first.
+
+    u is the longest prefix whose inverse w ends with, so no seam of the
+    result cancels.
+    """
+    if n == 0:
+        return _cancelled(w.strands, ())
+    letters = (w if n > 0 else invert(w)).letters
+    k, end = 0, len(letters)
+    while k < end - 1 and letters[end - 1] == -letters[k]:
+        k += 1
+        end -= 1
+    return _cancelled(w.strands, letters[:k] + letters[k:end] * abs(n) + letters[end:])
 
 
 def fundamental_braid(n: int) -> BraidWord:
