@@ -2,31 +2,30 @@
 
 Braid words are sequences of signed Artin generator indices with free
 cancellation applied eagerly; the public constructors validate a word, and
-``concat`` cancels only at the seam of two valid words.  Triviality modulo
-the braid relations is decided through the left Garside normal form over
-permutation braids: a power of the half twist followed by a left-weighted
+``concat`` cancels only at the seam of two valid words.
+
+Triviality has one decision, ``is_trivial_fast``, and ``braids_equal(u, v)``
+is that decision on u.v^-1.  The empty word is trivial; a nonzero exponent
+sum refutes; so does the unreduced Burau image evaluated over the prime
+field GF(2^61 - 1), a homomorphism for every strand count, when it moves a
+fixed row.  A row it fixes proves nothing, and the left Garside normal form
+decides.  The form is a power of the half twist followed by a left-weighted
 sequence of permutation factors, built by incremental left-weighting in one
 pass over the word; the factors are coded as ints, so the pass compares ints
 and looks left-weighted pairs up in one memo, and a half twist that forms is
 counted rather than walked to the front.  From four strands on, a stack pass
 first cancels each inverse pair that far commutation (s_i s_j = s_j s_i for
-|i - j| >= 2) brings together.  The form is canonical, so u = v is decided
-as the triviality of u.v^-1: one normal form, after the exponent sum and
-the strand permutation have agreed.
+|i - j| >= 2) brings together.
 
-Two Burau oracles refute or decide before that.  The unreduced Burau image
-evaluated over the prime field GF(2^61 - 1) is a homomorphism for every
-strand count, so a fixed row it moves certifies nontriviality exactly; a
-row it fixes proves nothing and the word goes on to an exact oracle.  The
-reduced Burau representation of the three-strand group (faithful there) is
-that exact oracle for three strands; each Laurent entry is packed into one
-Python int by the Kronecker substitution t -> 2^k, so a run of m equal
-letters costs O(log m) shifts and adds, and the packed digits are read back
-as two's-complement signed digits by one ``memoryview`` cast.  The letter
-kernels (Burau, the exponent sum, the strand permutation and the linking
-numbers) walk a word as maximal runs of one signed generator: the
-encodings write each letter of a word as a fourth power of a generator, so
-the words they build are mostly long runs.
+The reduced Burau representation of the three-strand group, faithful there,
+is kept as a second exact B3 oracle for proofs and tests, not for the
+decision; each Laurent entry is packed into one Python int by the Kronecker
+substitution t -> 2^k, so a run of m equal letters costs O(log m) shifts and
+adds, and the packed digits are read back as two's-complement signed digits
+by one ``memoryview`` cast.  Both Burau kernels walk a word as maximal
+runs of one signed generator: the encodings write each letter of a word as
+a fourth power of a generator, so the words they build are mostly long
+runs.
 
 The game encodings map binary-alphabet words into fourth powers of the
 first two generators (three-strand case, with the squared half twist as a
@@ -214,35 +213,6 @@ def _left_complement(p: tuple[int, ...]) -> tuple[int, ...]:
     return _compose(w0, inv)
 
 
-def perm_of_braid(w: BraidWord) -> tuple[int, ...]:
-    """Image of the braid in the symmetric group (a triviality filter)."""
-    strand_at = list(range(w.strands))  # position -> strand that started there
-    for x, m in _runs(w.letters):
-        if m & 1:  # an even run swaps the two strands back
-            i = abs(x)
-            strand_at[i - 1], strand_at[i] = strand_at[i], strand_at[i - 1]
-    return _inverse_perm(strand_at)
-
-
-def linking_numbers(w: BraidWord) -> dict[tuple[int, int], int]:
-    """Signed crossing count per strand pair (strands named by start position).
-
-    Invariant under the braid relations, and zero on the trivial braid, so a
-    nonzero entry certifies nontriviality of a pure braid cheaply.
-    """
-    positions = list(range(w.strands))  # position -> strand id
-    counts: dict[tuple[int, int], int] = {}
-    for x, m in _runs(w.letters):
-        # every crossing of a run is between the same two strands
-        i = abs(x) - 1
-        s, t = positions[i], positions[i + 1]
-        pair = (s, t) if s < t else (t, s)
-        counts[pair] = counts.get(pair, 0) + (m if x > 0 else -m)
-        if m & 1:
-            positions[i], positions[i + 1] = t, s
-    return {pair: value for pair, value in counts.items() if value}
-
-
 def _renorm(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Make the factor pair left-weighted by sliding head letters of y into x."""
     n = len(x)
@@ -266,10 +236,6 @@ class GarsideNormalForm:
 
     def is_trivial(self) -> bool:
         return self.power == 0 and not self.factors
-
-    def render(self) -> str:
-        facs = " ".join("".join(str(v) for v in f) for f in self.factors)
-        return f"D^{self.power} [{facs}]"
 
 
 _IDENTITY_CODE = 0
@@ -447,30 +413,15 @@ def _letter_factors(n: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...],
 
 
 def braids_equal(u: BraidWord, v: BraidWord) -> bool:
-    """Equality modulo the braid relations: u = v exactly when u.v^-1 is trivial.
+    """Equality modulo the braid relations: u = v exactly when u.v^-1 is trivial (``is_trivial_fast``).
 
-    The exponent sum and the strand permutation are exact invariants, so a
-    pair that differs in either is unequal at once.  Otherwise one normal
-    form, of u.v^-1, decides: the normal form is canonical, so the pair is
-    equal exactly when that form is trivial.  The one form is cheaper than
-    the forms of u and of v when the two words share letters at the seam,
-    which cancel before any normalisation, most of all when they are the
-    same word, and in five strands when they differ only by far
-    commutations, which ``garside_nf`` cancels before Garside (the equal
-    pairs of different 2-round play words: 12x to 15x cheaper).  It is dearer
-    in three strands, 1.1x to 1.3x on unequal pairs that share both
-    invariants and 1.4x to 1.7x on equal pairs of different 80- to
-    450-letter play words.  The pairs this function sees are the proofs that
-    a play's braid equals its word preimage's encoding, equal by
-    construction and most of them the same word, and the tests.  The Burau
-    certificate of ``is_trivial_fast`` only refutes, so on these pairs it
-    would only add cost.
+    The quotient cancels at its seam first, so a pair of the same word
+    needs no oracle at all, and from four strands on a pair that differs
+    only by far commutations cancels before Garside (``garside_nf``).
     """
     if u.strands != v.strands:
         raise BraidError("strand counts differ")
-    if exponent_sum(u) != exponent_sum(v) or perm_of_braid(u) != perm_of_braid(v):
-        return False
-    return is_trivial(concat(u, invert(v)))
+    return is_trivial_fast(concat(u, invert(v)))
 
 
 def is_trivial(w: BraidWord) -> bool:
@@ -479,28 +430,19 @@ def is_trivial(w: BraidWord) -> bool:
 
 
 def is_trivial_fast(w: BraidWord) -> bool:
-    """Triviality with cheap certificates of nontriviality tried first.
+    """Triviality, refuted cheaply where it can be and decided by the normal form otherwise.
 
-    The exponent sum, the strand permutation, and the pairwise linking
-    numbers are braid invariants; a word on which all of them vanish is
-    refuted if its Burau image over a prime field moves a fixed row
-    (``_burau_moves``), which is exact for every strand count.  Only words
-    that pass all four reach an exact oracle: reduced Burau for three
-    strands, which is faithful there, and the normal form otherwise (Burau
-    is not known to be faithful on four strands, and is not from five on).
+    The empty word is trivial.  A nonzero exponent sum refutes, and so does
+    a Burau image over a prime field that moves a fixed row
+    (``_burau_moves``), exact for every strand count.  A word that passes
+    both goes to the Garside normal form (``is_trivial``), for every strand
+    count: Burau only refutes, since it is not faithful from five strands on
+    and not known to be on four.
     """
     if not w.letters:
         return True
-    if exponent_sum(w) != 0:
+    if exponent_sum(w) != 0 or _burau_moves(w):
         return False
-    if perm_of_braid(w) != _identity_perm(w.strands):
-        return False
-    if linking_numbers(w):
-        return False
-    if _burau_moves(w):
-        return False
-    if w.strands == 3:
-        return burau3(w) == _BURAU_IDENTITY
     return is_trivial(w)
 
 
@@ -582,11 +524,6 @@ def _burau_moves(w: BraidWord) -> bool:
 Laurent = tuple[tuple[int, int], ...]  # sorted ((exponent, coefficient), ...)
 LaurentMatrix = tuple[tuple[Laurent, Laurent], tuple[Laurent, Laurent]]
 
-
-LP_ZERO: Laurent = ()
-LP_ONE: Laurent = ((0, 1),)
-
-_BURAU_IDENTITY: LaurentMatrix = ((LP_ONE, LP_ZERO), (LP_ZERO, LP_ONE))
 
 
 # digit width in bytes -> the signed native format of that itemsize, read once

@@ -319,13 +319,22 @@ def crosscheck(trace: Trace, domains: list[GameDomain]) -> CrosscheckReport:
     after every recorded move.  A trace belongs to these games only if, after
     every move, some domain's key text equals the recorded ``config``;
     otherwise a ``ValueError`` names the first round and player that differ.
-    An empty trace certifies nothing and is a ``ValueError`` too.
+    A trace is a play, so its records must come in play order (round 1 D,
+    round 1 A, round 2 D, ...); the first record out of turn is a
+    ``ValueError``.  An empty trace certifies nothing and is a ``ValueError``
+    too.
     """
     if not trace.records:
         raise ValueError("the trace has no records")
     configs = {d.name: d.initial_config() for d in domains}
     lines = []
-    for record in trace.records:
+    for i, record in enumerate(trace.records):
+        turn = (i // 2 + 1, ATTACKER if i & 1 else DEFENDER)
+        if (record.round, record.player) != turn:
+            raise ValueError(
+                f"trace record {i + 1} (round {record.round}, player {record.player}) is out of turn: "
+                f"a play has round {turn[0]}, player {turn[1]} there"
+            )
         verdicts = {}
         for d in domains:
             if record.move >= d.move_count(record.player):

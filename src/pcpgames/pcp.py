@@ -83,33 +83,6 @@ class PcpInstance:
                 raise PcpError(f"unknown domain letter {a!r}")
 
 
-class PrefixKind(enum.Enum):
-    H_PROPER_PREFIX_OF_G = "h<g"
-    G_PROPER_PREFIX_OF_H = "g<h"
-    EQUAL_IMAGES = "equal"
-    MISMATCH = "mismatch"
-
-
-@dataclass(frozen=True)
-class PrefixStatus:
-    kind: PrefixKind
-    position: int | None = None  # 1-based mismatch position, MISMATCH only
-
-    @property
-    def is_proper_prefix(self) -> bool:
-        """True when one image is a proper prefix of the other (the good case)."""
-        return self.kind in (PrefixKind.H_PROPER_PREFIX_OF_G, PrefixKind.G_PROPER_PREFIX_OF_H)
-
-
-H_PROPER_PREFIX_OF_G = PrefixStatus(PrefixKind.H_PROPER_PREFIX_OF_G)
-G_PROPER_PREFIX_OF_H = PrefixStatus(PrefixKind.G_PROPER_PREFIX_OF_H)
-EQUAL_IMAGES = PrefixStatus(PrefixKind.EQUAL_IMAGES)
-
-
-def mismatch_at(position: int) -> PrefixStatus:
-    return PrefixStatus(PrefixKind.MISMATCH, position)
-
-
 class BadPrefixCase(enum.Enum):
     """The six non-solution witness shapes, in their canonical listing order."""
 
@@ -119,28 +92,6 @@ class BadPrefixCase(enum.Enum):
     IV = "iv"    # mismatch inside the same (non-first) letter's images
     V = "v"      # h-image longer, mismatch spans different letters
     VI = "vi"    # g-image longer, mismatch spans different letters
-
-
-def prefix_status(inst: PcpInstance, p: str) -> PrefixStatus:
-    """Classify h(p) against g(p) by direct string comparison."""
-    if not p:
-        raise PcpError("prefix must be nonempty")
-    hp, gp = inst.h(p), inst.g(p)
-    for i, (x, y) in enumerate(zip(hp, gp), start=1):
-        if x != y:
-            return mismatch_at(i)
-    if len(hp) == len(gp):
-        return EQUAL_IMAGES
-    return H_PROPER_PREFIX_OF_G if len(hp) < len(gp) else G_PROPER_PREFIX_OF_H
-
-
-def is_omega_solution_up_to(inst: PcpInstance, w: str, bound: int) -> bool:
-    """True iff every prefix of w up to the bound keeps one image a proper prefix of the other."""
-    if bound < 1:
-        raise PcpError("bound must be positive")
-    if len(w) < bound:
-        raise PcpError(f"word of length {len(w)} is shorter than bound {bound}")
-    return all(prefix_status(inst, w[:k]).is_proper_prefix for k in range(1, bound + 1))
 
 
 def _letter_spanning(image_lengths: list[int], position: int) -> int:

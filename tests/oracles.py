@@ -9,14 +9,15 @@ definitions that only the tests reach out of the package.
 
 from __future__ import annotations
 
+import enum
 import itertools
 import re
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from pcpgames import freegroup as fg
 from pcpgames.automata import Transition, WeightedAutomaton
 from pcpgames.braids import (
-    LP_ZERO,
     _DIGIT_WIDTHS,
     _ONE_MINUS_T,
     _ONE_MINUS_T_INV,
@@ -26,6 +27,7 @@ from pcpgames.braids import (
     BraidError,
     BraidWord,
     GarsideNormalForm,
+    Laurent,
     LaurentMatrix,
     _cancelled,
     _compose,
@@ -143,6 +145,12 @@ def braids_equal_by_forms(u: BraidWord, v: BraidWord) -> bool:
     if u.strands != v.strands:
         raise BraidError("strand counts differ")
     return garside_nf(u) == garside_nf(v)
+
+
+LP_ZERO: Laurent = ()
+LP_ONE: Laurent = ((0, 1),)
+
+BURAU_IDENTITY: LaurentMatrix = ((LP_ONE, LP_ZERO), (LP_ZERO, LP_ONE))
 
 
 def burau3_is_scalar(m: LaurentMatrix) -> bool:
@@ -483,6 +491,55 @@ def column_anchor_lemma_report(
 
 
 # --- pcp ---
+
+
+class PrefixKind(enum.Enum):
+    H_PROPER_PREFIX_OF_G = "h<g"
+    G_PROPER_PREFIX_OF_H = "g<h"
+    EQUAL_IMAGES = "equal"
+    MISMATCH = "mismatch"
+
+
+@dataclass(frozen=True)
+class PrefixStatus:
+    kind: PrefixKind
+    position: int | None = None  # 1-based mismatch position, MISMATCH only
+
+    @property
+    def is_proper_prefix(self) -> bool:
+        """True when one image is a proper prefix of the other (the good case)."""
+        return self.kind in (PrefixKind.H_PROPER_PREFIX_OF_G, PrefixKind.G_PROPER_PREFIX_OF_H)
+
+
+H_PROPER_PREFIX_OF_G = PrefixStatus(PrefixKind.H_PROPER_PREFIX_OF_G)
+G_PROPER_PREFIX_OF_H = PrefixStatus(PrefixKind.G_PROPER_PREFIX_OF_H)
+EQUAL_IMAGES = PrefixStatus(PrefixKind.EQUAL_IMAGES)
+
+
+def mismatch_at(position: int) -> PrefixStatus:
+    return PrefixStatus(PrefixKind.MISMATCH, position)
+
+
+def prefix_status(inst: PcpInstance, p: str) -> PrefixStatus:
+    """Classify h(p) against g(p) by direct string comparison."""
+    if not p:
+        raise PcpError("prefix must be nonempty")
+    hp, gp = inst.h(p), inst.g(p)
+    for i, (x, y) in enumerate(zip(hp, gp), start=1):
+        if x != y:
+            return mismatch_at(i)
+    if len(hp) == len(gp):
+        return EQUAL_IMAGES
+    return H_PROPER_PREFIX_OF_G if len(hp) < len(gp) else G_PROPER_PREFIX_OF_H
+
+
+def is_omega_solution_up_to(inst: PcpInstance, w: str, bound: int) -> bool:
+    """True iff every prefix of w up to the bound keeps one image a proper prefix of the other."""
+    if bound < 1:
+        raise PcpError("bound must be positive")
+    if len(w) < bound:
+        raise PcpError(f"word of length {len(w)} is shorter than bound {bound}")
+    return all(prefix_status(inst, w[:k]).is_proper_prefix for k in range(1, bound + 1))
 
 
 def default_candidate_cap(inst: PcpInstance) -> int:

@@ -645,6 +645,23 @@ def test_crosscheck_empty_trace_is_an_error(tmp_path, capsys):
     assert err == "error: the trace has no records\n"
 
 
+
+def test_crosscheck_out_of_turn_trace_is_an_error(tmp_path, capsys):
+    # each record's config is one that eq's word game reaches, but no play records them in this order
+    trace = tmp_path / "out_of_turn.trace"
+    trace.write_text(
+        "round=7 player=A move=0 config=q0 #;0\n"
+        "round=7 player=A move=0 config=q0 # #;0\n"
+        "round=3 player=D move=0 config=q0 # # a;0\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "crosscheck", "--trace", str(trace), "--instance", fixture("eq.pcp"))
+    assert code == 1 and "AGREE" not in out
+    assert err == (
+        "error: trace record 1 (round 7, player A) is out of turn: a play has round 1, player D there\n"
+    )
+
+
 # --- the pipeline builds each representation on first use, and only once ---
 
 ENCODING_BUILDERS = (

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import functools
 import random
 from unittest import mock
@@ -234,6 +235,22 @@ def test_domain_names_reachable_from_a_pipeline_are_distinct(i1):
 def test_crosscheck_empty_trace(pipelines):
     with pytest.raises(ValueError, match="no records"):
         engine.crosscheck(engine.Trace(()), pipelines["eq"].crosscheck_domains())
+
+
+def test_crosscheck_requires_play_order(pipelines):
+    """The records of a play, reordered, repeated or renumbered, are refused at the first one out of turn."""
+    pipe = pipelines["eq"]
+    reps = pipe.crosscheck_domains()
+    trace = engine.play(
+        pipe.domain("word"), engine.random_policy(3), engine.random_policy(4), 3, stop_at_target=False
+    )
+    records = trace.records
+    assert engine.crosscheck(engine.Trace(records[:3]), reps).agree  # a play cut after a defender move
+    swapped = (records[1], records[0]) + records[2:]
+    renumbered = records[:2] + (dataclasses.replace(records[2], round=3),) + records[3:]
+    for bad, first in [(swapped, 1), (records[:2] + records[1:], 3), (renumbered, 3), (records[1:], 1)]:
+        with pytest.raises(ValueError, match=f"trace record {first} .* is out of turn"):
+            engine.crosscheck(engine.Trace(bad), reps)
 
 
 def test_crosscheck_detects_fault_injection(pipelines):

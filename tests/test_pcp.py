@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pcpgames import pcp
-from pcpgames.pcp import BadPrefixCase, PcpError, PrefixKind
+from pcpgames.pcp import BadPrefixCase, PcpError
 
 from conftest import load_instance
-from oracles import find_finite_solutions
+from oracles import PrefixKind, find_finite_solutions, is_omega_solution_up_to, prefix_status
 
 
 def test_parse_i1_fixture():
@@ -48,23 +48,23 @@ def test_parse_errors_carry_line_numbers(text, message):
 
 
 def test_prefix_status_examples(i1, eq, mm):
-    assert pcp.prefix_status(i1, "a").kind is PrefixKind.H_PROPER_PREFIX_OF_G
-    assert pcp.prefix_status(eq, "a").kind is PrefixKind.EQUAL_IMAGES
-    status = pcp.prefix_status(mm, "a")
+    assert prefix_status(i1, "a").kind is PrefixKind.H_PROPER_PREFIX_OF_G
+    assert prefix_status(eq, "a").kind is PrefixKind.EQUAL_IMAGES
+    status = prefix_status(mm, "a")
     assert status.kind is PrefixKind.MISMATCH and status.position == 1
 
 
 def test_prefix_status_rejects_unknown_letter(i1):
     with pytest.raises(PcpError, match="unknown domain letter"):
-        pcp.prefix_status(i1, "z")
+        prefix_status(i1, "z")
 
 
 def test_is_omega_solution_examples(i1, eq, mm):
-    assert pcp.is_omega_solution_up_to(i1, "a" * 8, 8)
-    assert not pcp.is_omega_solution_up_to(eq, "aaaa", 1)
-    assert not pcp.is_omega_solution_up_to(mm, "aa", 1)
+    assert is_omega_solution_up_to(i1, "a" * 8, 8)
+    assert not is_omega_solution_up_to(eq, "aaaa", 1)
+    assert not is_omega_solution_up_to(mm, "aa", 1)
     with pytest.raises(PcpError):
-        pcp.is_omega_solution_up_to(i1, "a", 2)
+        is_omega_solution_up_to(i1, "a", 2)
 
 
 def test_bad_prefix_cases_all_six(i1, eq, mm):
@@ -125,7 +125,7 @@ def test_desynchronized_images_never_equal_strings(mm, fin):
         for n in range(1, 5):
             for letters in itertools.product(desynced.domain_alphabet, repeat=n):
                 w = "".join(letters)
-                assert pcp.prefix_status(desynced, w).kind is not PrefixKind.EQUAL_IMAGES
+                assert prefix_status(desynced, w).kind is not PrefixKind.EQUAL_IMAGES
 
 
 def test_find_finite_solutions_examples(i1, fin):
@@ -171,7 +171,7 @@ def _tiny_instances():
 @given(inst=_tiny_instances(), letters=st.lists(st.sampled_from("ab"), min_size=1, max_size=8))
 def test_cross_oracle_agreement(inst, letters):
     w = "".join(letters)
-    by_status = pcp.is_omega_solution_up_to(inst, w, len(w))
+    by_status = is_omega_solution_up_to(inst, w, len(w))
     by_cases = all(pcp.bad_prefix_case(inst, w[: k + 1]) is None for k in range(len(w)))
     assert by_status == by_cases
 
