@@ -3,17 +3,20 @@
 Every representation is one :class:`Domain`, the same word game seen
 through another image: moves acting invertibly on points, one target point,
 and a canonical key that is an invariant of the action.  A key is a
-hashable point, never text: the flat tuple of a word's letters and its
-counter, the pair of letter tuples of a pair configuration, the anchor row
-of a matrix product, a robot vector itself.  ``key_text`` renders a key
-only where it is written or compared as text (traces, strategy files, the
-human prompt, crosschecks).  After defender move d the reply a takes x to
-the target t exactly when x is t acted on by a^-1 and then d^-1, so
-``threat_replies`` keeps one table per d of the keys of those points -> the
-least such a, built on the first reply (plays, dumps and crosschecks ask
-for none), and answers from the key the solver already holds for its memo;
-no domain applies a move to find a target.  The word and pair points are
-their configurations and the robot points their vectors.  The matrix point
+hashable point, never text: the flat tuple of a word's letter codes
+(``freegroup.letter_codes``) and its counter, the pair of letter tuples of a
+pair configuration, the anchor row of a matrix product, a robot vector
+itself.  ``key_text`` renders a key only where it is written or compared as
+text (traces, strategy files, the human prompt, crosschecks).  After
+defender move d the reply a takes x to the target t exactly when x is t
+acted on by a^-1 and then d^-1, so ``threat_replies`` keeps one dict from
+the keys of those points to a row that holds, for each d, the least such a,
+built on the first reply (plays, dumps and crosschecks ask for none), and
+answers from the key the solver already holds for its memo; no domain
+applies a move to find a target.  The word and pair points are their
+configurations and the robot points their vectors; the word point carries
+its coded key, which a step slices from the keys of its two factors after
+finding the seam on the codes.  The matrix point
 is the block product P, keyed by its anchor row x0*P, which is all the
 target x0*P = x0 reads.  A braid point is ``BraidConfig(braid, source)``,
 the braid word beside the configuration of the domain it encodes
@@ -77,21 +80,25 @@ class Domain:
     label: Callable[[Any], str]
 
     @au.BuiltOnFirstAccess
-    def threat_replies(self) -> Callable[[Hashable], list]:
+    def threat_replies(self) -> Callable[[Hashable], tuple]:
         """key -> for each defender move, the least attacker move index whose
         reply then takes a point with that key to the target, or None.
 
         After defender move d the reply a reaches the target from x exactly
         when x is ``step(step(target, inverse(a)), inverse(d))``, so the keys
-        of those points index one table per d, built on first access.
+        of those points index one row per key, built on first access; a key
+        with no row gets one shared row of None.
         """
         step, inverse, key = self.step, self.inverse, self.canonical_key
         points = [step(self.target, inverse(a)) for a in self.attacker_moves]
-        tables = []
-        for d in self.defender_moves:
-            undo = inverse(d)
-            tables.append(_least_index(key(step(x, undo)) for x in points).get)
-        return lambda key: [reply(key) for reply in tables]
+        none = (None,) * len(self.defender_moves)
+        rows: dict[Hashable, list] = {}
+        for d, move in enumerate(self.defender_moves):
+            undo = inverse(move)
+            for k, a in _least_index(key(step(x, undo)) for x in points).items():
+                rows.setdefault(k, list(none))[d] = a
+        get = {k: tuple(row) for k, row in rows.items()}.get
+        return lambda key: get(key, none)
 
     def initial_config(self) -> Any:
         return self.initial
@@ -112,14 +119,11 @@ def _letters_text(letters: tuple[fg.Letter, ...]) -> str:
     return fg.render(letters) or "ε"
 
 
-def _weighted_key(config: wg.WordConfig) -> tuple:
-    """The letters and the counter in one flat tuple: a nested ``(letters, counter)``
-    would keep every configuration's letter tuple alive in the memo."""
-    return config.word.letters + (config.counter,)
+_weighted_key = operator.attrgetter("key")
 
 
 def _weighted_key_text(key: tuple) -> str:
-    return f"{_letters_text(key[:-1])};{key[-1]}"
+    return f"{_letters_text(fg.code_letters(key[:-1]))};{key[-1]}"
 
 
 def _pair_key(config: wg.PairConfig) -> tuple:
@@ -151,8 +155,26 @@ def _least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
     return index
 
 
+# A step builds its word and configuration without ``__init__``: the product
+# is reduced by construction and its key is sliced from the factors' keys.
+_new, _set = object.__new__, object.__setattr__
+
+
 def _word_step(config: wg.WordConfig, move: wg.WeightedMove) -> wg.WordConfig:
-    return wg.WordConfig(fg.concat(config.word, move.word), config.counter + move.weight)
+    """The seam is found once, on the codes, and letters and codes are cut together."""
+    uk, vk = config.key, move.codes
+    n, i = len(uk) - 1, 0
+    while n and i < len(vk) and uk[n - 1] == -vk[i]:
+        n -= 1
+        i += 1
+    word = _new(fg.GroupWord)
+    _set(word, "letters", config.word.letters[:n] + move.word.letters[i:])
+    counter = config.counter + move.weight
+    out = _new(wg.WordConfig)
+    _set(out, "word", word)
+    _set(out, "counter", counter)
+    _set(out, "key", uk[:n] + vk[i:] + (counter,))
+    return out
 
 
 def _word_inverse(move: wg.WeightedMove) -> wg.WeightedMove:

@@ -15,8 +15,9 @@ The solver computes, for each configuration and remaining-round budget, the
 least number of rounds within which the attacker can force a target, and
 stops as soon as that value is decided:
 
-* the domain's ``threat_replies(key)`` names, for every defender move, the
-  least attacker reply that reaches the target at once, read from the
+* the memo is probed once per position, and the domain's
+  ``threat_replies(key)`` is one row that names, for every defender move,
+  the least attacker reply that reaches the target at once, read from the
   position's key alone, already computed for the memo, so no move is
   applied to find it;
   a defender move is applied only to search its replies, when it has no
@@ -105,30 +106,36 @@ class SolveResult:
         return f"DefenderSurvives({self.rounds})"
 
 
+# The memo's marker for a position it has not seen; None is a survival.
+_UNSEEN = object()
+
+
 class _Solver:
     def __init__(self, domain: GameDomain, max_nodes: int):
         self.domain = domain
         self.max_nodes = max_nodes
+        self.replies = range(domain.move_count(ATTACKER))
         self.memo: dict[tuple[Hashable, int], int | None] = {}
         self.attacker_table: dict[tuple[Hashable, int], int] = {}
         self.defender_table: dict[tuple[Hashable, int], int] = {}
 
     def value(self, cfg: Any, remaining: int) -> int | None:
         """Least j <= remaining within which Attacker forces a target, else None."""
-        domain = self.domain
+        domain, memo = self.domain, self.memo
         canonical = domain.canonical_key(cfg)
         key = (canonical, remaining)
-        if key in self.memo:
-            return self.memo[key]
-        if len(self.memo) >= self.max_nodes:
-            raise ResourceCapExceeded(len(self.memo), self.max_nodes)
+        known = memo.get(key, _UNSEEN)
+        if known is not _UNSEEN:
+            return known
+        if len(memo) >= self.max_nodes:
+            raise ResourceCapExceeded(len(memo), self.max_nodes)
         worst = 0
         for d, threat in enumerate(domain.threat_replies(canonical)):
             chosen = threat
             best = None if threat is None else 1
             if best is None and remaining > 1:
                 after_d = domain.apply(cfg, DEFENDER, d)
-                for a in range(domain.move_count(ATTACKER)):
+                for a in self.replies:
                     sub = self.value(domain.apply(after_d, ATTACKER, a), remaining - 1)
                     if sub is not None and (best is None or sub + 1 < best):
                         best, chosen = sub + 1, a
@@ -136,13 +143,14 @@ class _Solver:
                             break
             if best is None:
                 self.defender_table[key] = d
-                self.memo[key] = None
+                memo[key] = None
                 return None
             if threat is not None:
                 after_d = domain.apply(cfg, DEFENDER, d)
             self.attacker_table[(domain.canonical_key(after_d), remaining)] = chosen
-            worst = max(worst, best)
-        self.memo[key] = worst
+            if best > worst:
+                worst = best
+        memo[key] = worst
         return worst
 
     def solve(self, horizon: int) -> SolveResult:
@@ -265,7 +273,7 @@ def human_policy(
             echo(f"  [{i}] {domain.move_label(player, i)}")
         while True:
             answer = ask(f"{player}> ").strip()
-            if answer.isdigit() and int(answer) < domain.move_count(player):
+            if answer.isdecimal() and int(answer) < domain.move_count(player):
                 return int(answer)
             echo(f"enter a move index between 0 and {domain.move_count(player) - 1}")
 

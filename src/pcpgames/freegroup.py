@@ -3,7 +3,8 @@
 A letter is a pair ``(symbol, sign)`` with ``sign`` in ``{+1, -1}``; the
 negative sign denotes the formal inverse of the symbol.  Words are kept
 freely reduced at all times, so equality of group elements is plain
-sequence equality.
+sequence equality.  For hashing, a letter also has an int code, its
+symbol's id signed like the letter (:func:`letter_codes`).
 
 The module also provides the rank-indexed embedding of an arbitrary
 symmetric alphabet into the binary group alphabet ``{c, d}``: the letter
@@ -17,6 +18,9 @@ from dataclasses import dataclass
 from typing import Iterable
 
 Letter = tuple[str, int]
+
+# Products are built without ``GroupWord.__init__``, whose check they do not need.
+_new, _set = object.__new__, object.__setattr__
 
 BINARY_SYMBOLS = ("c", "d")
 
@@ -104,13 +108,6 @@ def word(*syms: str) -> GroupWord:
     )
 
 
-def _reduced(letters: tuple[Letter, ...]) -> GroupWord:
-    """Wrap letters already known to be freely reduced, skipping the re-scan."""
-    w = object.__new__(GroupWord)
-    object.__setattr__(w, "letters", letters)
-    return w
-
-
 def concat(u: GroupWord, v: GroupWord) -> GroupWord:
     """Product u.v in the free group (append from the right, then cancel).
 
@@ -122,7 +119,9 @@ def concat(u: GroupWord, v: GroupWord) -> GroupWord:
     while n and i < len(vl) and ul[n - 1][0] == vl[i][0] and ul[n - 1][1] == -vl[i][1]:
         n -= 1
         i += 1
-    return _reduced(ul[:n] + vl[i:])
+    w = _new(GroupWord)
+    _set(w, "letters", ul[:n] + vl[i:])
+    return w
 
 
 # Each inverse letter is one shared tuple, so tables of inverted words hold
@@ -132,7 +131,38 @@ _INVERSE_LETTERS: dict[Letter, Letter] = {}
 
 def invert(w: GroupWord) -> GroupWord:
     shared = _INVERSE_LETTERS
-    return _reduced(tuple(shared.setdefault((sym, -sign), (sym, -sign)) for sym, sign in reversed(w.letters)))
+    out = _new(GroupWord)
+    _set(out, "letters", tuple(shared.setdefault((sym, -sign), (sym, -sign)) for sym, sign in reversed(w.letters)))
+    return out
+
+
+# A symbol gets the next positive id when it is first coded, and a letter's
+# code is that id signed like the letter, so inverse letters have opposite
+# codes and a key of codes hashes as ints.  The ids depend on the order in
+# which symbols are first coded, so codes are compared only within a process.
+_LETTER_CODES: dict[Letter, int] = {}
+_CODE_LETTERS: dict[int, Letter] = {}
+
+
+def letter_codes(letters: tuple[Letter, ...]) -> tuple[int, ...]:
+    """The signed code of each letter; a symbol not seen before gets the next id."""
+    codes = _LETTER_CODES
+    try:
+        return tuple(map(codes.__getitem__, letters))
+    except KeyError:
+        pass
+    for sym, _ in letters:
+        if (sym, 1) not in codes:
+            code = len(codes) // 2 + 1
+            for sign in (1, -1):
+                codes[(sym, sign)] = sign * code
+                _CODE_LETTERS[sign * code] = (sym, sign)
+    return tuple(map(codes.__getitem__, letters))
+
+
+def code_letters(codes: Iterable[int]) -> tuple[Letter, ...]:
+    """Inverse of :func:`letter_codes`."""
+    return tuple(map(_CODE_LETTERS.__getitem__, codes))
 
 
 def power(w: GroupWord, n: int) -> GroupWord:

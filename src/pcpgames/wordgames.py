@@ -25,10 +25,10 @@ and ``domains.pair_domain`` step them and find the target replies.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import freegroup as fg
-from .automata import WeightedAutomaton, AutomatonError
+from .automata import AutomatonError, BuiltOnFirstAccess, WeightedAutomaton
 from .freegroup import GroupWord, RankedAlphabet
 
 HASH = "#"
@@ -40,6 +40,11 @@ COUNTER_ALPHABET = fg.COUNTER_ALPHABET
 class WeightedMove:
     word: GroupWord
     weight: int
+
+    @BuiltOnFirstAccess
+    def codes(self) -> tuple[int, ...]:
+        """The word's letter codes, built on the first step that reads them."""
+        return fg.letter_codes(self.word.letters)
 
     def render(self) -> str:
         return f"word={fg.render(self.word)} weight={self.weight}"
@@ -56,8 +61,15 @@ class PairMove:
 
 @dataclass(frozen=True, slots=True)
 class WordConfig:
+    """``key`` is the word's letter codes followed by the counter, the
+    configuration's hashable key; a step builds it from the codes it sliced."""
+
     word: GroupWord
     counter: int
+    key: tuple[int, ...] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "key", fg.letter_codes(self.word.letters) + (self.counter,))
 
 
 @dataclass(frozen=True, slots=True)

@@ -483,6 +483,18 @@ def test_play_human_mode(tmp_path, capsys, monkeypatch):
     assert out.read_text() == (GOLDEN / "toy_cancel.trace").read_text()
 
 
+def test_play_human_asks_again_on_a_digit_that_is_not_decimal(capsys, monkeypatch):
+    # '²' is a digit to str.isdigit, but int() refuses it: the prompt asks again
+    monkeypatch.setattr("sys.stdin", io.StringIO("²\n0\n"))
+    code, out, err = run(
+        capsys, "play", "--game", fixture("toy_cancel.game"),
+        "--defender", "human", "--attacker", "script:0", "--rounds", "1",
+    )
+    assert (code, err) == (0, "")
+    assert out.count("enter a move index between 0 and 0") == 1
+    assert "round=1 player=D move=0 config=a;0\n" in out
+
+
 def test_play_human_at_end_of_input(capsys, monkeypatch):
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     code, _, err = run(

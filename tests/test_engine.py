@@ -108,7 +108,8 @@ def test_defender_survival_none_when_attacker_wins(toy_cancel):
     domain = word_domain(toy_cancel)
     result = engine.attacker_wins_within(domain, 1)
     assert result.attacker_wins
-    assert result.strategy == {((("a", 1), 0), 1): 0}
+    # The key is the word's letter codes followed by the counter.
+    assert result.strategy == {(fg.letter_codes((("a", 1),)) + (0,), 1): 0}
     assert engine.strategy_text(domain, result.strategy) == {("a;0", 1): 0}
 
 
@@ -173,6 +174,16 @@ def test_human_policy_round_trip(toy_survive):
     assert [r.move for r in trace.records] == [1, 0, 1, 0]
     assert any("enter a move index" in line for line in outputs)
     assert any(line.startswith("round 1, player D") for line in outputs)
+
+
+def test_human_policy_asks_again_on_a_digit_that_is_not_decimal(toy_cancel):
+    # '²' is a digit to str.isdigit, but int() refuses it: it names no move
+    domain = word_domain(toy_cancel)
+    answers = iter(["²", "0"])
+    outputs: list[str] = []
+    policy = engine.human_policy(input_fn=lambda prompt: next(answers), echo=outputs.append)
+    assert policy(domain, domain.initial_config(), DEFENDER, 1, 1) == 0
+    assert [line for line in outputs if "enter a move index" in line] == ["enter a move index between 0 and 0"]
 
 
 def test_trace_render_parse_round_trip(pipelines):
@@ -281,18 +292,20 @@ def test_crosscheck_detects_fault_injection(pipelines):
 )
 def test_explored_counts_pinned(name, horizon, verdict, explored):
     # i1 has one defender move, so a survival must cover its whole tree.
-    domain = word_domain(build_pipeline(load_instance(name)).weighted_game)
+    # Each node reads one threat row.
+    domain = CountingDomain(word_domain(build_pipeline(load_instance(name)).weighted_game))
     result = engine.attacker_wins_within(domain, horizon)
     assert result.verdict == verdict
     assert result.explored == explored
+    assert domain.calls["threat_replies"] == explored
 
 
 class CountingDomain:
-    """Forwards to a domain, counting its ``apply`` and ``is_target`` calls."""
+    """Forwards to a domain, counting its ``apply``, ``is_target`` and ``threat_replies`` calls."""
 
     def __init__(self, domain):
         self.domain = domain
-        self.calls = {"apply": 0, "is_target": 0}
+        self.calls = {"apply": 0, "is_target": 0, "threat_replies": 0}
 
     def __getattr__(self, name):
         return getattr(self.domain, name)
@@ -305,6 +318,10 @@ class CountingDomain:
         self.calls["is_target"] += 1
         return self.domain.is_target(cfg)
 
+    def threat_replies(self, key):
+        self.calls["threat_replies"] += 1
+        return self.domain.threat_replies(key)
+
 
 def test_i1_word_solve_work_pinned():
     # Replies are applied only to recurse into them; target hits come from threat_replies,
@@ -312,7 +329,7 @@ def test_i1_word_solve_work_pinned():
     domain = CountingDomain(word_domain(build_pipeline(load_instance("i1")).weighted_game))
     result = engine.attacker_wins_within(domain, 4)
     assert (result.verdict, result.explored) == ("DefenderSurvives(4)", 12_290)
-    assert domain.calls == {"apply": 13_104, "is_target": 0}
+    assert domain.calls == {"apply": 13_104, "is_target": 0, "threat_replies": 12_290}
 
 
 def test_c4_matrix_solve_work_pinned():
@@ -321,7 +338,7 @@ def test_c4_matrix_solve_work_pinned():
     domain = CountingDomain(matrix_domain(build_pipeline(load_instance("c4")).matrix_game))
     result = engine.attacker_wins_within(domain, 2)
     assert (result.verdict, result.explored) == ("AttackerWinsWithin(2)", 15)
-    assert domain.calls == {"apply": 19, "is_target": 0}
+    assert domain.calls == {"apply": 19, "is_target": 0, "threat_replies": 15}
 
 
 def test_node_cap_validation(toy_cancel):
@@ -700,6 +717,28 @@ def test_key_text_separates_keys_on_fixture_plays(name, data):
         if domain.name in ORACLE_TEXTS:
             for x in positions:
                 assert domain.key_text(domain.canonical_key(x)) == ORACLE_TEXTS[domain.name](x)
+
+
+@pytest.mark.parametrize("name", ["eq", "mm", "c4", "i1", "fin", "c5", "c6"])
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_coded_word_step_matches_concat_on_fixture_plays(name, data):
+    # The word step cuts the seam on the codes of its key; its letters must still
+    # be the free product's, and its key the codes of those letters and the counter.
+    built = fixture_domains(name)
+    word, binary_word = built[0], built[-1]
+    moves = random_rounds(data, word, 4)
+    for domain in (word, binary_word):
+        cfg = domain.initial_config()
+        for player, index in moves:
+            move = (domain.defender_moves if player == DEFENDER else domain.attacker_moves)[index]
+            after = domain.apply(cfg, player, index)
+            assert after.word.letters == fg.concat(cfg.word, move.word).letters
+            assert after.counter == cfg.counter + move.weight
+            assert after.key == fg.letter_codes(after.word.letters) + (after.counter,)
+            assert after.key == wg.WordConfig(after.word, after.counter).key
+            assert domain.key_text(domain.canonical_key(after)) == word_config_text(after)
+            cfg = after
 
 
 @settings(max_examples=100, derandomize=True, deadline=None)

@@ -31,6 +31,17 @@ def test_invert_examples():
     assert fg.invert(fg.EPSILON) == fg.EPSILON
 
 
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(letters=st.lists(st.tuples(st.sampled_from(["c", "d", "q0", "#"]), st.sampled_from([1, -1])), max_size=8))
+def test_letter_codes_are_signed_symbol_ids(letters):
+    codes = fg.letter_codes(tuple(letters))
+    assert fg.code_letters(codes) == tuple(letters)
+    assert all(code != 0 for code in codes)
+    assert fg.letter_codes(tuple((sym, -sign) for sym, sign in letters)) == tuple(-code for code in codes)
+    # one id per symbol: codes are equal exactly when letters are
+    assert len(set(zip(letters, codes))) == len(set(letters)) == len(set(codes))
+
+
 def test_invert_shares_one_tuple_per_inverse_letter():
     # Reply tables hold many inverted words; equal letters must be one object.
     u, v = fg.invert(fg.word("c", "d", "c")), fg.invert(fg.word("~d", "c"))

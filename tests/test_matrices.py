@@ -182,7 +182,7 @@ def test_anchor_row_lookup_matches_generic_scan(anchor, replies, config):
         expected = next(
             (a for a, m in enumerate(replies) if mx.fixes_anchor(mx.mat_mul(cfg, m), anchor)), None
         )
-        assert domain.threat_replies(domain.canonical_key(cfg)) == [expected]
+        assert domain.threat_replies(domain.canonical_key(cfg)) == (expected,)
 
 
 @settings(max_examples=200, derandomize=True)
