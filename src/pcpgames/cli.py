@@ -146,10 +146,12 @@ def cmd_solve(args: argparse.Namespace) -> int:
         result = engine.attacker_wins_within(domain, args.rounds, max_nodes=args.max_nodes)
     except engine.ResourceCapExceeded as exc:
         raise CliError(f"{exc} (partial statistics: explored={exc.explored})") from exc
+    # Written before anything is printed, so a failed write prints no verdict.
+    if args.strategy_out is not None:
+        Path(args.strategy_out).write_text(_render_strategy(domain, result.strategy), encoding="utf-8")
     print(result.verdict)
     print(f"explored={result.explored} horizon={result.horizon}")
     if args.strategy_out is not None:
-        Path(args.strategy_out).write_text(_render_strategy(domain, result.strategy), encoding="utf-8")
         print(f"strategy written to {args.strategy_out}")
     return 0
 

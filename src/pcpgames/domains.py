@@ -14,9 +14,12 @@ the keys of those points to a row that holds, for each d, the least such a,
 built on the first reply (plays, dumps and crosschecks ask for none), and
 answers from the key the solver already holds for its memo; no domain
 applies a move to find a target.  The word and pair points are their
-configurations and the robot points their vectors; the word point carries
-its coded key, which a step slices from the keys of its two factors after
-finding the seam on the codes.  The matrix point
+configurations and the robot points their vectors.  A stepped word point is
+its coded key alone: the step finds the seam on the codes of its two
+factors' keys and slices one tuple, the word's ``is_target`` compares keys,
+and the word and counter are decoded from the key only where they are read
+(perfbench's play certificate, the tests), never on the solve, replay or
+target path.  The matrix point
 is the block product P, keyed by its anchor row x0*P, which is all the
 target x0*P = x0 reads.  A braid point is ``BraidConfig(braid, source)``,
 the braid word beside the configuration of the domain it encodes
@@ -155,26 +158,28 @@ def _least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
     return index
 
 
-# A step builds its word and configuration without ``__init__``: the product
-# is reduced by construction and its key is sliced from the factors' keys.
-_new, _set = object.__new__, object.__setattr__
+# A step builds its configuration without ``__init__``: the product is reduced
+# by construction and its key is sliced from the factors' keys.  The key slot's
+# own setter is a little cheaper than ``object.__setattr__``.
+_new, _set_key = object.__new__, wg.WordConfig.key.__set__
 
 
 def _word_step(config: wg.WordConfig, move: wg.WeightedMove) -> wg.WordConfig:
-    """The seam is found once, on the codes, and letters and codes are cut together."""
+    """The seam is found on the codes and the product is its key alone:
+    ``word`` and ``counter`` are decoded from it only where they are read."""
     uk, vk = config.key, move.codes
     n, i = len(uk) - 1, 0
     while n and i < len(vk) and uk[n - 1] == -vk[i]:
         n -= 1
         i += 1
-    word = _new(fg.GroupWord)
-    _set(word, "letters", config.word.letters[:n] + move.word.letters[i:])
-    counter = config.counter + move.weight
     out = _new(wg.WordConfig)
-    _set(out, "word", word)
-    _set(out, "counter", counter)
-    _set(out, "key", uk[:n] + vk[i:] + (counter,))
+    _set_key(out, uk[:n] + vk[i:] + (uk[-1] + move.weight,))
     return out
+
+
+def _word_is_target(config: wg.WordConfig) -> bool:
+    """The target is the empty word with counter 0, whose key is ``(0,)``."""
+    return config.key == (0,)
 
 
 def _word_inverse(move: wg.WeightedMove) -> wg.WeightedMove:
@@ -186,7 +191,7 @@ def word_domain(game: wg.WeightedWordGame, name: str = "word") -> Domain:
     target = wg.WordConfig(fg.EPSILON, 0)
     return Domain(
         name, game.initial, game.defender_moves, game.attacker_moves,
-        _word_step, _word_inverse, target, target.__eq__, _weighted_key, _weighted_key_text,
+        _word_step, _word_inverse, target, _word_is_target, _weighted_key, _weighted_key_text,
         wg.WeightedMove.render,
     )
 

@@ -62,7 +62,13 @@ class PairMove:
 @dataclass(frozen=True, slots=True)
 class WordConfig:
     """``key`` is the word's letter codes followed by the counter, the
-    configuration's hashable key; a step builds it from the codes it sliced."""
+    configuration's hashable key.
+
+    A configuration built from a word and a counter computes its key; one
+    made by a step (``domains._word_step``) is its key alone, and its
+    ``word`` and ``counter`` are decoded from the key when first read, so the
+    solver, which reads only keys, never builds a word.
+    """
 
     word: GroupWord
     counter: int
@@ -70,6 +76,17 @@ class WordConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "key", fg.letter_codes(self.word.letters) + (self.counter,))
+
+    def __getattr__(self, name: str) -> GroupWord | int:
+        # Reached only for an unset slot: the word or counter of a stepped configuration.
+        if name == "word":
+            value = GroupWord(fg.code_letters(self.key[:-1]))
+        elif name == "counter":
+            value = self.key[-1]
+        else:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        object.__setattr__(self, name, value)
+        return value
 
 
 @dataclass(frozen=True, slots=True)

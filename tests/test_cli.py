@@ -309,11 +309,12 @@ def test_solve_strategy_matches_golden(tmp_path, capsys, name, representation, r
 
 def test_solve_strategy_out_in_missing_directory(tmp_path, capsys):
     strategy = tmp_path / "missing" / "s"
-    code, _, err = run(
+    code, out, err = run(
         capsys, "solve", "--game", fixture("toy_cancel.game"), "--rounds", "1",
         "--strategy-out", str(strategy),
     )
     assert_one_error_line(code, err, strategy)
+    assert out == ""  # no verdict for a solve whose strategy could not be written
 
 
 def test_solve_cap_exceeded(capsys):

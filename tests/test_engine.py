@@ -102,6 +102,16 @@ def test_defender_survival_strategy_on_i1(pipelines):
     assert survives_every_attacker_move(domain, table, domain.initial_config(), 3)
 
 
+def test_word_solve_and_replay_decode_no_word():
+    # The solver, its reply tables and a replay read keys only.  A decoded word at
+    # every configuration tested would hold a letter tuple beside each key.
+    with mock.patch.object(fg, "code_letters", wraps=fg.code_letters) as decode:
+        domain = word_domain(build_pipeline(load_instance("i1")).weighted_game)
+        result = engine.attacker_wins_within(domain, 3)
+        assert survives_every_attacker_move(domain, result.strategy, domain.initial_config(), 3)
+    assert decode.call_count == 0
+
+
 def test_defender_survival_none_when_attacker_wins(toy_cancel):
     # No defender survival table: the strategy is the attacker's, keyed by the
     # position after the defender's move.
@@ -736,8 +746,19 @@ def test_coded_word_step_matches_concat_on_fixture_plays(name, data):
             assert after.word.letters == fg.concat(cfg.word, move.word).letters
             assert after.counter == cfg.counter + move.weight
             assert after.key == fg.letter_codes(after.word.letters) + (after.counter,)
-            assert after.key == wg.WordConfig(after.word, after.counter).key
+            eager = wg.WordConfig(after.word, after.counter)
+            assert after.key == eager.key
             assert domain.key_text(domain.canonical_key(after)) == word_config_text(after)
+            # A stepped configuration is its key alone and decodes its word and
+            # counter on first read; each check below reads a fresh one.
+            stepped = functools.partial(domain.apply, cfg, player, index)
+            assert stepped() == eager and eager == stepped()
+            assert hash(stepped()) == hash(eager)
+            assert repr(stepped()) == repr(eager)
+            for changes in ({"word": move.word}, {"counter": after.counter - 1}):
+                replaced = dataclasses.replace(stepped(), **changes)
+                expected = dataclasses.replace(eager, **changes)
+                assert replaced == expected and replaced.key == expected.key
             cfg = after
 
 
