@@ -64,12 +64,6 @@ class BraidWord:
             if a == -b:
                 raise BraidError("braid word is not freely cancelled")
 
-    def __mul__(self, other: "BraidWord") -> "BraidWord":
-        return concat(self, other)
-
-    def __invert__(self) -> "BraidWord":
-        return invert(self)
-
     def __len__(self) -> int:
         return len(self.letters)
 
@@ -398,7 +392,6 @@ def _far_cancelled(letters: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(stack)
 
 
-@functools.lru_cache(maxsize=None)
 def _letter_factors(n: int) -> dict[int, tuple[tuple[int, ...], tuple[int, ...], int]]:
     """Per signed generator: its permutation factor, the factor's flip, its half-twist power.
 

@@ -129,14 +129,18 @@ _STRATEGY_LINE = re.compile(r"^key=(.*) rounds=(\d+) move=(\d+)$")
 
 
 def _parse_strategy(text: str) -> dict[tuple[str, int], int]:
+    """A repeated (key, rounds) is refused: no line may silently override another."""
     table = {}
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         if not line.strip():
             continue
         m = _STRATEGY_LINE.match(line)
         if m is None:
             raise CliError(f"malformed strategy line {line!r}")
-        table[(m.group(1), int(m.group(2)))] = int(m.group(3))
+        entry = (m.group(1), int(m.group(2)))
+        if entry in table:
+            raise CliError(f"strategy line {number} repeats key {entry[0]!r} rounds={entry[1]}: {line!r}")
+        table[entry] = int(m.group(3))
     return table
 
 

@@ -5,8 +5,8 @@ through another image: moves acting invertibly on points, one target point,
 and a canonical key that is an invariant of the action.  A key is a
 hashable point, never text: the flat tuple of a word's letter codes
 (``freegroup.letter_codes``) and its counter, the pair of letter tuples of a
-pair configuration, the anchor row of a matrix product, a robot vector
-itself.  ``key_text`` renders a key only where it is written or compared as
+pair configuration, the anchor row of a matrix product.  ``key_text``
+renders a key only where it is written or compared as
 text (traces, strategy files, the human prompt, crosschecks).  After
 defender move d the reply a takes x to the target t exactly when x is t
 acted on by a^-1 and then d^-1, so ``threat_replies`` keeps one dict from
@@ -14,7 +14,7 @@ the keys of those points to a row that holds, for each d, the least such a,
 built on the first reply (plays, dumps and crosschecks ask for none), and
 answers from the key the solver already holds for its memo; no domain
 applies a move to find a target.  The word and pair points are their
-configurations and the robot points their vectors.  A stepped word point is
+configurations.  A stepped word point is
 its coded key alone: the step finds the seam on the codes of its two
 factors' keys and slices one tuple, the word's ``is_target`` compares keys,
 and the word and counter are decoded from the key only where they are read
@@ -145,11 +145,6 @@ def _vector_text(v: mx.IntVector) -> str:
     return " ".join(str(x) for x in v)
 
 
-def _vector_key(v: mx.IntVector) -> mx.IntVector:
-    """A robot point is a vector, so it is its own key."""
-    return v
-
-
 def _least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
     """Each distinct key -> the index of its first occurrence."""
     index: dict[Hashable, int] = {}
@@ -232,42 +227,6 @@ def matrix_domain(game: mx.MatrixGame) -> Domain:
         mx.apply_matrix_move, mx.block_inverse, identity,
         partial(mx.fixes_anchor, anchor=anchor), partial(mx.row_times_blocks, anchor),
         _vector_text, _matrix_text,
-    )
-
-
-def _act_on_vector(config: mx.IntVector, m: mx.IntMatrix) -> mx.IntVector:
-    return mx.mat_vec_mul(m, config)
-
-
-def _shift_inverse(m: mx.IntMatrix) -> mx.IntMatrix:
-    """``shift_matrix(v)`` -> ``shift_matrix(-v)``: negate every off-diagonal entry."""
-    return tuple(tuple(x if i == j else -x for j, x in enumerate(row)) for i, row in enumerate(m))
-
-
-def robot_matrix_domain(game: mx.RobotGame) -> Domain:
-    """The robot game's 2n-dimensional embedding: ``shift_matrix(v)`` acts on (x, 1...1)."""
-    ones = (1,) * len(game.target)
-    target = game.target + ones
-    return Domain(
-        "robot-matrix", game.initial + ones,
-        tuple(mx.shift_matrix(v) for v in game.defender),
-        tuple(mx.shift_matrix(v) for v in game.attacker),
-        _act_on_vector, _shift_inverse, target, target.__eq__, _vector_key, _vector_text, _matrix_text,
-    )
-
-
-def _translate(config: mx.IntVector, v: mx.IntVector) -> mx.IntVector:
-    return tuple(c + dv for c, dv in zip(config, v))
-
-
-def _negate(v: mx.IntVector) -> mx.IntVector:
-    return tuple(-x for x in v)
-
-
-def robot_domain(game: mx.RobotGame) -> Domain:
-    return Domain(
-        "robot", game.initial, game.defender, game.attacker,
-        _translate, _negate, game.target, game.target.__eq__, _vector_key, _vector_text, _vector_text,
     )
 
 

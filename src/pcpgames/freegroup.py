@@ -75,15 +75,6 @@ class GroupWord:
     def __len__(self) -> int:
         return len(self.letters)
 
-    def __mul__(self, other: "GroupWord") -> "GroupWord":
-        return concat(self, other)
-
-    def __invert__(self) -> "GroupWord":
-        return invert(self)
-
-    def __str__(self) -> str:
-        return render(self)
-
 
 EPSILON = GroupWord()
 
@@ -101,10 +92,19 @@ def reduce(raw: Iterable[Letter]) -> GroupWord:
     return GroupWord(tuple(stack))
 
 
+def _no_symbol(token: str) -> str:
+    raise ValueError(f"word token {token!r} has no symbol")
+
+
 def word(*syms: str) -> GroupWord:
-    """Build a word from rendered tokens, ``~`` marking inverse letters."""
+    """Build a word from rendered tokens, ``~`` marking inverse letters.
+
+    Raises ValueError for a token with no symbol (empty, or ``~`` alone).
+    The check is one truth test on the symbol each token yields, since
+    every game move is built here.
+    """
     return reduce(
-        (s[1:], -1) if s.startswith("~") else (s, 1) for s in syms
+        (s[1:] or _no_symbol(s), -1) if s.startswith("~") else (s or _no_symbol(s), 1) for s in syms
     )
 
 

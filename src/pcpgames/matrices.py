@@ -1,4 +1,4 @@
-"""Integer matrix encodings of the word games and the robot game embedding.
+"""Integer matrix encodings of the word games.
 
 Words over the binary alphabet map into 2x2 integer matrices generated by
 the two elementary congruence-subgroup generators (entries ±2 off the
@@ -8,10 +8,6 @@ the played matrices acting on the anchor row vector from the right, so the
 word-to-matrix correspondence is a literal homomorphism statement.  Every
 such product stays 2+2 block-diagonal, so a move multiplies the two 2x2
 blocks (8 multiplications, not the 64 of a generic 4x4 product).
-
-The robot game embedding doubles the dimension: a move vector v becomes the
-shift matrix with identity diagonal blocks and diag(v) in the top right,
-acting on column vectors extended by ones (``domains.robot_matrix_domain``).
 """
 
 from __future__ import annotations
@@ -46,10 +42,6 @@ def row_times_blocks(v: IntVector, m: IntMatrix) -> IntVector:
     v0, v1, v2, v3 = v
     (p, q, _, _), (r, s, _, _), (_, _, t, u), (_, _, w, x) = m
     return (v0 * p + v1 * r, v0 * q + v1 * s, v2 * t + v3 * w, v2 * u + v3 * x)
-
-
-def mat_vec_mul(m: IntMatrix, v: IntVector) -> IntVector:
-    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
 
 
 _F_GENERATORS: dict[tuple[str, int], IntMatrix] = {
@@ -152,31 +144,6 @@ def apply_matrix_move(accumulated: IntMatrix, m: IntMatrix) -> IntMatrix:
         (0, 0, e * t + f * v, e * u + f * w),
         (0, 0, g * t + h * v, g * u + h * w),
     )
-
-
-@dataclass(frozen=True)
-class RobotGame:
-    """Moves translate an integer vector; the target is reaching ``target``."""
-
-    attacker: tuple[IntVector, ...]
-    defender: tuple[IntVector, ...]
-    initial: IntVector
-    target: IntVector
-
-    def __post_init__(self) -> None:
-        if len({len(v) for v in self.attacker + self.defender + (self.initial, self.target)}) != 1:
-            raise ValueError("robot game vectors must all have the same dimension")
-
-
-def shift_matrix(v: IntVector) -> IntMatrix:
-    """Identity diagonal blocks and diag(v) top right: adds v to (x, 1...1)."""
-    n = len(v)
-    rows = []
-    for i in range(n):
-        rows.append(tuple(1 if j == i else (v[i] if j == i + n else 0) for j in range(2 * n)))
-    for i in range(n):
-        rows.append(tuple(1 if j == i + n else 0 for j in range(2 * n)))
-    return tuple(rows)
 
 
 def render_matrix(m: IntMatrix) -> str:

@@ -2,7 +2,8 @@
 
 Lemma checks, slow oracles, certificate replays and round-trip parsers
 that the code in ``pcpgames`` is tested against, grouped by the module
-they check.  The fixtures, the transition-path enumeration and the
+they check, and the robot game that acceptance criterion 9 simulates
+beside its matrix embedding.  The fixtures, the transition-path enumeration and the
 brute-force minimax live in ``conftest.py``.  ``test_layout.py`` keeps
 definitions that only the tests reach out of the package.
 """
@@ -43,7 +44,7 @@ from pcpgames.braids import (
     garside_nf,
     invert,
 )
-from pcpgames.domains import Domain
+from pcpgames.domains import Domain, _matrix_text, _vector_text
 from pcpgames.engine import ATTACKER, DEFENDER, GameDomain
 from pcpgames.freegroup import (
     BINARY_SYMBOLS,
@@ -61,7 +62,6 @@ from pcpgames.matrices import (
     f_encode,
     fixes_anchor,
     identity,
-    mat_vec_mul,
     row_times_blocks,
 )
 from pcpgames.pcp import PcpError, PcpInstance
@@ -428,6 +428,10 @@ def row_vec_mul(v: IntVector, m: IntMatrix) -> IntVector:
     return tuple(sum(v[i] * m[i][j] for i in range(len(v))) for j in range(len(m[0])))
 
 
+def mat_vec_mul(m: IntMatrix, v: IntVector) -> IntVector:
+    return tuple(sum(m[i][j] * v[j] for j in range(len(v))) for i in range(len(m)))
+
+
 def det(m: IntMatrix) -> int:
     n = len(m)
     if n == 1:
@@ -565,6 +569,81 @@ def find_finite_solutions(
             if inst.h(w) == inst.g(w):
                 solutions.append(w)
     return solutions
+
+
+# --- robot games ---
+
+# Robot games (Doyen and Rabinovich, 2011) add integer vectors; their matrix
+# embedding doubles the dimension: a move vector v becomes the shift matrix
+# with identity diagonal blocks and diag(v) in the top right, acting on
+# column vectors extended by ones.  No command plays them: the paper's vector
+# reachability game is the matrix game read through its anchor row.
+
+
+@dataclass(frozen=True)
+class RobotGame:
+    """Moves translate an integer vector; the target is reaching ``target``."""
+
+    attacker: tuple[IntVector, ...]
+    defender: tuple[IntVector, ...]
+    initial: IntVector
+    target: IntVector
+
+    def __post_init__(self) -> None:
+        if len({len(v) for v in self.attacker + self.defender + (self.initial, self.target)}) != 1:
+            raise ValueError("robot game vectors must all have the same dimension")
+
+
+def shift_matrix(v: IntVector) -> IntMatrix:
+    """Identity diagonal blocks and diag(v) top right: adds v to (x, 1...1)."""
+    n = len(v)
+    rows = []
+    for i in range(n):
+        rows.append(tuple(1 if j == i else (v[i] if j == i + n else 0) for j in range(2 * n)))
+    for i in range(n):
+        rows.append(tuple(1 if j == i + n else 0 for j in range(2 * n)))
+    return tuple(rows)
+
+
+def _vector_key(v: IntVector) -> IntVector:
+    """A robot point is a vector, so it is its own key."""
+    return v
+
+
+def _act_on_vector(config: IntVector, m: IntMatrix) -> IntVector:
+    return mat_vec_mul(m, config)
+
+
+def _shift_inverse(m: IntMatrix) -> IntMatrix:
+    """``shift_matrix(v)`` -> ``shift_matrix(-v)``: negate every off-diagonal entry."""
+    return tuple(tuple(x if i == j else -x for j, x in enumerate(row)) for i, row in enumerate(m))
+
+
+def robot_matrix_domain(game: RobotGame) -> Domain:
+    """The robot game's 2n-dimensional embedding: ``shift_matrix(v)`` acts on (x, 1...1)."""
+    ones = (1,) * len(game.target)
+    target = game.target + ones
+    return Domain(
+        "robot-matrix", game.initial + ones,
+        tuple(shift_matrix(v) for v in game.defender),
+        tuple(shift_matrix(v) for v in game.attacker),
+        _act_on_vector, _shift_inverse, target, target.__eq__, _vector_key, _vector_text, _matrix_text,
+    )
+
+
+def _translate(config: IntVector, v: IntVector) -> IntVector:
+    return tuple(c + dv for c, dv in zip(config, v))
+
+
+def _negate(v: IntVector) -> IntVector:
+    return tuple(-x for x in v)
+
+
+def robot_domain(game: RobotGame) -> Domain:
+    return Domain(
+        "robot", game.initial, game.defender, game.attacker,
+        _translate, _negate, game.target, game.target.__eq__, _vector_key, _vector_text, _vector_text,
+    )
 
 
 # --- wordgames ---

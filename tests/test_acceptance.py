@@ -22,23 +22,21 @@ from pcpgames import matrices as mx
 from pcpgames import pcp
 from pcpgames import wordgames as wg
 from pcpgames.automata import Transition
-from pcpgames.domains import (
-    build_pipeline,
-    robot_domain,
-    robot_matrix_domain,
-    word_domain,
-)
+from pcpgames.domains import build_pipeline, word_domain
 from pcpgames.engine import ATTACKER, DEFENDER
 
 from conftest import brute_attacker_wins, load_instance, paths_over, scripts
 from oracles import (
     BURAU_IDENTITY,
+    RobotGame,
     all_reduced_words,
     anchor_lemma_holds,
     column_anchor_lemma_report,
     det,
     is_complete,
     replay_reaches_target,
+    robot_domain,
+    robot_matrix_domain,
     survives_every_attacker_move,
 )
 
@@ -259,7 +257,7 @@ def test_criterion_08_cross_representation_integration():
 
 def test_criterion_09_robot_game_embedding():
     started = time.time()
-    robot = mx.RobotGame(
+    robot = RobotGame(
         attacker=((1, 0), (0, 1), (-1, -1), (2, -1)),
         defender=((1, 1), (-1, 0), (0, -2)),
         initial=(0, 0),

@@ -254,11 +254,12 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr():
             "player=A word=~a weight=0", "solve",
             "the game dump has a second target line 'target word= weight=0'",
         ),
+        ("player=D word=a weight=0\nplayer=A word=~ weight=0", "solve", "word token '~' has no symbol"),
     ],
     ids=[
         "no-defender-move", "no-attacker-move", "weight-not-an-integer", "target-not-empty",
         "target-malformed", "letter-outside-alphabet", "second-initial", "second-alphabet",
-        "second-target",
+        "second-target", "lone-tilde",
     ],
 )
 def test_malformed_game_dump_is_an_error(tmp_path, capsys, moves, command, message):
@@ -390,6 +391,15 @@ def test_play_bad_script_token(capsys):
     assert "names no move" in err
 
 
+def test_play_script_token_with_no_symbol(capsys):
+    code, out, err = run(
+        capsys, "play", "--game", fixture("toy_cancel.game"),
+        "--defender", "script:~", "--attacker", "script:0", "--rounds", "1",
+    )
+    assert code == 1 and out == ""
+    assert err == "error: word token '~' has no symbol\n"
+
+
 def test_play_script_token_that_is_a_digit_but_not_decimal(capsys):
     # '²' is a digit to str.isdigit, but int() refuses it: it is a token that names no move
     code, _, err = run(
@@ -434,6 +444,21 @@ def test_play_strategy_move_out_of_range(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error: strategy move 9 for key") and err.count("\n") == 1
+
+
+def test_play_strategy_with_a_repeated_key_is_an_error(tmp_path, capsys):
+    # A later line must not override the solved move 2 of the golden table.
+    golden = (GOLDEN / "eq_solve3.strategy").read_text(encoding="utf-8")
+    assert "key=q0 a;0 rounds=3 move=2\n" in golden
+    strategy = tmp_path / "dup.strategy"
+    strategy.write_text(golden + "key=q0 a;0 rounds=3 move=0\n", encoding="utf-8")
+    code, out, err = run(
+        capsys, "play", "-i", fixture("eq.pcp"), "--defender", "random:1",
+        "--attacker", f"strategy:{strategy}", "--rounds", "3",
+    )
+    number = golden.count("\n") + 1
+    assert code == 1 and out == ""
+    assert err == f"error: strategy line {number} repeats key 'q0 a;0' rounds=3: 'key=q0 a;0 rounds=3 move=0'\n"
 
 
 @pytest.mark.parametrize("representation", ["matrix", "braid3"])

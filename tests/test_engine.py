@@ -15,15 +15,18 @@ from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
 from pcpgames import wordgames as wg
 from pcpgames.domains import braid_domain, matrix_domain, pair_domain, word_domain
-from pcpgames.domains import REPRESENTATIONS, build_pipeline, robot_domain, robot_matrix_domain
+from pcpgames.domains import REPRESENTATIONS, build_pipeline
 from pcpgames.engine import ATTACKER, DEFENDER
 
 from conftest import GOLDEN, brute_attacker_wins, load_instance, scripts
 from oracles import (
+    RobotGame,
     key_decides_target_along,
     key_text_separates,
     pair_config_text,
     replay_reaches_target,
+    robot_domain,
+    robot_matrix_domain,
     survives_every_attacker_move,
     word_config_text,
 )
@@ -564,7 +567,7 @@ def test_target_reply_matches_scan_on_small_games(game, data):
 
 def test_robot_target_reply_matches_scan_on_robot_plays():
     # The robot game and its 2n-dimensional matrix embedding of acceptance criterion 9.
-    robot = mx.RobotGame(
+    robot = RobotGame(
         attacker=((1, 0), (0, 1), (-1, -1), (2, -1)),
         defender=((1, 1), (-1, 0), (0, -2)),
         initial=(0, 0),
@@ -588,7 +591,7 @@ def test_robot_target_reply_matches_scan_on_robot_plays():
             assert check_target_replies_at(native, point) > 0
             assert check_target_replies_at(embedded, point + (1, 1)) > 0
     # A reply whose preimage is also another's: the least index must win.
-    tied = mx.RobotGame(attacker=((1,), (2,), (1,)), defender=((0,),), initial=(0,), target=(3,))
+    tied = RobotGame(attacker=((1,), (2,), (1,)), defender=((0,),), initial=(0,), target=(3,))
     for domain in (robot_domain(tied), robot_matrix_domain(tied)):
         for start in range(-1, 5):
             check_target_replies_at(domain, (start,) if domain.name == "robot" else (start, 1))
@@ -598,7 +601,7 @@ def test_robot_target_reply_matches_scan_on_robot_plays():
 def robot_games(draw):
     """Two-dimensional robot games with 1-3 defender and 1-4 attacker vectors."""
     vectors = st.tuples(st.integers(-2, 2), st.integers(-2, 2))
-    return mx.RobotGame(
+    return RobotGame(
         attacker=tuple(draw(st.lists(vectors, min_size=1, max_size=4))),
         defender=tuple(draw(st.lists(vectors, min_size=1, max_size=3))),
         initial=draw(vectors),

@@ -57,6 +57,12 @@ def test_render_parse_round_trip():
     assert fg.parse("") == fg.EPSILON
 
 
+@pytest.mark.parametrize("tokens", [("~",), ("",), ("a", "~")])
+def test_word_refuses_a_token_with_no_symbol(tokens):
+    with pytest.raises(ValueError, match="has no symbol"):
+        fg.word(*tokens)
+
+
 ALPHA3 = fg.RankedAlphabet(("z1", "z2", "z3"))
 
 

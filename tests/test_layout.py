@@ -23,8 +23,6 @@ SEARCHED = ("src", "scripts", "perfbench")
 # Kept in src with no caller there, each with the ROADMAP item or acceptance criterion it serves.
 KEPT = {
     "pcp.serialize_instance": "item 7: the header hash of self-checking certificates",
-    "domains.robot_domain": "criterion 9: the paper's robot (vector reachability) game",
-    "domains.robot_matrix_domain": "criterion 9: the robot game's matrix embedding",
 }
 
 

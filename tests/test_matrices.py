@@ -7,10 +7,11 @@ from hypothesis import given, settings, strategies as st
 
 from pcpgames import freegroup as fg
 from pcpgames import matrices as mx
-from pcpgames.domains import REPRESENTATIONS, matrix_domain, robot_domain, robot_matrix_domain
+from pcpgames.domains import REPRESENTATIONS, matrix_domain
 from pcpgames.engine import ATTACKER, DEFENDER
 
 from oracles import (
+    RobotGame,
     all_reduced_words,
     anchor_lemma_holds,
     closed_form_alpha_image,
@@ -18,7 +19,11 @@ from oracles import (
     det,
     is_identity,
     key_decides_target_along,
+    mat_vec_mul,
+    robot_domain,
+    robot_matrix_domain,
     row_vec_mul,
+    shift_matrix,
 )
 
 ALPHA3 = fg.RankedAlphabet(("z1", "z2", "z3"))
@@ -214,9 +219,9 @@ def test_block_inverse_inverts_pair_images():
 @pytest.mark.parametrize(
     "game",
     [
-        mx.MatrixGame(defender=(mx.identity(4),), attacker=(mx.shift_matrix((1, 2)),)),
+        mx.MatrixGame(defender=(mx.identity(4),), attacker=(shift_matrix((1, 2)),)),
         mx.MatrixGame(
-            defender=(mx.identity(4),), attacker=(mx.identity(4),), initial=mx.shift_matrix((0, 1))
+            defender=(mx.identity(4),), attacker=(mx.identity(4),), initial=shift_matrix((0, 1))
         ),
         mx.MatrixGame(
             defender=(mx.identity(4),), attacker=(mx.block_diag(((2, 0), (0, 1)), mx.identity(2)),)
@@ -243,7 +248,7 @@ def test_matrix_reply_table_built_once_per_game(pipelines, representation):
 
 
 def test_shift_inverse():
-    assert mx.mat_mul(mx.shift_matrix((2, -3)), mx.shift_matrix((-2, 3))) == mx.identity(4)
+    assert mx.mat_mul(shift_matrix((2, -3)), shift_matrix((-2, 3))) == mx.identity(4)
 
 
 @settings(max_examples=100, derandomize=True)
@@ -254,18 +259,18 @@ def test_matrix_multiplication_associative(u, v, w):
 
 
 def test_robot_single_step():
-    matrix = mx.shift_matrix((2,))
+    matrix = shift_matrix((2,))
     assert matrix == ((1, 2), (0, 1))
-    assert mx.mat_vec_mul(matrix, (3, 1)) == (5, 1)
+    assert mat_vec_mul(matrix, (3, 1)) == (5, 1)
 
 
 def test_robot_zero_move_is_identity():
-    assert mx.shift_matrix((0, 0)) == mx.identity(4)
+    assert shift_matrix((0, 0)) == mx.identity(4)
 
 
 @pytest.fixture()
 def robot2():
-    return mx.RobotGame(
+    return RobotGame(
         attacker=((1, 0), (0, 1), (-1, -1)),
         defender=((1, 1), (-1, 0)),
         initial=(0, 0),
@@ -300,7 +305,7 @@ def test_robot_dual_simulation(robot2):
 
 def test_robot_dimension_validation():
     with pytest.raises(ValueError, match="same dimension"):
-        mx.RobotGame(attacker=((1,),), defender=((1, 2),), initial=(0,), target=(1,))
+        RobotGame(attacker=((1,),), defender=((1, 2),), initial=(0,), target=(1,))
 
 
 def test_dump_matrix_game(pipelines):
