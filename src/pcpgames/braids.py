@@ -417,18 +417,13 @@ def braids_equal(u: BraidWord, v: BraidWord) -> bool:
     return is_trivial_fast(concat(u, invert(v)))
 
 
-def is_trivial(w: BraidWord) -> bool:
-    """Exact but always through the normal form; see is_trivial_fast."""
-    return garside_nf(w).is_trivial()
-
-
 def is_trivial_fast(w: BraidWord) -> bool:
     """Triviality, refuted cheaply where it can be and decided by the normal form otherwise.
 
     The empty word is trivial.  A nonzero exponent sum refutes, and so does
     a Burau image over a prime field that moves a fixed row
     (``_burau_moves``), exact for every strand count.  A word that passes
-    both goes to the Garside normal form (``is_trivial``), for every strand
+    both goes to the Garside normal form (``garside_nf``), for every strand
     count: Burau only refutes, since it is not faithful from five strands on
     and not known to be on four.
     """
@@ -436,7 +431,7 @@ def is_trivial_fast(w: BraidWord) -> bool:
         return True
     if exponent_sum(w) != 0 or _burau_moves(w):
         return False
-    return is_trivial(w)
+    return garside_nf(w).is_trivial()
 
 
 # --- the unreduced Burau image over a prime field: a certificate of nontriviality ---

@@ -1,5 +1,10 @@
 """Command-line front end for the instance -> automaton -> games pipeline.
 
+The commands parse their arguments and policy specs and call the library,
+which owns every file format: ``pcp`` reads instance files, ``wordgames``
+reads game dumps, and ``engine`` reads and writes traces and strategy
+files.  A ``script:SPEC`` policy is the script itself, never a file name.
+
 Exit codes: 0 on success, 1 on a domain error (bad instance, missing file,
 cap exceeded, crosscheck disagreement) or a closed stdout, 2 on usage
 errors, which argparse reports.
@@ -9,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import re
 import sys
 from pathlib import Path
 
@@ -117,33 +121,6 @@ def _domain_from_args(args: argparse.Namespace) -> tuple[Domain, wg.WeightedWord
     return pipe.domain(args.representation), pipe.weighted_game
 
 
-def _render_strategy(domain: Domain, table: dict) -> str:
-    lines = [
-        f"key={key} rounds={rounds} move={move}"
-        for (key, rounds), move in engine.strategy_text(domain, table).items()
-    ]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-_STRATEGY_LINE = re.compile(r"^key=(.*) rounds=(\d+) move=(\d+)$")
-
-
-def _parse_strategy(text: str) -> dict[tuple[str, int], int]:
-    """A repeated (key, rounds) is refused: no line may silently override another."""
-    table = {}
-    for number, line in enumerate(text.splitlines(), 1):
-        if not line.strip():
-            continue
-        m = _STRATEGY_LINE.match(line)
-        if m is None:
-            raise CliError(f"malformed strategy line {line!r}")
-        entry = (m.group(1), int(m.group(2)))
-        if entry in table:
-            raise CliError(f"strategy line {number} repeats key {entry[0]!r} rounds={entry[1]}: {line!r}")
-        table[entry] = int(m.group(3))
-    return table
-
-
 def cmd_solve(args: argparse.Namespace) -> int:
     domain, _ = _domain_from_args(args)
     try:
@@ -152,7 +129,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         raise CliError(f"{exc} (partial statistics: explored={exc.explored})") from exc
     # Written before anything is printed, so a failed write prints no verdict.
     if args.strategy_out is not None:
-        Path(args.strategy_out).write_text(_render_strategy(domain, result.strategy), encoding="utf-8")
+        Path(args.strategy_out).write_text(engine.render_strategy(domain, result.strategy), encoding="utf-8")
     print(result.verdict)
     print(f"explored={result.explored} horizon={result.horizon}")
     if args.strategy_out is not None:
@@ -184,14 +161,7 @@ def _policy_from_spec(spec: str, words: wg.WeightedWordGame, player: str) -> eng
             raise malformed from None
         return engine.random_policy(seed)
     if kind == "strategy":
-        return engine.strategy_policy(_parse_strategy(Path(body).read_text(encoding="utf-8")))
-    path = Path(body)
-    try:
-        is_file = path.exists()
-    except OSError:  # e.g. too long for a file name: the body is a literal script
-        is_file = False
-    if is_file:
-        body = path.read_text(encoding="utf-8").strip()
+        return engine.strategy_policy(engine.parse_strategy(Path(body).read_text(encoding="utf-8")))
     return engine.scripted_policy(_script_indices(body, words, player))
 
 

@@ -65,9 +65,9 @@ class Domain:
     equal under every move, and ``is_target(x)`` holds exactly when
     ``canonical_key(x) == canonical_key(target)``.  ``key_text`` renders a
     key as text, injectively, and is called only at the edges.
-    ``is_target``, ``canonical_key`` and ``threat_replies`` are stored
-    callables rather than methods, so the solver calls them without an
-    extra frame.
+    ``canonical_key`` and ``threat_replies`` are stored callables rather
+    than methods, so the solver calls them without an extra frame; the
+    solver never calls ``is_target``, which plays and crosschecks call.
     """
 
     name: str

@@ -11,6 +11,10 @@ write or compare it.  Rounds alternate Defender then Attacker and the
 target is only ever evaluated after an attacker move, so round zero can
 never be trivially winning.
 
+This module alone knows the two text formats a solve or a play leaves:
+trace lines (:meth:`Trace.render`, :func:`parse_trace`) and strategy files
+(:func:`render_strategy`, :func:`parse_strategy`).
+
 The solver computes, for each configuration and remaining-round budget, the
 least number of rounds within which the attacker can force a target, and
 stops as soon as that value is decided:
@@ -209,6 +213,37 @@ def parse_trace(text: str) -> Trace:
     return Trace(tuple(records))
 
 
+def render_strategy(domain: GameDomain, table: dict[tuple[Hashable, int], int]) -> str:
+    """A solve's strategy table as a strategy file: one ``key=K rounds=R move=M``
+    line per entry, with K the key text, in (key text, rounds) order."""
+    key_text = domain.key_text
+    entries = sorted(((key_text(key), rounds), move) for (key, rounds), move in table.items())
+    return "".join(f"key={key} rounds={rounds} move={move}\n" for (key, rounds), move in entries)
+
+
+_STRATEGY_LINE = re.compile(r"^key=(.*) rounds=(\d+) move=(\d+)$")
+
+
+def parse_strategy(text: str) -> dict[tuple[str, int], int]:
+    """Inverse of :func:`render_strategy`: the table keyed by (key text, rounds).
+
+    Blank lines are skipped.  A repeated (key, rounds) is refused: no line
+    may silently override another.
+    """
+    table = {}
+    for number, line in enumerate(text.splitlines(), 1):
+        if not line.strip():
+            continue
+        m = _STRATEGY_LINE.match(line)
+        if m is None:
+            raise ValueError(f"malformed strategy line {line!r}")
+        entry = (m.group(1), int(m.group(2)))
+        if entry in table:
+            raise ValueError(f"strategy line {number} repeats key {entry[0]!r} rounds={entry[1]}: {line!r}")
+        table[entry] = int(m.group(3))
+    return table
+
+
 Policy = Callable[[GameDomain, Any, str, int, int], int]
 """(domain, config, player, round, remaining) -> move index."""
 
@@ -233,17 +268,8 @@ def random_policy(seed: int) -> Policy:
     return policy
 
 
-def strategy_text(domain: GameDomain, table: dict[tuple[Hashable, int], int]) -> dict[tuple[str, int], int]:
-    """A solve's strategy table keyed by key text, in (text, rounds) order.
-
-    This is the form strategy files are written in and parsed back to.
-    """
-    key_text = domain.key_text
-    return dict(sorted(((key_text(key), rounds), move) for (key, rounds), move in table.items()))
-
-
 def strategy_policy(table: dict[tuple[str, int], int]) -> Policy:
-    """Play a text-keyed table: a parsed strategy file or :func:`strategy_text`."""
+    """Play a table keyed by (key text, rounds), as :func:`parse_strategy` returns it."""
 
     def policy(domain: GameDomain, cfg: Any, player: str, rnd: int, remaining: int) -> int:
         key = (domain.key_text(domain.canonical_key(cfg)), remaining)

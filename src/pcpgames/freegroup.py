@@ -147,10 +147,6 @@ _CODE_LETTERS: dict[int, Letter] = {}
 def letter_codes(letters: tuple[Letter, ...]) -> tuple[int, ...]:
     """The signed code of each letter; a symbol not seen before gets the next id."""
     codes = _LETTER_CODES
-    try:
-        return tuple(map(codes.__getitem__, letters))
-    except KeyError:
-        pass
     for sym, _ in letters:
         if (sym, 1) not in codes:
             code = len(codes) // 2 + 1
@@ -163,14 +159,6 @@ def letter_codes(letters: tuple[Letter, ...]) -> tuple[int, ...]:
 def code_letters(codes: Iterable[int]) -> tuple[Letter, ...]:
     """Inverse of :func:`letter_codes`."""
     return tuple(map(_CODE_LETTERS.__getitem__, codes))
-
-
-def power(w: GroupWord, n: int) -> GroupWord:
-    base = w if n >= 0 else invert(w)
-    out = EPSILON
-    for _ in range(abs(n)):
-        out = concat(out, base)
-    return out
 
 
 def render(w: GroupWord | tuple[Letter, ...]) -> str:

@@ -139,6 +139,14 @@ def bad_prefix_case(inst: PcpInstance, p: str) -> BadPrefixCase | None:
 
 DEFAULT_MARKER = "α"
 
+# Domain letters become word-game symbols, so a letter that the game text
+# forms already give a meaning would be misread there.
+_RESERVED_LETTERS = {
+    "~": "the inverse mark",
+    "#": "the Attacker's waiting move",
+    "ε": "the empty word",
+}
+
 
 def desynchronize(inst: PcpInstance, marker: str = DEFAULT_MARKER) -> PcpInstance:
     """Insert a fresh marker letter so image lengths can never agree.
@@ -177,6 +185,10 @@ def parse_instance(text: str) -> PcpInstance:
             if domain is not None:
                 raise PcpError("duplicate alphabet header", lineno)
             domain = _parse_letters(line[len("alphabet:"):], lineno)
+            for letter in domain:
+                if letter in _RESERVED_LETTERS:
+                    meaning = _RESERVED_LETTERS[letter]
+                    raise PcpError(f"domain letter {letter!r} is reserved ({meaning} in game text)", lineno)
         elif line.startswith("images:"):
             if domain is None:
                 raise PcpError("missing alphabet header", lineno)

@@ -152,7 +152,7 @@ def build_weighted_word_game(aut: WeightedAutomaton) -> WeightedWordGame:
 
 def counter_word(x: int) -> GroupWord:
     """The counter value x as the unary group word r^x."""
-    return fg.power(fg.word(COUNTER_SYMBOL), x)
+    return GroupWord(((COUNTER_SYMBOL, 1 if x >= 0 else -1),) * abs(x))
 
 
 def to_pair_game(g: WeightedWordGame) -> PairWordGame:

@@ -181,6 +181,16 @@ def test_check_universality_cap_tripped(capsys):
     assert err.splitlines() == ["error: the search stepped more than 1048576 configurations, the safety cap"]
 
 
+@pytest.mark.parametrize("letter", ["~", "#", "ε"])
+@pytest.mark.parametrize("command", [("check", "--universality", "2"), ("solve", "--rounds", "2")])
+def test_reserved_domain_letter_is_an_error(tmp_path, capsys, command, letter):
+    instance = tmp_path / "reserved.pcp"
+    instance.write_text(f"alphabet: {letter} a\nimages: x\nmap {letter} x x\nmap a x _\n", encoding="utf-8")
+    code, out, err = run(capsys, command[0], "-i", str(instance), *command[1:])
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: line 1: domain letter {letter!r} is reserved") and err.count("\n") == 1
+
+
 def test_solve_toy_cancel(capsys):
     code, out, _ = run(capsys, "solve", "--game", fixture("toy_cancel.game"), "--rounds", "1")
     assert code == 0
@@ -374,12 +384,16 @@ def test_play_script_literal_too_long_for_a_file_name(capsys):
     assert len(out.splitlines()) == 600
 
 
-def test_play_script_file_that_cannot_be_read(tmp_path, capsys):
-    code, _, err = run(
-        capsys, "play", "--game", fixture("toy_cancel.game"),
-        "--defender", f"script:{tmp_path}", "--attacker", "script:0", "--rounds", "1",
+def test_play_script_is_never_a_file_name(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    argv = (
+        "play", "-i", fixture("eq.pcp"), "--defender", "script:aa", "--attacker", "script:0,0",
+        "--rounds", "2",
     )
-    assert_one_error_line(code, err, tmp_path)
+    code, played, err = run(capsys, *argv)
+    assert code == 0, err
+    (tmp_path / "aa").write_text("b\n", encoding="utf-8")
+    assert run(capsys, *argv) == (0, played, "")
 
 
 def test_play_bad_script_token(capsys):

@@ -18,7 +18,7 @@ from pcpgames.domains import braid_domain, matrix_domain, pair_domain, word_doma
 from pcpgames.domains import REPRESENTATIONS, build_pipeline
 from pcpgames.engine import ATTACKER, DEFENDER
 
-from conftest import GOLDEN, brute_attacker_wins, load_instance, scripts
+from conftest import FIXTURES, GOLDEN, brute_attacker_wins, load_instance, scripts
 from oracles import (
     RobotGame,
     key_decides_target_along,
@@ -123,7 +123,7 @@ def test_defender_survival_none_when_attacker_wins(toy_cancel):
     assert result.attacker_wins
     # The key is the word's letter codes followed by the counter.
     assert result.strategy == {(fg.letter_codes((("a", 1),)) + (0,), 1): 0}
-    assert engine.strategy_text(domain, result.strategy) == {("a;0", 1): 0}
+    assert engine.parse_strategy(engine.render_strategy(domain, result.strategy)) == {("a;0", 1): 0}
 
 
 def test_winning_certificate_replays_against_all_scripts(pipelines):
@@ -207,6 +207,20 @@ def test_trace_render_parse_round_trip(pipelines):
         engine.parse_trace("this is not a trace")
 
 
+@pytest.mark.parametrize("name", sorted(path.stem for path in FIXTURES.glob("*.pcp")))
+def test_strategy_file_round_trip(name):
+    pipe = build_pipeline(load_instance(name))
+    for representation in REPRESENTATIONS:
+        domain = pipe.domain(representation)
+        result = engine.attacker_wins_within(domain, 2)
+        text = engine.render_strategy(domain, result.strategy)
+        table = engine.parse_strategy(text)
+        # Distinct keys keep distinct lines: the key text is injective.
+        assert len(table) == len(result.strategy) > 0
+        assert table == {(domain.key_text(key), rounds): move for (key, rounds), move in result.strategy.items()}
+        assert list(table) == sorted(table)
+
+
 def test_strategy_policy_missing_key(toy_cancel):
     domain = word_domain(toy_cancel)
     with pytest.raises(ValueError, match="strategy has no move for key .*does not fit this game"):
@@ -281,7 +295,7 @@ def test_crosscheck_detects_fault_injection(pipelines):
     pipe = pipelines["eq"]
     domain = pipe.domain("word")
     result = engine.attacker_wins_within(domain, 2)
-    attacker = engine.strategy_policy(engine.strategy_text(domain, result.strategy))
+    attacker = engine.strategy_policy(engine.parse_strategy(engine.render_strategy(domain, result.strategy)))
     trace = engine.play(domain, engine.scripted_policy([0, 0]), attacker, 2)
     good = pipe.matrix_game
     corrupted_game = mx.MatrixGame(

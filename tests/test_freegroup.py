@@ -144,12 +144,6 @@ def test_concat_matches_full_reduction(u, v):
     assert fg.GroupWord(product.letters) == product
 
 
-def test_power():
-    assert fg.power(fg.word("r"), 3) == fg.word("r", "r", "r")
-    assert fg.power(fg.word("r"), -2) == fg.word("~r", "~r")
-    assert fg.power(fg.word("r"), 0) == fg.EPSILON
-
-
 def test_all_reduced_words_counts():
     # rank-3 symmetric alphabet: 1 + 6 + 6*5 + 6*25 words up to length 3
     assert sum(1 for _ in all_reduced_words(ALPHA3.symbols, 3)) == 1 + 6 + 30 + 150

@@ -40,6 +40,9 @@ def test_parse_missing_alphabet_header():
         ("alphabet: a\nimages: a\nwhat is this", "line 3: unrecognized line"),
         ("alphabet: ab\nimages: a\nmap a a a", "line 1: letters must be single characters"),
         ("alphabet: a", "missing images header"),
+        ("alphabet: a ~\nimages: a\nmap a a a\nmap ~ a a", "line 1: domain letter '~' is reserved"),
+        ("\nalphabet: # a\nimages: a\nmap a a a\nmap # a a", "line 2: domain letter '#' is reserved"),
+        ("alphabet: ε\nimages: ε\nmap ε ε ε", "line 1: domain letter 'ε' is reserved"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, message):

@@ -196,6 +196,12 @@ def test_junk_persistence(pipelines):
     explore(game.initial, 0, False)
 
 
+def test_counter_word():
+    assert wg.counter_word(3) == fg.word("r", "r", "r")
+    assert wg.counter_word(-2) == fg.word("~r", "~r")
+    assert wg.counter_word(0) == fg.EPSILON
+
+
 def test_to_pair_game_examples(pipelines):
     pipe = pipelines["i1"]
     pair = pipe.pair_game
