@@ -702,8 +702,8 @@ def build_braid3_game(g: WeightedWordGame) -> BraidGame:
         raise BraidError("binarize the word game before encoding into braids")
     return BraidGame(
         strands=3,
-        defender_braids=tuple(b3_encode(m.word, m.weight) for m in g.defender_moves),
-        attacker_braids=tuple(b3_encode(m.word, m.weight) for m in g.attacker_moves),
+        defender_braids=tuple(b3_encode(m.word, m.counter) for m in g.defender_moves),
+        attacker_braids=tuple(b3_encode(m.word, m.counter) for m in g.attacker_moves),
         initial_braid=b3_encode(g.initial.word, g.initial.counter),
     )
 

@@ -183,7 +183,7 @@ def _script_indices(body: str, words: wg.WeightedWordGame, player: str) -> list[
                 )
             indices.append(int(tok))
             continue
-        move = wg.WeightedMove(fg.word(tok), 0)
+        move = wg.WordConfig(fg.word(tok), 0)
         if move not in moves:
             raise CliError(f"script token {tok!r} names no move of player {player}")
         indices.append(moves.index(move))

@@ -2,7 +2,9 @@
 
 Every representation is one :class:`Domain`, the same word game seen
 through another image: moves acting invertibly on points, one target point,
-and a canonical key that is an invariant of the action.  A key is a
+and a canonical key that is an invariant of the action.  A move and a point
+are elements of one group (F×Z, F×F, SL(4,Z), B3 or B5), so in each
+representation they have one type and ``step`` is their product.  A key is a
 hashable point, never text: the flat tuple of a word's letter codes
 (``freegroup.letter_codes``) and its counter, the pair of letter tuples of a
 pair configuration, the anchor row of a matrix product.  ``key_text``
@@ -13,16 +15,16 @@ acted on by a^-1 and then d^-1, so ``threat_replies`` keeps one dict from
 the keys of those points to a row that holds, for each d, the least such a,
 built on the first reply (plays, dumps and crosschecks ask for none), and
 answers from the key the solver already holds for its memo; no domain
-applies a move to find a target.  The word and pair points are their
-configurations.  A stepped word point is
+applies a move to find a target.  The word and pair points and moves are
+``WordConfig`` and ``PairConfig``.  A stepped word point is
 its coded key alone: the step finds the seam on the codes of its two
 factors' keys and slices one tuple, the word's ``is_target`` compares keys,
 and the word and counter are decoded from the key only where they are read
 (perfbench's play certificate, the tests), never on the solve, replay or
 target path.  The matrix point
 is the block product P, keyed by its anchor row x0*P, which is all the
-target x0*P = x0 reads.  A braid point is ``BraidConfig(braid, source)``,
-the braid word beside the configuration of the domain it encodes
+target x0*P = x0 reads.  A braid point or move is ``BraidConfig(braid, source)``,
+the braid word beside the element of the domain it encodes
 (``braid3`` the binary word game, named ``binary-word``, ``braid5`` the
 binary pair game); the source domain gives the key, its text and the target
 predicate (the encodings are injective on everything a play can reach),
@@ -59,8 +61,9 @@ from .pcp import PcpInstance
 class Domain:
     """One representation of a game: moves acting invertibly on points.
 
-    ``step(point, move)`` applies one entry of a move tuple and
-    ``inverse(move)`` is the move that undoes it.  ``canonical_key`` returns
+    Moves and points are elements of one group and have one type;
+    ``step(point, move)`` is their product, for one entry of a move tuple,
+    and ``inverse(move)`` is the move that undoes it.  ``canonical_key`` returns
     a hashable key that must be an invariant of the action: equal keys stay
     equal under every move, and ``is_target(x)`` holds exactly when
     ``canonical_key(x) == canonical_key(target)``.  ``key_text`` renders a
@@ -119,7 +122,7 @@ class Domain:
 
 
 def _letters_text(letters: tuple[fg.Letter, ...]) -> str:
-    return fg.render(letters) or "ε"
+    return fg.render(letters) or wg.EMPTY_WORD_TEXT
 
 
 _weighted_key = operator.attrgetter("key")
@@ -159,16 +162,17 @@ def _least_index(keys: Iterable[Hashable]) -> dict[Hashable, int]:
 _new, _set_key = object.__new__, wg.WordConfig.key.__set__
 
 
-def _word_step(config: wg.WordConfig, move: wg.WeightedMove) -> wg.WordConfig:
-    """The seam is found on the codes and the product is its key alone:
-    ``word`` and ``counter`` are decoded from it only where they are read."""
-    uk, vk = config.key, move.codes
-    n, i = len(uk) - 1, 0
-    while n and i < len(vk) and uk[n - 1] == -vk[i]:
+def _word_step(config: wg.WordConfig, move: wg.WordConfig) -> wg.WordConfig:
+    """The seam is found on the codes of the two keys and the product is its
+    key alone: ``word`` and ``counter`` are decoded from it only where they
+    are read.  A key ends with its counter, so ``m`` indexes the move's."""
+    uk, vk = config.key, move.key
+    n, m, i = len(uk) - 1, len(vk) - 1, 0
+    while n and i < m and uk[n - 1] == -vk[i]:
         n -= 1
         i += 1
     out = _new(wg.WordConfig)
-    _set_key(out, uk[:n] + vk[i:] + (uk[-1] + move.weight,))
+    _set_key(out, uk[:n] + vk[i:m] + (uk[-1] + vk[m],))
     return out
 
 
@@ -177,8 +181,8 @@ def _word_is_target(config: wg.WordConfig) -> bool:
     return config.key == (0,)
 
 
-def _word_inverse(move: wg.WeightedMove) -> wg.WeightedMove:
-    return wg.WeightedMove(fg.invert(move.word), -move.weight)
+def _word_inverse(move: wg.WordConfig) -> wg.WordConfig:
+    return wg.WordConfig(fg.invert(move.word), -move.counter)
 
 
 def word_domain(game: wg.WeightedWordGame, name: str = "word") -> Domain:
@@ -187,23 +191,23 @@ def word_domain(game: wg.WeightedWordGame, name: str = "word") -> Domain:
     return Domain(
         name, game.initial, game.defender_moves, game.attacker_moves,
         _word_step, _word_inverse, target, _word_is_target, _weighted_key, _weighted_key_text,
-        wg.WeightedMove.render,
+        wg.WordConfig.render,
     )
 
 
-def _pair_step(config: wg.PairConfig, move: wg.PairMove) -> wg.PairConfig:
+def _pair_step(config: wg.PairConfig, move: wg.PairConfig) -> wg.PairConfig:
     return wg.PairConfig(fg.concat(config.word, move.word), fg.concat(config.counter_word, move.counter_word))
 
 
-def _pair_inverse(move: wg.PairMove) -> wg.PairMove:
-    return wg.PairMove(fg.invert(move.word), fg.invert(move.counter_word))
+def _pair_inverse(move: wg.PairConfig) -> wg.PairConfig:
+    return wg.PairConfig(fg.invert(move.word), fg.invert(move.counter_word))
 
 
 def pair_domain(game: wg.PairWordGame) -> Domain:
     target = wg.PairConfig(fg.EPSILON, fg.EPSILON)
     return Domain(
         "pair", game.initial, game.defender_moves, game.attacker_moves,
-        _pair_step, _pair_inverse, target, target.__eq__, _pair_key, _pair_key_text, wg.PairMove.render,
+        _pair_step, _pair_inverse, target, target.__eq__, _pair_key, _pair_key_text, wg.PairConfig.render,
     )
 
 
@@ -232,7 +236,7 @@ def matrix_domain(game: mx.MatrixGame) -> Domain:
 
 @dataclass(frozen=True, slots=True)
 class BraidConfig:
-    """A braid word and the source configuration it encodes.
+    """A braid word and the source element it encodes: a configuration or a move.
 
     ``word``, ``counter`` (braid3) and ``counter_word`` (braid5) forward to
     ``source``; perfbench's play certificate reads them.  Slots make the
@@ -246,27 +250,25 @@ class BraidConfig:
     counter_word = property(operator.attrgetter("source.counter_word"))
 
 
-def _braid_label(move: tuple[br.BraidWord, Any]) -> str:
-    return move[0].render()
+def _braid_label(move: BraidConfig) -> str:
+    return move.braid.render()
 
 
 def braid_domain(name: str, braid_game: br.BraidGame, source: Domain) -> Domain:
-    """Each move is a braid zipped with the source move it encodes."""
+    """Move i is the braid game's move i beside the source domain's move i."""
     source_step, source_inverse = source.step, source.inverse
     is_target, canonical_key = source.is_target, source.canonical_key
 
-    def step(config: BraidConfig, move: tuple[br.BraidWord, Any]) -> BraidConfig:
-        braid, source_move = move
-        return BraidConfig(br.concat(config.braid, braid), source_step(config.source, source_move))
+    def step(config: BraidConfig, move: BraidConfig) -> BraidConfig:
+        return BraidConfig(br.concat(config.braid, move.braid), source_step(config.source, move.source))
 
-    def inverse(move: tuple[br.BraidWord, Any]) -> tuple[br.BraidWord, Any]:
-        braid, source_move = move
-        return br.invert(braid), source_inverse(source_move)
+    def inverse(move: BraidConfig) -> BraidConfig:
+        return BraidConfig(br.invert(move.braid), source_inverse(move.source))
 
     return Domain(
         name, BraidConfig(braid_game.initial_braid, source.initial),
-        tuple(zip(braid_game.defender_braids, source.defender_moves)),
-        tuple(zip(braid_game.attacker_braids, source.attacker_moves)),
+        tuple(map(BraidConfig, braid_game.defender_braids, source.defender_moves)),
+        tuple(map(BraidConfig, braid_game.attacker_braids, source.attacker_moves)),
         step, inverse, BraidConfig(br.BraidWord(braid_game.strands, ()), source.target),
         lambda config: is_target(config.source),
         lambda config: canonical_key(config.source),

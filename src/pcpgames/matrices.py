@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import freegroup as fg
 from .freegroup import GroupWord
-from .wordgames import COUNTER_ALPHABET, PairWordGame
+from .wordgames import PairWordGame
 
 IntMatrix = tuple[tuple[int, ...], ...]
 IntVector = tuple[int, ...]
@@ -70,7 +70,7 @@ def block_diag(a: IntMatrix, b: IntMatrix) -> IntMatrix:
 def pair_encode(word: GroupWord, counter_word: GroupWord) -> IntMatrix:
     """4x4 block-diagonal image: f(word) upper left, f(alpha(counter)) lower right."""
     upper = f_encode(word)
-    lower = f_encode(fg.alpha_encode(counter_word, COUNTER_ALPHABET))
+    lower = f_encode(fg.alpha_encode(counter_word, fg.COUNTER_ALPHABET))
     return block_diag(upper, lower)
 
 

@@ -18,68 +18,51 @@ Played against a defender who replays a word, the attacker can cancel the
 stored letters newest-first, so reaching the target is following a path of
 the given automaton on the reversed stored prefix.
 
-The game and configuration types are plain data: ``domains.word_domain``
-and ``domains.pair_domain`` step them and find the target replies.
+A move and a configuration are elements of one group, F×Z for the weighted
+game and F×F for the pair game, so each game has one type for both,
+:class:`WordConfig` and :class:`PairConfig`, and a step is their product.
+The game and element types are plain data: ``domains.word_domain`` and
+``domains.pair_domain`` step them and find the target replies.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from . import freegroup as fg
-from .automata import AutomatonError, BuiltOnFirstAccess, WeightedAutomaton
+from .automata import AutomatonError, WeightedAutomaton
 from .freegroup import GroupWord, RankedAlphabet
 
 HASH = "#"
-COUNTER_SYMBOL = fg.COUNTER_SYMBOL
-COUNTER_ALPHABET = fg.COUNTER_ALPHABET
-
-
-@dataclass(frozen=True)
-class WeightedMove:
-    word: GroupWord
-    weight: int
-
-    @BuiltOnFirstAccess
-    def codes(self) -> tuple[int, ...]:
-        """The word's letter codes, built on the first step that reads them."""
-        return fg.letter_codes(self.word.letters)
-
-    def render(self) -> str:
-        return f"word={fg.render(self.word)} weight={self.weight}"
-
-
-@dataclass(frozen=True)
-class PairMove:
-    word: GroupWord
-    counter_word: GroupWord
-
-    def render(self) -> str:
-        return f"word={fg.render(self.word)} counter={fg.render(self.counter_word)}"
+EMPTY_WORD_TEXT = "ε"
 
 
 @dataclass(frozen=True, slots=True)
 class WordConfig:
-    """``key`` is the word's letter codes followed by the counter, the
-    configuration's hashable key.
+    """An element of F×Z: a configuration or a move of the weighted game.
 
-    A configuration built from a word and a counter computes its key; one
-    made by a step (``domains._word_step``) is its key alone, and its
-    ``word`` and ``counter`` are decoded from the key when first read, so the
-    solver, which reads only keys, never builds a word.
+    ``key`` is the word's letter codes followed by the counter, the
+    element's hashable key.  Either side is derived from the other when
+    first read: an element built from a word and a counter computes its key,
+    and one made by a step (``domains._word_step``) is its key alone, whose
+    ``word`` and ``counter`` are decoded from it, so the solver, which reads
+    only keys, never builds a word.  ``weight`` is the counter under the
+    name the dump format gives a move's integer.
     """
 
     word: GroupWord
     counter: int
     key: tuple[int, ...] = field(init=False, compare=False, repr=False)
+    weight = property(attrgetter("counter"))
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "key", fg.letter_codes(self.word.letters) + (self.counter,))
-
-    def __getattr__(self, name: str) -> GroupWord | int:
-        # Reached only for an unset slot: the word or counter of a stepped configuration.
-        if name == "word":
+    def __getattr__(self, name: str) -> GroupWord | int | tuple[int, ...]:
+        # Reached only for an unset slot: the key of an element built from a
+        # word, or the word or counter of a stepped one.
+        if name == "key":
+            value = fg.letter_codes(self.word.letters) + (self.counter,)
+        elif name == "word":
             value = GroupWord(fg.code_letters(self.key[:-1]))
         elif name == "counter":
             value = self.key[-1]
@@ -88,26 +71,34 @@ class WordConfig:
         object.__setattr__(self, name, value)
         return value
 
+    def render(self) -> str:
+        return f"word={fg.render(self.word)} weight={self.counter}"
+
 
 @dataclass(frozen=True, slots=True)
 class PairConfig:
+    """An element of F×F: a configuration or a move of the pair game."""
+
     word: GroupWord
     counter_word: GroupWord
+
+    def render(self) -> str:
+        return f"word={fg.render(self.word)} counter={fg.render(self.counter_word)}"
 
 
 @dataclass(frozen=True)
 class WeightedWordGame:
     alphabet: RankedAlphabet
-    defender_moves: tuple[WeightedMove, ...]
-    attacker_moves: tuple[WeightedMove, ...]
+    defender_moves: tuple[WordConfig, ...]
+    attacker_moves: tuple[WordConfig, ...]
     initial: WordConfig
 
 
 @dataclass(frozen=True)
 class PairWordGame:
     alphabet: RankedAlphabet
-    defender_moves: tuple[PairMove, ...]
-    attacker_moves: tuple[PairMove, ...]
+    defender_moves: tuple[PairConfig, ...]
+    attacker_moves: tuple[PairConfig, ...]
     initial: PairConfig
 
 
@@ -122,26 +113,26 @@ def build_weighted_word_game(aut: WeightedAutomaton) -> WeightedWordGame:
         raise AutomatonError("the word game is built from the unfolded 9-state automaton")
     alphabet = game_alphabet(aut)
     init = aut.initial
-    defender = tuple(WeightedMove(fg.word(a), 0) for a in sorted(aut.alphabet))
-    attacker: list[WeightedMove] = [WeightedMove(fg.word(HASH), 0)]
+    defender = tuple(WordConfig(fg.word(a), 0) for a in sorted(aut.alphabet))
+    attacker: list[WordConfig] = [WordConfig(fg.word(HASH), 0)]
     transitions = aut.sorted_transitions()
     for t in transitions:
         if t.source == init:
             attacker.append(
-                WeightedMove(fg.word("~" + t.letter, "~" + t.target), t.weight)
+                WordConfig(fg.word("~" + t.letter, "~" + t.target), t.weight)
             )
     for b in sorted(aut.alphabet):
         for t in transitions:
             if t.source != init:
                 attacker.append(
-                    WeightedMove(
+                    WordConfig(
                         fg.word("~" + b, t.source, "~" + HASH, "~" + t.letter, "~" + t.target),
                         t.weight,
                     )
                 )
     for f in sorted(aut.finals):
         for a in sorted(aut.alphabet):
-            attacker.append(WeightedMove(fg.word("~" + a, f, "~" + init), 0))
+            attacker.append(WordConfig(fg.word("~" + a, f, "~" + init), 0))
     return WeightedWordGame(
         alphabet=alphabet,
         defender_moves=defender,
@@ -152,7 +143,7 @@ def build_weighted_word_game(aut: WeightedAutomaton) -> WeightedWordGame:
 
 def counter_word(x: int) -> GroupWord:
     """The counter value x as the unary group word r^x."""
-    return GroupWord(((COUNTER_SYMBOL, 1 if x >= 0 else -1),) * abs(x))
+    return GroupWord(((fg.COUNTER_SYMBOL, 1 if x >= 0 else -1),) * abs(x))
 
 
 def to_pair_game(g: WeightedWordGame) -> PairWordGame:
@@ -160,10 +151,10 @@ def to_pair_game(g: WeightedWordGame) -> PairWordGame:
     return PairWordGame(
         alphabet=g.alphabet,
         defender_moves=tuple(
-            PairMove(m.word, counter_word(m.weight)) for m in g.defender_moves
+            PairConfig(m.word, counter_word(m.counter)) for m in g.defender_moves
         ),
         attacker_moves=tuple(
-            PairMove(m.word, counter_word(m.weight)) for m in g.attacker_moves
+            PairConfig(m.word, counter_word(m.counter)) for m in g.attacker_moves
         ),
         initial=PairConfig(g.initial.word, counter_word(g.initial.counter)),
     )
@@ -179,18 +170,17 @@ def binarize(g: WeightedWordGame) -> WeightedWordGame:
     enc = lambda w: fg.alpha_encode(w, g.alphabet)
     return WeightedWordGame(
         alphabet=fg.BINARY_ALPHABET,
-        defender_moves=tuple(WeightedMove(enc(m.word), m.weight) for m in g.defender_moves),
-        attacker_moves=tuple(WeightedMove(enc(m.word), m.weight) for m in g.attacker_moves),
+        defender_moves=tuple(WordConfig(enc(m.word), m.counter) for m in g.defender_moves),
+        attacker_moves=tuple(WordConfig(enc(m.word), m.counter) for m in g.attacker_moves),
         initial=WordConfig(enc(g.initial.word), g.initial.counter),
     )
 
 
-def _dump_game(g: WeightedWordGame | PairWordGame, initial: WeightedMove | PairMove,
-               target: WeightedMove | PairMove) -> str:
-    """Alphabet, initial and target configurations, then every move, in the move format."""
+def _dump_game(g: WeightedWordGame | PairWordGame, target: WordConfig | PairConfig) -> str:
+    """Alphabet, initial and target configurations, then every move, in one format."""
     lines = [
         "alphabet " + " ".join(g.alphabet.symbols),
-        f"initial {initial.render()}",
+        f"initial {g.initial.render()}",
         f"target {target.render()}",
     ]
     lines += [f"player=D {m.render()}" for m in g.defender_moves]
@@ -199,13 +189,11 @@ def _dump_game(g: WeightedWordGame | PairWordGame, initial: WeightedMove | PairM
 
 
 def dump_weighted_game(g: WeightedWordGame) -> str:
-    initial = WeightedMove(g.initial.word, g.initial.counter)
-    return _dump_game(g, initial, WeightedMove(fg.EPSILON, 0))
+    return _dump_game(g, WordConfig(fg.EPSILON, 0))
 
 
 def dump_pair_game(g: PairWordGame) -> str:
-    initial = PairMove(g.initial.word, g.initial.counter_word)
-    return _dump_game(g, initial, PairMove(fg.EPSILON, fg.EPSILON))
+    return _dump_game(g, PairConfig(fg.EPSILON, fg.EPSILON))
 
 
 def parse_weighted_game(text: str) -> WeightedWordGame:
@@ -214,13 +202,14 @@ def parse_weighted_game(text: str) -> WeightedWordGame:
     The ``alphabet``, ``initial`` and ``target`` lines may each appear once.
     With an ``alphabet`` line every letter of the moves and of the initial
     word must be in it; without one the alphabet is the letters used, in
-    order of first use.
+    order of first use.  No symbol may be ``ε``, the text of the empty word
+    in traces and strategy files.
     """
     alphabet: RankedAlphabet | None = None
     initial = WordConfig(fg.EPSILON, 0)
     headers: set[str] = set()
-    defender: list[WeightedMove] = []
-    attacker: list[WeightedMove] = []
+    defender: list[WordConfig] = []
+    attacker: list[WordConfig] = []
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -232,6 +221,8 @@ def parse_weighted_game(text: str) -> WeightedWordGame:
             headers.add(keyword)
             if keyword == "alphabet":
                 alphabet = RankedAlphabet(tuple(rest.split()))
+                if EMPTY_WORD_TEXT in alphabet:
+                    raise ValueError(f"symbol 'ε' in line {line!r} is reserved for the empty word")
             elif keyword == "initial":
                 initial = WordConfig(*_split_move(rest))
             else:
@@ -241,7 +232,7 @@ def parse_weighted_game(text: str) -> WeightedWordGame:
         elif line.startswith("player="):
             player, rest = line.split(None, 1)
             word, weight = _split_move(rest)
-            move = WeightedMove(word, weight)
+            move = WordConfig(word, weight)
             if player == "player=D":
                 defender.append(move)
             elif player == "player=A":
@@ -253,11 +244,13 @@ def parse_weighted_game(text: str) -> WeightedWordGame:
     if not defender or not attacker:
         raise ValueError(f"the game dump has no player={'A' if defender else 'D'} move")
     lines = [("player=D", m) for m in defender] + [("player=A", m) for m in attacker]
-    lines.append(("initial", WeightedMove(initial.word, initial.counter)))
+    lines.append(("initial", initial))
     if alphabet is None:
         alphabet = RankedAlphabet(tuple(dict.fromkeys(sym for _, m in lines for sym, _ in m.word.letters)))
     for head, m in lines:
         for sym, _ in m.word.letters:
+            if sym == EMPTY_WORD_TEXT:
+                raise ValueError(f"symbol {sym!r} in line '{head} {m.render()}' is reserved for the empty word")
             if sym not in alphabet:
                 raise ValueError(f"symbol {sym!r} in line '{head} {m.render()}' is not in the alphabet line")
     return WeightedWordGame(alphabet, tuple(defender), tuple(attacker), initial)

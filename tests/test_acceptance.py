@@ -282,14 +282,14 @@ def test_criterion_10_solver_certificates():
     started = time.time()
     toy_cancel = wg.WeightedWordGame(
         alphabet=fg.RankedAlphabet(("a",)),
-        defender_moves=(wg.WeightedMove(fg.word("a"), 0),),
-        attacker_moves=(wg.WeightedMove(fg.word("~a"), 0),),
+        defender_moves=(wg.WordConfig(fg.word("a"), 0),),
+        attacker_moves=(wg.WordConfig(fg.word("~a"), 0),),
         initial=wg.WordConfig(fg.EPSILON, 0),
     )
     toy_survive = wg.WeightedWordGame(
         alphabet=fg.RankedAlphabet(("a", "b")),
-        defender_moves=(wg.WeightedMove(fg.word("a"), 0), wg.WeightedMove(fg.word("b"), 0)),
-        attacker_moves=(wg.WeightedMove(fg.word("~a"), 0),),
+        defender_moves=(wg.WordConfig(fg.word("a"), 0), wg.WordConfig(fg.word("b"), 0)),
+        attacker_moves=(wg.WordConfig(fg.word("~a"), 0),),
         initial=wg.WordConfig(fg.EPSILON, 0),
     )
     i1_game = build_pipeline(load_instance("i1")).weighted_game

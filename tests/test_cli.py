@@ -265,11 +265,19 @@ def test_closed_stdout_exits_1_with_nothing_on_stderr():
             "the game dump has a second target line 'target word= weight=0'",
         ),
         ("player=D word=a weight=0\nplayer=A word=~ weight=0", "solve", "word token '~' has no symbol"),
+        (
+            "player=D word=ε weight=0\nplayer=A word=~ε weight=0", "play",
+            "symbol 'ε' in line 'player=D word=ε weight=0' is reserved for the empty word",
+        ),
+        (
+            "player=D word=a weight=0\nplayer=A word=~a ε weight=0", "solve",
+            "symbol 'ε' in line 'player=A word=~a ε weight=0' is reserved for the empty word",
+        ),
     ],
     ids=[
         "no-defender-move", "no-attacker-move", "weight-not-an-integer", "target-not-empty",
         "target-malformed", "letter-outside-alphabet", "second-initial", "second-alphabet",
-        "second-target", "lone-tilde",
+        "second-target", "lone-tilde", "empty-word-symbol-defender", "empty-word-symbol-attacker",
     ],
 )
 def test_malformed_game_dump_is_an_error(tmp_path, capsys, moves, command, message):
@@ -279,6 +287,33 @@ def test_malformed_game_dump_is_an_error(tmp_path, capsys, moves, command, messa
     code, out, err = run(capsys, command, "--game", str(game), "--rounds", "1", *policies)
     assert code == 1 and out == ""
     assert err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "dump, line",
+    [
+        (
+            "alphabet ε #\nplayer=D word=ε weight=0\nplayer=A word=~ε weight=0\nplayer=A word=# weight=0\n",
+            "alphabet ε #",
+        ),
+        (
+            "initial word=ε weight=0\nplayer=D word=a weight=0\nplayer=A word=~a weight=0\n",
+            "initial word=ε weight=0",
+        ),
+    ],
+    ids=["alphabet-line", "initial-without-alphabet-line"],
+)
+def test_game_dump_refuses_the_empty_word_symbol(tmp_path, capsys, dump, line):
+    # Key texts render the empty word as ε, so a symbol ε would make the word
+    # ε and the empty word one configuration in traces and strategy files.
+    game = tmp_path / "epsilon.game"
+    game.write_text(dump)
+    code, out, err = run(
+        capsys, "play", "--game", str(game), "--defender", "script:0,0", "--attacker", "script:0,0",
+        "--rounds", "2", "--run-to-end",
+    )
+    assert code == 1 and out == ""
+    assert err == f"error: symbol 'ε' in line {line!r} is reserved for the empty word\n"
 
 
 def test_solve_writes_strategy(tmp_path, capsys):

@@ -36,8 +36,8 @@ from oracles import (
 def toy_cancel():
     return wg.WeightedWordGame(
         alphabet=fg.RankedAlphabet(("a",)),
-        defender_moves=(wg.WeightedMove(fg.word("a"), 0),),
-        attacker_moves=(wg.WeightedMove(fg.word("~a"), 0),),
+        defender_moves=(wg.WordConfig(fg.word("a"), 0),),
+        attacker_moves=(wg.WordConfig(fg.word("~a"), 0),),
         initial=wg.WordConfig(fg.EPSILON, 0),
     )
 
@@ -46,8 +46,8 @@ def toy_cancel():
 def toy_survive():
     return wg.WeightedWordGame(
         alphabet=fg.RankedAlphabet(("a", "b")),
-        defender_moves=(wg.WeightedMove(fg.word("a"), 0), wg.WeightedMove(fg.word("b"), 0)),
-        attacker_moves=(wg.WeightedMove(fg.word("~a"), 0),),
+        defender_moves=(wg.WordConfig(fg.word("a"), 0), wg.WordConfig(fg.word("b"), 0)),
+        attacker_moves=(wg.WordConfig(fg.word("~a"), 0),),
         initial=wg.WordConfig(fg.EPSILON, 0),
     )
 
@@ -421,9 +421,9 @@ def small_word_games(draw):
     symbols = ("a", "b")[: draw(st.integers(1, 2))]
     letters = st.tuples(st.sampled_from(symbols), st.sampled_from([1, -1]))
     words = st.lists(letters, max_size=3).map(fg.reduce)
-    moves = st.builds(wg.WeightedMove, words, st.integers(-2, 2))
+    moves = st.builds(wg.WordConfig, words, st.integers(-2, 2))
     defender = draw(st.lists(moves, min_size=1, max_size=2))
-    undo = st.sampled_from(defender).map(lambda m: wg.WeightedMove(fg.invert(m.word), -m.weight))
+    undo = st.sampled_from(defender).map(lambda m: wg.WordConfig(fg.invert(m.word), -m.weight))
     replies = st.one_of(moves, undo) if draw(st.booleans()) else moves
     attacker = draw(st.lists(replies, min_size=1, max_size=4))
     line = draw(st.lists(st.tuples(st.sampled_from(defender), st.sampled_from(attacker)), max_size=3))

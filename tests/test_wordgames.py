@@ -9,10 +9,12 @@ from pcpgames import automata as au
 from pcpgames import freegroup as fg
 from pcpgames import wordgames as wg
 from pcpgames.automata import AutomatonError
-from pcpgames.domains import pair_domain, word_domain
+from pcpgames.domains import BraidConfig, build_pipeline, pair_domain, word_domain
 
-from conftest import accepting, paths_over
+from conftest import accepting, load_instance, paths_over
 from oracles import counter_value
+
+FIXTURE_NAMES = ("c4", "c5", "c6", "eq", "fin", "i1", "mm")
 
 
 @pytest.fixture(scope="module")
@@ -40,12 +42,12 @@ def test_initial_word_is_q0(games):
 def test_b_move_from_transition(i1):
     game = wg.build_weighted_word_game(unfolded(i1))
     # q0 --a,-2--> q1 gives the attacker move (~a ~q1, -2)
-    assert wg.WeightedMove(fg.word("~a", "~q1"), -2) in game.attacker_moves
+    assert wg.WordConfig(fg.word("~a", "~q1"), -2) in game.attacker_moves
 
 
 def test_hash_move_present(games):
     for game in games.values():
-        assert game.attacker_moves[0] == wg.WeightedMove(fg.word("#"), 0)
+        assert game.attacker_moves[0] == wg.WordConfig(fg.word("#"), 0)
 
 
 def test_extra_moves_shape(games, pipelines):
@@ -53,7 +55,7 @@ def test_extra_moves_shape(games, pipelines):
         alphabet = pipelines[name].instance.domain_alphabet
         for f in ("q4", "q8"):
             for a in alphabet:
-                assert wg.WeightedMove(fg.word("~" + a, f, "~q0"), 0) in game.attacker_moves
+                assert wg.WordConfig(fg.word("~" + a, f, "~q0"), 0) in game.attacker_moves
 
 
 def test_mid_path_moves_cover_all_defender_letters(mm):
@@ -75,9 +77,9 @@ def test_build_rejects_five_state_automaton(i1):
 def test_apply_move_examples(games):
     step = word_domain(games["i1"]).step
     cfg = wg.WordConfig(fg.word("q0", "a"), 0)
-    moved = step(cfg, wg.WeightedMove(fg.word("~a", "~q1"), -2))
+    moved = step(cfg, wg.WordConfig(fg.word("~a", "~q1"), -2))
     assert moved == wg.WordConfig(fg.word("q0", "~q1"), -2)
-    hashed = step(cfg, wg.WeightedMove(fg.word("#"), 0))
+    hashed = step(cfg, wg.WordConfig(fg.word("#"), 0))
     assert fg.render(hashed.word) == "q0 a #" and hashed.counter == 0
 
 
@@ -114,14 +116,14 @@ def replay_path(game, aut, path):
         raise AssertionError(f"missing attacker move {fg.render(move_word)} weight={weight}")
 
     for rnd in range(1, n + 1):
-        cfg = step(cfg, wg.WeightedMove(fg.word(u[n - rnd]), 0))
+        cfg = step(cfg, wg.WordConfig(fg.word(u[n - rnd]), 0))
         if rnd < n:
             cfg = step(cfg, game.attacker_moves[0])
         else:
             t = path[0]
             cfg = step(cfg, attacker(fg.word("~" + t.letter, "~" + t.target), t.weight))
     for k in range(2, n + 1):
-        cfg = step(cfg, wg.WeightedMove(fg.word(junk), 0))
+        cfg = step(cfg, wg.WordConfig(fg.word(junk), 0))
         t = path[k - 1]
         move = fg.word("~" + junk, t.source, "~" + wg.HASH, "~" + t.letter, "~" + t.target)
         cfg = step(cfg, attacker(move, t.weight))
@@ -141,9 +143,9 @@ def test_telescoping_invariant(pipelines):
             assert fg.render(cfg.word) == f"{aut.initial} ~{final_state}"
             assert cfg.counter == 0
             # the extra move then unbraids to the target
-            cfg = word.step(cfg, wg.WeightedMove(fg.word(junk), 0))
+            cfg = word.step(cfg, wg.WordConfig(fg.word(junk), 0))
             extra = fg.word("~" + junk, final_state, "~" + aut.initial)
-            cfg = word.step(cfg, wg.WeightedMove(extra, 0))
+            cfg = word.step(cfg, wg.WordConfig(extra, 0))
             assert word.is_target(cfg)
             checked += 1
     assert checked > 0
@@ -176,7 +178,7 @@ def test_junk_persistence(pipelines):
     word = pipelines["eq"].domain("word")
     depth = 4
 
-    def leaves_junk(before: wg.WordConfig, move: wg.WeightedMove) -> bool:
+    def leaves_junk(before: wg.WordConfig, move: wg.WordConfig) -> bool:
         if not move.word.letters or not before.word.letters:
             return False
         sym, sign = move.word.letters[0]
@@ -221,7 +223,7 @@ def test_to_pair_game_examples(pipelines):
 def test_pair_apply_counter_cancellation(pipelines):
     step = pair_domain(pipelines["i1"].pair_game).step
     cfg = wg.PairConfig(fg.word("q0"), fg.word("r", "r"))
-    move = wg.PairMove(fg.EPSILON, fg.word("~r"))
+    move = wg.PairConfig(fg.EPSILON, fg.word("~r"))
     assert step(cfg, move).counter_word == fg.word("r")
 
 
@@ -272,14 +274,44 @@ def test_binarize_words_and_targets(pipelines):
             assert bcfg.word == enc(pcfg.word)
 
 
-def test_dump_parse_round_trip(pipelines):
-    game = pipelines["i1"].weighted_game
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_dump_parse_round_trip(name):
+    game = build_pipeline(load_instance(name)).weighted_game
     text = wg.dump_weighted_game(game)
     parsed = wg.parse_weighted_game(text)
     assert parsed.defender_moves == game.defender_moves
     assert parsed.attacker_moves == game.attacker_moves
     assert parsed.initial == game.initial
     assert parsed.alphabet == game.alphabet
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_moves_are_elements_of_their_game(name):
+    # A move and a point are one group's elements: one type, and a step is their product.
+    pipe = build_pipeline(load_instance(name))
+    for game in (pipe.weighted_game, pipe.binary_weighted_game, pipe.pair_game, pipe.binary_pair_game):
+        for move in game.defender_moves + game.attacker_moves:
+            assert type(move) is type(game.initial)
+    binary_word = word_domain(pipe.binary_weighted_game, "binary-word")
+    for braid, braid_game, source in (
+        (pipe.domain("braid3"), pipe.braid3_game, binary_word),
+        (pipe.domain("braid5"), pipe.braid5_game, pipe.domain("pair")),
+    ):
+        for moves, braids, source_moves in (
+            (braid.defender_moves, braid_game.defender_braids, source.defender_moves),
+            (braid.attacker_moves, braid_game.attacker_braids, source.attacker_moves),
+        ):
+            assert len(moves) == len(braids) == len(source_moves)
+            for move, braid_word, source_move in zip(moves, braids, source_moves):
+                assert type(move) is BraidConfig
+                assert move.source == source_move and move.braid == braid_word
+    for domain in (pipe.domain("word"), binary_word):
+        x = domain.initial
+        for move in domain.defender_moves + domain.attacker_moves:
+            built = wg.WordConfig(fg.concat(x.word, move.word), x.counter + move.counter)
+            stepped = domain.step(x, move)
+            assert built.key == stepped.key
+            assert (built.word, built.counter, built.weight) == (stepped.word, stepped.counter, stepped.weight)
 
 
 def test_parse_refuses_an_initial_letter_outside_the_alphabet():
